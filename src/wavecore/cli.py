@@ -424,6 +424,8 @@ def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_
     """Noise-injected inference of the bundled model on synthetic data."""
     if model != "tinycnn":
         raise ScenarioError(f"model: unknown model {model!r} (bundled: tinycnn)")
+    if samples < 1:
+        raise ScenarioError(f"samples: must be >= 1, got {samples}")
     try:
         geom = CoreGeometry.parse(core_text)
         noise = NoiseSpec(sigma_in=sigma_in, sigma_w=sigma_w, sigma_out=sigma_out, seed=seed)

@@ -11,7 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import AccumulationTree, NoiseSpec, QuantSpec, ZERO_NOISE, noisy_mvm, unit_step_out_quant
+from .engine import (
+    AccumulationTree,
+    NoiseSpec,
+    QuantSpec,
+    ZERO_NOISE,
+    max_abs_output,
+    noisy_mvm,
+    unit_step_out_quant,
+)
 from .linkbudget import CoreGeometry
 from .workload import ConvLayerSpec, lower_conv
 
@@ -126,6 +134,4 @@ def run_conv(
 
 def integer_out_quant(in_quant: QuantSpec, w_quant: QuantSpec, rows: int) -> QuantSpec:
     """Unit-step output quantizer wide enough for any integer-grid partial sum."""
-    x_max = max(abs(in_quant.lo), abs(in_quant.hi))
-    w_max = max(abs(w_quant.lo), abs(w_quant.hi))
-    return unit_step_out_quant(rows * x_max * w_max)
+    return unit_step_out_quant(max_abs_output(in_quant, w_quant, rows))

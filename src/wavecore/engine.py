@@ -6,6 +6,12 @@ optical products, multi-port detector summation, readout noise, output
 quantization, and digital accumulation of partial sums. At zero noise and on
 integer-aligned grids the pipeline is exact, which is what the reference
 integer oracle in the test suite checks against.
+
+Accumulation order is fixed: each bus sums its rows in row order, each
+detector sums its buses in bus order (a short last bus or detector is
+zero-padded to full size), and detector readings are summed digitally in
+detector order. Positions are streamed in chunks, so the working set grows as
+detectors x cols x positions, never as rows x cols x positions.
 """
 
 from __future__ import annotations
@@ -62,6 +68,11 @@ class QuantSpec:
         return (self.hi - self.lo) / (self.levels - 1)
 
 
+def _check_sigma(name: str, sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {sigma}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Relative (signal-proportional) noise levels for the three injection points."""
@@ -73,8 +84,7 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         for name in ("sigma_in", "sigma_w", "sigma_out"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            _check_sigma(name, getattr(self, name))
 
 
 ZERO_NOISE = NoiseSpec(sigma_in=0.0, sigma_w=0.0, sigma_out=0.0, seed=0)
@@ -128,8 +138,7 @@ def inject_noise(q_value, sigma: float, rng: np.random.Generator):
     exactly zero-preserving since the noise scale is proportional to the
     signal magnitude.
     """
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
+    _check_sigma("sigma", sigma)
     arr = np.asarray(q_value, dtype=np.float64)
     if sigma == 0.0:
         out = arr
@@ -140,19 +149,59 @@ def inject_noise(q_value, sigma: float, rng: np.random.Generator):
     return out
 
 
-def _group_reduce(products: np.ndarray, group: int) -> np.ndarray:
-    """Sum axis 0 in contiguous blocks of ``group`` (zero-padded tail)."""
-    n = products.shape[0]
-    blocks = -(-n // group)
-    pad = blocks * group - n
-    if pad:
-        widths = [(0, pad)] + [(0, 0)] * (products.ndim - 1)
-        products = np.pad(products, widths)
-    return products.reshape((blocks, group) + products.shape[1:]).sum(axis=1)
+# cols x positions elements per streamed chunk: large enough that the per-bus
+# Python loop costs little, small enough that one bus's products
+# (group_size x 256 KiB) stay cached between the multiply and the reduction.
+_CHUNK = 1 << 15
+
+
+def _detector_sums(x: np.ndarray, w: np.ndarray, tree: AccumulationTree) -> np.ndarray:
+    """Per-detector sums of ``w[r, c] * x[r, p]``, shape (detectors, cols, positions).
+
+    Each bus is reduced over a (group_size, cols, chunk) block of products and
+    each detector over a (pd_ports, cols, chunk) block of bus sums, both
+    zero-padded when short, with ``np.add.reduce(axis=0)``. The additions thus
+    run in row order, then bus order, exactly as they would on the whole
+    rows x cols x positions product tensor, which is never built.
+    """
+    rows, cols = w.shape
+    positions = x.shape[1]
+    group, ports = tree.group_size, tree.pd_ports
+    buses = -(-rows // group)
+    detectors = -(-buses // ports)
+    level2 = np.empty((detectors, cols, positions))
+
+    # numpy sums a reduction whose other axes hold one element pairwise and a
+    # wider one in order; an even split never leaves a one-position chunk
+    # unless the whole tile is one element, so each block sums like the tile.
+    width = max(1, _CHUNK // max(cols, 1))
+    chunks = max(1, -(-positions // width))
+    bounds = [i * positions // chunks for i in range(chunks + 1)]
+    widest = -(-positions // chunks)
+    products_buf = np.empty(group * cols * widest)
+    buses_buf = np.empty(ports * cols * widest)
+
+    for p0, p1 in zip(bounds, bounds[1:]):
+        span = cols * (p1 - p0)
+        products = products_buf[: group * span].reshape(group, cols, p1 - p0)
+        bus_sums = buses_buf[: ports * span].reshape(ports, cols, p1 - p0)
+        xs = x[:, None, p0:p1]
+        for d in range(detectors):
+            first = d * ports
+            n_buses = min(ports, buses - first)
+            for b in range(n_buses):
+                r0 = (first + b) * group
+                r1 = min(r0 + group, rows)
+                np.multiply(w[r0:r1, :, None], xs[r0:r1], out=products[: r1 - r0])
+                products[r1 - r0 :] = 0.0
+                np.add.reduce(products, axis=0, out=bus_sums[b])
+            bus_sums[n_buses:] = 0.0
+            np.add.reduce(bus_sums, axis=0, out=level2[d, :, p0:p1])
+    return level2
 
 
 def _mvm_non_negative(
-    x_values: np.ndarray,
+    x_eq: np.ndarray,
     w_values: np.ndarray,
     out_quant: QuantSpec | None,
     noise: NoiseSpec,
@@ -161,13 +210,8 @@ def _mvm_non_negative(
     tile: int,
     w_role: str,
 ) -> np.ndarray:
-    x_eq = inject_noise(x_values, noise.sigma_in, keyed_rng(noise.seed, "mvm", layer, tile, "in"))
     w_eq = inject_noise(w_values, noise.sigma_w, keyed_rng(noise.seed, "mvm", layer, tile, w_role))
-
-    # products[r, c, ...]: row r's contribution to column c at each position
-    products = w_eq[:, :, None] * x_eq[:, None, :]
-    level1 = _group_reduce(products, tree.group_size)          # per-bus sums
-    level2 = _group_reduce(level1, tree.pd_ports)              # per-detector sums
+    level2 = _detector_sums(x_eq, w_eq, tree)
 
     level2 = inject_noise(level2, noise.sigma_out, keyed_rng(noise.seed, "mvm", layer, tile, w_role + "/out"))
     if out_quant is not None:
@@ -214,20 +258,22 @@ def noisy_mvm(
         raise ValueError("input intensities are non-negative; in_quant range must start at >= 0")
 
     _, x_values = quantize(x_arr, in_quant)
+    # one input draw per tile: both weight legs see the same optical inputs
+    x_eq = inject_noise(x_values, noise.sigma_in, keyed_rng(noise.seed, "mvm", layer, tile, "in"))
 
     if w_quant.signed_mode == DIFFERENTIAL_PAIR:
         span = max(abs(w_quant.lo), abs(w_quant.hi))
         leg_quant = QuantSpec(bits=w_quant.bits, lo=0.0, hi=span)
         _, w_pos = quantize(np.maximum(w_arr, 0.0), leg_quant)
         _, w_neg = quantize(np.maximum(-w_arr, 0.0), leg_quant)
-        y_pos = _mvm_non_negative(x_values, w_pos, out_quant, noise, tree, layer, tile, "w+")
-        y_neg = _mvm_non_negative(x_values, w_neg, out_quant, noise, tree, layer, tile, "w-")
+        y_pos = _mvm_non_negative(x_eq, w_pos, out_quant, noise, tree, layer, tile, "w+")
+        y_neg = _mvm_non_negative(x_eq, w_neg, out_quant, noise, tree, layer, tile, "w-")
         y = y_pos - y_neg
     else:
         if w_quant.lo < 0.0:
             raise ValueError("non_negative weight mode cannot represent a negative range")
         _, w_values = quantize(w_arr, w_quant)
-        y = _mvm_non_negative(x_values, w_values, out_quant, noise, tree, layer, tile, "w")
+        y = _mvm_non_negative(x_eq, w_values, out_quant, noise, tree, layer, tile, "w")
 
     return y[:, 0] if squeeze else y
 

@@ -152,6 +152,21 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--model", "resnet"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["--sigma-in", "nan"], "sigma_in"),
+            (["--sigma-w", "inf"], "sigma_w"),
+            (["--samples", "0"], "samples"),
+        ],
+    )
+    def test_bad_input_exits_1_naming_field(self, runner, args, field):
+        result = runner.invoke(main, ["simulate", "--format", "json", *args])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert field in result.output
+        assert "NaN" not in result.output
+
 
 def test_env_var_catalog(runner, tmp_path, monkeypatch):
     from wavecore.catalog import default_catalog_path

@@ -1,9 +1,11 @@
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wavecore import (
     AccumulationTree,
@@ -17,7 +19,7 @@ from wavecore import (
     quantize,
 )
 from wavecore.catalog import PcmSpec
-from wavecore.engine import DIFFERENTIAL_PAIR, ZERO_NOISE, unit_step_out_quant
+from wavecore.engine import DIFFERENTIAL_PAIR, ZERO_NOISE, _detector_sums, unit_step_out_quant
 from wavecore.rng import keyed_rng
 
 DATA = Path(__file__).parent / "data"
@@ -78,12 +80,108 @@ class TestInjectNoise:
         samples = inject_noise(np.ones(100_000), sigma, rng)
         assert np.std(samples) == pytest.approx(sigma, rel=0.02)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.01])
+    def test_rejects_non_finite_or_negative_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            inject_noise(np.ones(3), sigma, keyed_rng(0, "t"))
+
     def test_scales_with_magnitude(self):
         rng1 = keyed_rng(7, "a")
         rng2 = keyed_rng(7, "a")
         small = inject_noise(np.full(50_000, 0.5), 0.01, rng1)
         large = inject_noise(np.full(50_000, 2.0), 0.01, rng2)
         assert np.std(large) == pytest.approx(4 * np.std(small), rel=1e-9)
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize("field", ["sigma_in", "sigma_w", "sigma_out"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.001])
+    def test_rejects_non_finite_or_negative(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NoiseSpec(**{field: value})
+
+
+def _group_reduce(products, group):
+    """Sum axis 0 in contiguous blocks of ``group`` (zero-padded tail)."""
+    n = products.shape[0]
+    blocks = -(-n // group)
+    pad = blocks * group - n
+    if pad:
+        widths = [(0, pad)] + [(0, 0)] * (products.ndim - 1)
+        products = np.pad(products, widths)
+    return products.reshape((blocks, group) + products.shape[1:]).sum(axis=1)
+
+
+def reference_detector_sums(x, w, tree):
+    """The whole R x C x P product tensor, reduced per bus and then per detector."""
+    products = w[:, :, None] * x[:, None, :]
+    return _group_reduce(_group_reduce(products, tree.group_size), tree.pd_ports)
+
+
+TREES = [(1, 1), (3, 2), (8, 8), (9, 16), (27, 4)]
+
+
+def spread_operands(seed, rows, cols, positions):
+    """Operands over 16 decades, so any change in summation order shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((rows, positions)) * 10.0 ** rng.integers(-8, 8, size=(rows, positions))
+    w = rng.random((rows, cols)) * 10.0 ** rng.integers(-8, 8, size=(rows, cols))
+    return x, w
+
+
+class TestDetectorSums:
+    """The streamed kernel reproduces the materialised product tensor bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 300),
+        cols=st.integers(1, 40),
+        positions=st.integers(1, 60),
+        tree=st.sampled_from(TREES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, rows, cols, positions, tree, seed):
+        x, w = spread_operands(seed, rows, cols, positions)
+        t = AccumulationTree(*tree)
+        assert np.array_equal(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+
+    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize(
+        "rows, cols, positions",
+        [
+            (150, 1, 1),     # one output element: numpy sums it pairwise
+            (300, 1, 1),
+            (9, 1, 1),
+            (20, 3, 4),      # partial last bus
+            (150, 5, 7),     # partial last bus and partial last detector
+            (145, 2, 1),
+        ],
+    )
+    def test_edge_shapes(self, rows, cols, positions, tree):
+        x, w = spread_operands(rows * cols + positions, rows, cols, positions)
+        t = AccumulationTree(*tree)
+        assert np.array_equal(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+
+    @pytest.mark.parametrize("positions", [2**15 + 1, 2**16 + 3])
+    @pytest.mark.parametrize("tree", [(9, 16), (3, 2)])
+    def test_several_chunks_single_column(self, positions, tree):
+        x, w = spread_operands(positions, 40, 1, positions)
+        t = AccumulationTree(*tree)
+        assert np.array_equal(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+
+    def test_memory_grows_with_detectors_not_rows(self):
+        rng = np.random.default_rng(0)
+        x = rng.random((144, 4096))
+        w = rng.uniform(-1.0, 1.0, (144, 256))
+        w_q = QuantSpec(bits=7, lo=-1.0, hi=1.0, signed_mode=DIFFERENTIAL_PAIR)
+        tracemalloc.start()
+        try:
+            noisy_mvm(x, w, QuantSpec(bits=6), w_q, noise=NoiseSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the R x C x P product tensor alone would be 144*256*4096*8 B = 1.2 GB
+        assert peak < 64 * 2**20
 
 
 def integer_operands(rng, rows, cols, positions=None, x_levels=16, w_levels=16):
@@ -189,17 +287,26 @@ class TestNoisyMvm:
             noisy_mvm(np.ones(4), np.ones((5, 2)), QuantSpec(bits=4), QuantSpec(bits=4))
 
     def test_regression_vector(self):
-        vec = json.loads((DATA / "regression_mvm.json").read_text())
-        y = noisy_mvm(
-            np.array(vec["x"]),
-            np.array(vec["weights"]),
-            QuantSpec(**vec["in_quant"]),
-            QuantSpec(**vec["w_quant"]),
-            noise=NoiseSpec(**vec["noise"]),
-            layer=vec["layer"],
-            tile=vec["tile"],
-        )
-        assert np.array_equal(y, np.array(vec["expected"]))
+        assert_regression_fixture("regression_mvm.json")
+
+    def test_regression_batch(self):
+        # 150 rows x 5 differential columns x 7 positions: two detectors and a
+        # partial last bus, recorded before the product tensor was removed
+        assert_regression_fixture("regression_mvm_batch.json")
+
+
+def assert_regression_fixture(name):
+    vec = json.loads((DATA / name).read_text())
+    y = noisy_mvm(
+        np.array(vec["x"]),
+        np.array(vec["weights"]),
+        QuantSpec(**vec["in_quant"]),
+        QuantSpec(**vec["w_quant"]),
+        noise=NoiseSpec(**vec["noise"]),
+        layer=vec["layer"],
+        tile=vec["tile"],
+    )
+    assert np.array_equal(y, np.array(vec["expected"]))
 
 
 class TestPcmProgramming:
