@@ -8,6 +8,7 @@ inputs, so sweep points run concurrently with deterministic output order.
 
 from __future__ import annotations
 
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -124,6 +125,8 @@ class Scenario:
 
 def _resolve_frequency(profile: str, freq: float | None, allow_overclock: bool) -> tuple[float, str, bool]:
     if freq is not None:
+        if not (math.isfinite(freq) and freq > 0.0):
+            raise ScenarioError(f"freq: must be a finite clock > 0 Hz, got {freq}")
         return freq, "custom", allow_overclock
     if profile == "pareto":
         return PARETO_CLOCK_HZ, "pareto", True
@@ -432,6 +435,11 @@ def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
     accuracy, _, _, stats = simulate_accuracy(geom, noise, n_samples=samples)
+    if not all(math.isfinite(v) for s in stats for v in (s.mean, s.std, s.min, s.max)):
+        raise ScenarioError(
+            f"sigma_in, sigma_w, sigma_out: noise of {sigma_in}, {sigma_w}, {sigma_out} "
+            "overflows the simulated datapath (non-finite layer statistics)"
+        )
     if fmt == "json":
         doc = {
             "model": model,

@@ -8,10 +8,13 @@ integer-aligned grids the pipeline is exact, which is what the reference
 integer oracle in the test suite checks against.
 
 Accumulation order is fixed: each bus sums its rows in row order, each
-detector sums its buses in bus order (a short last bus or detector is
+detector sums its buses in bus order (a short last bus or detector sums as if
 zero-padded to full size), and detector readings are summed digitally in
-detector order. Positions are streamed in chunks, so the working set grows as
-detectors x cols x positions, never as rows x cols x positions.
+detector order. The products are never built whole: the tile is walked in
+cache-sized blocks of cols x positions with the longer axis innermost, each
+detector's first bus reduced into the block's running sum and every later bus
+added to it. With 9-row buses the scratch is about 0.7 MiB on top of the
+detectors x cols x positions output.
 """
 
 from __future__ import annotations
@@ -143,60 +146,90 @@ def inject_noise(q_value, sigma: float, rng: np.random.Generator):
     if sigma == 0.0:
         out = arr
     else:
-        out = arr + rng.standard_normal(arr.shape) * (sigma * np.abs(arr))
+        # arr + standard_normal * (sigma * |arr|), in two full-size buffers
+        out = rng.standard_normal(arr.shape)
+        scale = np.abs(arr)
+        scale *= sigma
+        out *= scale
+        out += arr
     if np.isscalar(q_value) or np.ndim(q_value) == 0:
         return float(out)
     return out
 
 
-# cols x positions elements per streamed chunk: large enough that the per-bus
-# Python loop costs little, small enough that one bus's products
-# (group_size x 256 KiB) stay cached between the multiply and the reduction.
-_CHUNK = 1 << 15
+# cols x positions elements per block: one bus's products (group_size x 64 KiB)
+# and the block's two running sums stay in a core's L2 cache between the
+# multiply and the reductions, and the inner loops are still long enough that
+# numpy's per-call overhead costs little.
+_BLOCK = 1 << 13
+
+
+def _even_spans(n: int, width: int) -> tuple[list[tuple[int, int]], int]:
+    """The fewest near-equal spans of range(n) at most ``width`` long, and the longest."""
+    count = max(1, -(-n // width))
+    bounds = [i * n // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:])), -(-n // count)
 
 
 def _detector_sums(x: np.ndarray, w: np.ndarray, tree: AccumulationTree) -> np.ndarray:
     """Per-detector sums of ``w[r, c] * x[r, p]``, shape (detectors, cols, positions).
 
-    Each bus is reduced over a (group_size, cols, chunk) block of products and
-    each detector over a (pd_ports, cols, chunk) block of bus sums, both
-    zero-padded when short, with ``np.add.reduce(axis=0)``. The additions thus
-    run in row order, then bus order, exactly as they would on the whole
-    rows x cols x positions product tensor, which is never built.
+    The tile is walked in blocks of about ``_BLOCK`` cols x positions elements
+    with the longer of the two axes innermost. Per block and detector, the
+    first bus's (rows_in_bus, block) products are reduced with
+    ``np.add.reduce(axis=0)`` into a running block sum, and every later bus is
+    reduced into a scratch block and added to it. numpy starts a reduction
+    from +0.0, so the additions run in row order, then bus order, and give the
+    bits the zero-padded rows x cols x positions product tensor would give,
+    signed zeros included; that tensor is never built.
     """
     rows, cols = w.shape
     positions = x.shape[1]
     group, ports = tree.group_size, tree.pd_ports
     buses = -(-rows // group)
     detectors = -(-buses // ports)
+    if cols * positions == 1:
+        # numpy sums a reduction into a single element pairwise, not in
+        # order, so a one-element tile keeps the zero-padded reductions.
+        padded = np.zeros(detectors * ports * group)
+        padded[:rows] = w[:, 0] * x[:, 0]
+        return padded.reshape(detectors, ports, group).sum(axis=2).sum(axis=1).reshape(detectors, 1, 1)
+
     level2 = np.empty((detectors, cols, positions))
+    # outer[r, o] * inner[r, i] is written to out[d, o, i], inner the long
+    # axis. Even spans keep every block at least two elements wide, so no
+    # block is summed pairwise.
+    if positions < cols:
+        outer, inner, out = x, w, level2.transpose(0, 2, 1)
+    else:
+        outer, inner, out = w, x, level2
+    inner_spans, inner_width = _even_spans(inner.shape[1], _BLOCK)
+    outer_spans, outer_width = _even_spans(outer.shape[1], max(1, _BLOCK // inner_width))
+    block = outer_width * inner_width
+    products_buf = np.empty(group * block)
+    sum_buf = np.empty(block)
+    bus_buf = np.empty(block)
 
-    # numpy sums a reduction whose other axes hold one element pairwise and a
-    # wider one in order; an even split never leaves a one-position chunk
-    # unless the whole tile is one element, so each block sums like the tile.
-    width = max(1, _CHUNK // max(cols, 1))
-    chunks = max(1, -(-positions // width))
-    bounds = [i * positions // chunks for i in range(chunks + 1)]
-    widest = -(-positions // chunks)
-    products_buf = np.empty(group * cols * widest)
-    buses_buf = np.empty(ports * cols * widest)
-
-    for p0, p1 in zip(bounds, bounds[1:]):
-        span = cols * (p1 - p0)
-        products = products_buf[: group * span].reshape(group, cols, p1 - p0)
-        bus_sums = buses_buf[: ports * span].reshape(ports, cols, p1 - p0)
-        xs = x[:, None, p0:p1]
-        for d in range(detectors):
-            first = d * ports
-            n_buses = min(ports, buses - first)
-            for b in range(n_buses):
-                r0 = (first + b) * group
-                r1 = min(r0 + group, rows)
-                np.multiply(w[r0:r1, :, None], xs[r0:r1], out=products[: r1 - r0])
-                products[r1 - r0 :] = 0.0
-                np.add.reduce(products, axis=0, out=bus_sums[b])
-            bus_sums[n_buses:] = 0.0
-            np.add.reduce(bus_sums, axis=0, out=level2[d, :, p0:p1])
+    for o0, o1 in outer_spans:
+        for i0, i1 in inner_spans:
+            shape = (o1 - o0, i1 - i0)
+            size = shape[0] * shape[1]
+            level = sum_buf[:size].reshape(shape)
+            bus = bus_buf[:size].reshape(shape)
+            a = outer[:, o0:o1, None]
+            b = inner[:, None, i0:i1]
+            for d in range(detectors):
+                first = d * ports * group
+                for r0 in range(first, min(first + ports * group, rows), group):
+                    r1 = min(r0 + group, rows)
+                    products = products_buf[: (r1 - r0) * size].reshape((r1 - r0,) + shape)
+                    np.multiply(a[r0:r1], b[r0:r1], out=products)
+                    if r0 == first:
+                        np.add.reduce(products, axis=0, out=level)
+                    else:
+                        np.add.reduce(products, axis=0, out=bus)
+                        level += bus
+                out[d, o0:o1, i0:i1] = level
     return level2
 
 

@@ -2,7 +2,8 @@
 
 JSON output is byte-stable for identical inputs: dict key order is the
 construction order and every float is rounded to nine significant digits
-before encoding.
+before encoding. NaN and infinities raise ValueError rather than being written
+as the non-standard ``NaN``/``Infinity`` tokens.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def _round_floats(obj: Any) -> Any:
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(_round_floats(obj), indent=2) + "\n"
+    return json.dumps(_round_floats(obj), indent=2, allow_nan=False) + "\n"
 
 
 def render_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

@@ -58,6 +58,16 @@ class TestEvaluate:
         assert doc["perf"] is not None
         assert 600 <= doc["perf"]["fps"] <= 2400
 
+    @pytest.mark.parametrize("freq", ["inf", "nan", "0", "-1e9"])
+    def test_non_finite_or_non_positive_freq_exits_1(self, runner, freq):
+        result = runner.invoke(
+            main, ["evaluate", "--freq", freq, "--allow-overclock", "--workload", "resnet50", "--format", "json"]
+        )
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "freq" in result.output
+        assert "Infinity" not in result.output and "NaN" not in result.output
+
     def test_overclock_guard_without_pareto_profile(self, runner):
         result = runner.invoke(
             main, ["evaluate", "--workload", "resnet50", "--freq", "5e9"]
@@ -166,6 +176,19 @@ class TestSimulate:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert field in result.output
         assert "NaN" not in result.output
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_overflowing_noise_exits_1_naming_sigmas(self, runner, fmt):
+        # finite, so accepted as input, but the readout noise overflows to inf
+        result = runner.invoke(
+            main, ["simulate", "--core", "9x8", "--samples", "2", "--sigma-out", "1e308", "--format", fmt]
+        )
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "sigma_out" in result.output
+        assert "nan" not in result.output.lower()
 
 
 def test_env_var_catalog(runner, tmp_path, monkeypatch):

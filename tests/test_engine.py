@@ -85,6 +85,31 @@ class TestInjectNoise:
         with pytest.raises(ValueError, match="sigma"):
             inject_noise(np.ones(3), sigma, keyed_rng(0, "t"))
 
+    @pytest.mark.parametrize("sigma", [0.0031, 0.5])
+    def test_matches_out_of_place_expression_bit_for_bit(self, sigma):
+        rng = np.random.default_rng(3)
+        arr = rng.uniform(-2.0, 2.0, (7, 11, 13)) * 10.0 ** rng.integers(-6, 6, (7, 11, 13))
+        arr[rng.random(arr.shape) < 0.2] = 0.0
+        arr[rng.random(arr.shape) < 0.1] = -0.0
+        before = arr.copy()
+        got = inject_noise(arr, sigma, keyed_rng(5, "bits"))
+        draws = keyed_rng(5, "bits").standard_normal(arr.shape)
+        expected = arr + draws * (sigma * np.abs(arr))
+        assert_same_bits(got, expected)
+        assert_same_bits(arr, before)
+
+    def test_scalar_in_scalar_out(self):
+        got = inject_noise(-1.5, 0.01, keyed_rng(9, "s"))
+        draw = keyed_rng(9, "s").standard_normal()
+        assert type(got) is float
+        assert got == -1.5 + draw * (0.01 * 1.5)
+
+    def test_zero_sigma_consumes_no_draw(self):
+        rng = keyed_rng(4, "z")
+        arr = np.array([1.0, -2.0])
+        assert_same_bits(inject_noise(arr, 0.0, rng), arr)
+        assert rng.standard_normal() == keyed_rng(4, "z").standard_normal()
+
     def test_scales_with_magnitude(self):
         rng1 = keyed_rng(7, "a")
         rng2 = keyed_rng(7, "a")
@@ -119,14 +144,39 @@ def reference_detector_sums(x, w, tree):
 
 
 TREES = [(1, 1), (3, 2), (8, 8), (9, 16), (27, 4)]
+EDGE_SHAPES = [
+    (150, 1, 1),     # one output element: numpy sums it pairwise
+    (300, 1, 1),
+    (9, 1, 1),
+    (20, 3, 4),      # partial last bus
+    (150, 5, 7),     # partial last bus and partial last detector
+    (145, 2, 1),
+]
 
 
-def spread_operands(seed, rows, cols, positions):
-    """Operands over 16 decades, so any change in summation order shows in the last bits."""
+def spread_operands(seed, rows, cols, positions, signed=False, decades=16):
+    """Operands over ``decades`` decades, so a change in summation order shows in the last bits.
+
+    ``signed`` gives each value a random sign and sets a fifth of each operand
+    to exact +0.0 or -0.0, so the signs of zero sums show too. Over 16
+    decades a sum is often dominated by its largest terms, which can hide an
+    order change in the small ones; few decades keep every term in play.
+    """
     rng = np.random.default_rng(seed)
-    x = rng.random((rows, positions)) * 10.0 ** rng.integers(-8, 8, size=(rows, positions))
-    w = rng.random((rows, cols)) * 10.0 ** rng.integers(-8, 8, size=(rows, cols))
+    lo, hi = -decades // 2, decades // 2
+    x = rng.random((rows, positions)) * 10.0 ** rng.integers(lo, hi, size=(rows, positions))
+    w = rng.random((rows, cols)) * 10.0 ** rng.integers(lo, hi, size=(rows, cols))
+    if signed:
+        for arr in (x, w):
+            arr *= rng.choice([-1.0, 1.0], arr.shape)
+            arr[rng.random(arr.shape) < 0.2] = 0.0
+            arr *= rng.choice([-1.0, 1.0], arr.shape)
     return x, w
+
+
+def assert_same_bits(got, expected):
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestDetectorSums:
@@ -139,35 +189,64 @@ class TestDetectorSums:
         positions=st.integers(1, 60),
         tree=st.sampled_from(TREES),
         seed=st.integers(0, 2**32 - 1),
+        signed=st.booleans(),
+        decades=st.sampled_from([2, 16]),
     )
-    def test_matches_reference(self, rows, cols, positions, tree, seed):
-        x, w = spread_operands(seed, rows, cols, positions)
+    def test_matches_reference(self, rows, cols, positions, tree, seed, signed, decades):
+        x, w = spread_operands(seed, rows, cols, positions, signed, decades)
         t = AccumulationTree(*tree)
-        assert np.array_equal(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+        assert_same_bits(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
 
     @pytest.mark.parametrize("tree", TREES)
-    @pytest.mark.parametrize(
-        "rows, cols, positions",
-        [
-            (150, 1, 1),     # one output element: numpy sums it pairwise
-            (300, 1, 1),
-            (9, 1, 1),
-            (20, 3, 4),      # partial last bus
-            (150, 5, 7),     # partial last bus and partial last detector
-            (145, 2, 1),
-        ],
-    )
+    @pytest.mark.parametrize("rows, cols, positions", EDGE_SHAPES)
     def test_edge_shapes(self, rows, cols, positions, tree):
         x, w = spread_operands(rows * cols + positions, rows, cols, positions)
         t = AccumulationTree(*tree)
-        assert np.array_equal(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+        assert_same_bits(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+
+    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize("rows, cols, positions", EDGE_SHAPES)
+    def test_signed_edge_shapes(self, rows, cols, positions, tree):
+        x, w = spread_operands(rows * cols + positions, rows, cols, positions, signed=True)
+        t = AccumulationTree(*tree)
+        assert_same_bits(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+
+    @pytest.mark.parametrize("tree", [(9, 16), (3, 2)])
+    @pytest.mark.parametrize(
+        "rows, cols, positions",
+        [
+            (30, 300, 49),      # cols innermost, several position blocks
+            (20, 70, 700),      # positions innermost, several column blocks
+            (20, 3, 20000),     # several blocks on both axes, positions innermost
+            (20, 20000, 3),     # several blocks on both axes, cols innermost
+            (600, 1, 8193),     # blocks of 8192 split unevenly would leave a
+            (600, 8193, 1),     # one-element block, which numpy sums pairwise
+        ],
+    )
+    @pytest.mark.parametrize("decades", [16, 2])
+    def test_several_blocks(self, rows, cols, positions, tree, decades):
+        x, w = spread_operands(rows + cols + positions, rows, cols, positions, True, decades)
+        t = AccumulationTree(*tree)
+        assert_same_bits(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
 
     @pytest.mark.parametrize("positions", [2**15 + 1, 2**16 + 3])
     @pytest.mark.parametrize("tree", [(9, 16), (3, 2)])
     def test_several_chunks_single_column(self, positions, tree):
         x, w = spread_operands(positions, 40, 1, positions)
         t = AccumulationTree(*tree)
-        assert np.array_equal(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+        assert_same_bits(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+
+    def test_scratch_fits_in_cache(self):
+        rng = np.random.default_rng(0)
+        x = rng.random((144, 4096))
+        w = rng.random((144, 256))
+        tracemalloc.start()
+        try:
+            level2 = _detector_sums(x, w, AccumulationTree())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - level2.nbytes < 2 * 2**20
 
     def test_memory_grows_with_detectors_not_rows(self):
         rng = np.random.default_rng(0)

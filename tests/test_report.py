@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from wavecore.report import canonical_json, render_csv, render_table
 
@@ -18,6 +21,12 @@ def test_key_order_preserved():
 def test_repeated_dumps_byte_identical():
     payload = {"terms": [{"label": "fanout", "db": 24.082399653118497}], "total": 32.697399653118495}
     assert canonical_json(payload) == canonical_json(payload)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_rejected(value):
+    with pytest.raises(ValueError):
+        canonical_json({"x": [1.0, value]})
 
 
 def test_csv_formatting():
