@@ -52,19 +52,30 @@ from .workload import (
     resnet50_workload,
     schedule,
 )
-from .engine import (
-    AccumulationTree,
-    NoiseSpec,
-    PcmProgrammer,
-    PcmRefreshError,
-    QuantSpec,
-    inject_noise,
-    noisy_mvm,
-    pcm_program,
-    quantize,
-)
 
 __version__ = "0.1.0"
+
+# The simulator's names load numpy, which the analytic commands never use, so
+# they resolve from ``engine`` on first access (PEP 562).
+_ENGINE_NAMES = frozenset({
+    "AccumulationTree",
+    "NoiseSpec",
+    "PcmProgrammer",
+    "PcmRefreshError",
+    "QuantSpec",
+    "inject_noise",
+    "noisy_mvm",
+    "pcm_program",
+    "quantize",
+})
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        from . import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AccumulationTree",

@@ -375,10 +375,11 @@ def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        raw_bytes = path.read_bytes()
+        data = json.loads(raw_bytes)
     except OSError as exc:
         raise CatalogError(f"cannot read catalog file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CatalogError(f"catalog file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise CatalogError("catalog root must be a JSON object")
@@ -423,7 +424,7 @@ def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
         vcsel=subsystems["vcsel"],
         thermo=subsystems["thermo"],
         defaulted=tuple(sorted(defaulted)),
-        source_sha256=hashlib.sha256(path.read_bytes()).hexdigest(),
+        source_sha256=hashlib.sha256(raw_bytes).hexdigest(),
     )
 
 

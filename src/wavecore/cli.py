@@ -3,14 +3,14 @@
 Exit codes: 0 for a feasible design point, 1 for configuration/validation
 errors (with field-level diagnostics on stderr), 2 for a design point the
 models flag as infeasible. All evaluations are pure functions of their
-inputs, so sweep points run concurrently with deterministic output order.
+inputs; ablation variants and sweep points run one after another, in the
+order given. Only ``simulate`` loads the numpy simulator, on first use.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import click
@@ -18,7 +18,6 @@ import click
 from . import __version__
 from .area import crossbar_area
 from .catalog import CatalogError, DeviceCatalog, default_catalog_path, load_catalog
-from .engine import NoiseSpec
 from .linkbudget import (
     ArchitectureVariant,
     Baseline3D,
@@ -33,7 +32,6 @@ from .linkbudget import (
 )
 from .power import PowerReport, PrecisionSpec, total_power
 from .report import canonical_json, render_csv, render_table
-from .synth import simulate_accuracy
 from .workload import (
     DEFAULT_CLOCK_HZ,
     PARETO_CLOCK_HZ,
@@ -333,13 +331,11 @@ def ablate(variants_text: str, **kwargs) -> None:
             variants.append(parse_variant(name))
         except ScenarioError as exc:
             raise ScenarioError(f"variants[{i}]: {exc.message}") from None
-
-    def run(variant: ArchitectureVariant) -> PowerReport:
-        return total_power(scenario.geometry, scenario.catalog, variant,
-                           scenario.precision, scenario.f_hz, wpe=scenario.wpe)
-
-    with ThreadPoolExecutor(max_workers=min(8, len(variants))) as pool:
-        reports = list(pool.map(run, variants))
+    reports = [
+        total_power(scenario.geometry, scenario.catalog, variant, scenario.precision, scenario.f_hz,
+                    wpe=scenario.wpe)
+        for variant in variants
+    ]
 
     rows = []
     for rep in reports:
@@ -392,8 +388,7 @@ def sweep(cores_text: str, **kwargs) -> None:
         return geom, perf
 
     try:
-        with ThreadPoolExecutor(max_workers=min(8, len(geometries))) as pool:
-            results = list(pool.map(run, geometries))
+        results = [run(geom) for geom in geometries]
     except ValueError as exc:
         raise ScenarioError(f"sweep: {exc}") from None
 
@@ -425,6 +420,11 @@ def sweep(cores_text: str, **kwargs) -> None:
 def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_out: float,
              seed: int, samples: int, fmt: str) -> None:
     """Noise-injected inference of the bundled model on synthetic data."""
+    import numpy as np
+
+    from .engine import NoiseSpec
+    from .synth import simulate_accuracy
+
     if model != "tinycnn":
         raise ScenarioError(f"model: unknown model {model!r} (bundled: tinycnn)")
     if samples < 1:
@@ -434,7 +434,9 @@ def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_
         noise = NoiseSpec(sigma_in=sigma_in, sigma_w=sigma_w, sigma_out=sigma_out, seed=seed)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    accuracy, _, _, stats = simulate_accuracy(geom, noise, n_samples=samples)
+    # Overflow to inf/NaN is reported below as an exit 1, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        accuracy, _, _, stats = simulate_accuracy(geom, noise, n_samples=samples)
     if not all(math.isfinite(v) for s in stats for v in (s.mean, s.std, s.min, s.max)):
         raise ScenarioError(
             f"sigma_in, sigma_w, sigma_out: noise of {sigma_in}, {sigma_w}, {sigma_out} "

@@ -115,6 +115,12 @@ class Planar2D:
     ybranch_count: int | None = None
     label: str = "planar2d"
 
+    def __post_init__(self) -> None:
+        for name in ("crossing_count", "ybranch_count"):
+            count = getattr(self, name)
+            if count is not None and (type(count) is not int or count < 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
+
 
 @dataclass(frozen=True)
 class MrrAccumulation:
@@ -129,8 +135,8 @@ class MrrAccumulation:
     label: str = "mrr"
 
     def __post_init__(self) -> None:
-        if self.ring_loss_db <= 0.0:
-            raise ValueError("ring_loss_db must be positive")
+        if not (math.isfinite(self.ring_loss_db) and self.ring_loss_db > 0.0):
+            raise ValueError(f"ring_loss_db must be finite and > 0, got {self.ring_loss_db!r}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +157,8 @@ class CoherentCombining:
     label: str = "coherent"
 
     def __post_init__(self) -> None:
-        if self.stage_loss_db <= 0.0:
-            raise ValueError("stage_loss_db must be positive")
+        if not (math.isfinite(self.stage_loss_db) and self.stage_loss_db > 0.0):
+            raise ValueError(f"stage_loss_db must be finite and > 0, got {self.stage_loss_db!r}")
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,7 @@ class LinkBudgetReport:
 
     def __post_init__(self) -> None:
         total = sum(db for _, db in self.terms)
-        if abs(total - self.total_db) > _TOL_SUM_DB:
+        if not (abs(total - self.total_db) <= _TOL_SUM_DB):
             raise ValueError(f"report total {self.total_db} != term sum {total}")
         for name, db in self.terms:
             if db < 0.0:

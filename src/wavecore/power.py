@@ -70,7 +70,7 @@ class PowerReport:
         if not math.isclose(total, self.total_w, rel_tol=_TOL_FRACTION, abs_tol=0.0):
             raise ValueError(f"total {self.total_w} != entry sum {total}")
         frac_sum = sum(f for _, _, f in self.entries)
-        if abs(frac_sum - 1.0) > _TOL_FRACTION:
+        if not (abs(frac_sum - 1.0) <= _TOL_FRACTION):
             raise ValueError(f"fractions sum to {frac_sum}, expected 1")
         for name, w, _ in self.entries:
             if w < 0.0:

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -95,6 +97,42 @@ class TestLoader:
         b = load_catalog(default_catalog_path())
         assert a == b
         assert a.source_sha256 == b.source_sha256
+
+    def test_sha256_is_of_the_file_bytes(self, tmp_path):
+        path = tmp_path / "cat.json"
+        path.write_bytes(default_catalog_path().read_bytes().replace(b"\n", b"\r\n"))
+        assert load_catalog(path).source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_hash_describes_the_parsed_file(self, tmp_path, monkeypatch):
+        # The file changes after every read, as if rewritten by another process:
+        # the header hash must still be of the bytes that were parsed.
+        path = tmp_path / "cat.json"
+        versions = [json.dumps({"schema_version": 1, "wsc": {"insertion_loss_db": db}}).encode()
+                    for db in (0.25, 0.5, 0.75)]
+        path.write_bytes(versions[0])
+        reads = []
+
+        def rewriting(read):
+            def wrapped(self, *args, **kwargs):
+                data = read(self, *args, **kwargs)
+                if self == path:
+                    reads.append(data)
+                    path.write_bytes(versions[len(reads)])
+                return data
+            return wrapped
+
+        monkeypatch.setattr(Path, "read_bytes", rewriting(Path.read_bytes))
+        monkeypatch.setattr(Path, "read_text", rewriting(Path.read_text))
+        cat = load_catalog(path)
+        assert len(reads) == 1
+        assert cat.loss_db("wsc") == 0.25
+        assert cat.source_sha256 == hashlib.sha256(versions[0]).hexdigest()
+
+    def test_invalid_utf8_is_a_catalog_error(self, tmp_path):
+        path = tmp_path / "cat.json"
+        path.write_bytes(b'{"schema_version": 1, "wsc": {"notes": "\xff"}}')
+        with pytest.raises(CatalogError, match="not valid JSON"):
+            load_catalog(path)
 
     def test_immutable(self, catalog):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -85,6 +89,22 @@ class TestEvaluate:
         result = runner.invoke(main, ["evaluate", "--area", "--format", "json"])
         doc = json.loads(result.output)
         assert set(doc) == {"header", "area"}
+
+    @pytest.mark.parametrize(
+        "variant, field",
+        [
+            ("planar2d:crossing_count=-5", "crossing_count"),
+            ("planar2d:ybranch_count=-1", "ybranch_count"),
+            ("coherent:stage_loss=nan", "stage_loss"),
+            ("mrr:ring_loss=inf", "ring_loss"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_bad_variant_parameter_exits_1_naming_it(self, runner, variant, field, fmt):
+        result = runner.invoke(main, ["evaluate", "--variant", variant, "--format", fmt])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert field in result.output
 
 
 class TestLinkbudget:
@@ -177,8 +197,7 @@ class TestSimulate:
         assert field in result.output
         assert "NaN" not in result.output
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_overflowing_noise_exits_1_naming_sigmas(self, runner, fmt):
         # finite, so accepted as input, but the readout noise overflows to inf
@@ -189,6 +208,52 @@ class TestSimulate:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "sigma_out" in result.output
         assert "nan" not in result.output.lower()
+
+
+@pytest.mark.parametrize("module", ["wavecore", "wavecore.cli"])
+def test_analytic_import_loads_no_numpy_and_no_pool(module):
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import {module}; "
+        "print([m for m in ('numpy', 'wavecore.engine', 'concurrent.futures') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_engine_names_resolve_lazily():
+    import wavecore
+    import wavecore.engine
+
+    assert wavecore.noisy_mvm is wavecore.engine.noisy_mvm
+    for name in wavecore.__all__:
+        assert getattr(wavecore, name) is not None
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wavecore.no_such_name
+
+
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [
+        (["ablate", "--format", "json"], 0),
+        (["sweep", "--format", "json", "--profile", "pareto"], 0),
+        (["sweep", "--cores", "9x8,144x256", "--freq", "5e9"], 1),  # a failing point maps to "sweep: ..."
+    ],
+)
+def test_ablate_and_sweep_start_no_threads(runner, monkeypatch, args, exit_code):
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    result = runner.invoke(main, args)
+    assert result.exit_code == exit_code
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert exit_code == 0 or "sweep: " in result.output
+    assert started == []
 
 
 def test_env_var_catalog(runner, tmp_path, monkeypatch):

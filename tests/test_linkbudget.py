@@ -8,6 +8,7 @@ from wavecore import (
     CoherentCombining,
     CoreGeometry,
     KclOnly,
+    LinkBudgetReport,
     MrrAccumulation,
     Planar2D,
     SoaAssisted,
@@ -145,6 +146,33 @@ class TestVariants:
         assert report.term("soa_facets") == pytest.approx(2.0)
         base = critical_path_il(core_144x256, catalog)
         assert report.total_db < base.total_db
+
+
+class TestValidation:
+    @pytest.mark.parametrize("field", ["crossing_count", "ybranch_count"])
+    @pytest.mark.parametrize("value", [-1, -5, 2.5, True])
+    def test_planar2d_counts_are_integers_from_zero(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Planar2D(**{field: value})
+
+    @pytest.mark.parametrize("cls, field", [(MrrAccumulation, "ring_loss_db"), (CoherentCombining, "stage_loss_db")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_losses_are_finite_and_positive(self, cls, field, value):
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize(
+        "total, terms",
+        [
+            (math.nan, (("a", 1.0),)),
+            (math.inf, (("a", math.inf),)),
+            (math.nan, (("a", math.nan),)),
+            (1.0, (("a", 1.0), ("b", math.nan))),
+        ],
+    )
+    def test_report_invariants_fail_on_non_finite(self, core_9x8, total, terms):
+        with pytest.raises(ValueError):
+            LinkBudgetReport(total_db=total, terms=terms, geometry=core_9x8, variant_label="x")
 
 
 class TestFeasibility:

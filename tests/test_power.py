@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,6 +122,14 @@ class TestTotalPower:
         small = total_power(CoreGeometry(9, 8), catalog, f_hz=PARETO_CLOCK_HZ)
         big = total_power(CoreGeometry(144, 256), catalog, f_hz=PARETO_CLOCK_HZ)
         assert big.total_w > small.total_w
+
+    @pytest.mark.parametrize("field", [1, 2], ids=["watts", "fraction"])
+    def test_invariants_fail_on_nan(self, catalog, core_9x8, field):
+        report = total_power(core_9x8, catalog, f_hz=PARETO_CLOCK_HZ)
+        entries = [list(e) for e in report.entries]
+        entries[1][field] = math.nan
+        with pytest.raises(ValueError):
+            dataclasses.replace(report, entries=tuple(map(tuple, entries)))
 
     def test_precision_validation(self):
         with pytest.raises(ValueError):
