@@ -334,11 +334,31 @@ class DeviceCatalog:
         return replace(self, components=comps)
 
 
+def _check_number(where: str, value: Any, integer: bool = False) -> None:
+    """Reject a value that is not a finite JSON number (an integer where ``integer``), naming ``where``."""
+    if integer:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise CatalogError(f"{where} must be {kind}, got {value!r}")
+
+
 def _build_component(name: str, raw: Mapping[str, Any]) -> ComponentSpec:
     known = {"insertion_loss_db", "area_um", "static_power_mw", "notes"}
     unknown = set(raw) - known
     if unknown:
         raise CatalogError(f"{name}: unknown fields {sorted(unknown)}")
+    if "insertion_loss_db" in raw:
+        _check_number(f"{name}.insertion_loss_db", raw["insertion_loss_db"])
+    if raw.get("static_power_mw") is not None:
+        _check_number(f"{name}.static_power_mw", raw["static_power_mw"])
+    if raw.get("area_um") is not None:
+        if not (isinstance(raw["area_um"], list) and len(raw["area_um"]) == 2):
+            raise CatalogError(f"{name}.area_um must be a [width, height] pair, got {raw['area_um']!r}")
+        for value in raw["area_um"]:
+            _check_number(f"{name}.area_um", value)
     base = _DEFAULT_COMPONENTS[name]
     area = raw.get("area_um", base.area_um)
     if area is not None:
@@ -352,14 +372,33 @@ def _build_component(name: str, raw: Mapping[str, Any]) -> ComponentSpec:
     )
 
 
+def _energy_table(raw: Any) -> dict[int, float]:
+    """The modulator's {bits: fJ} table from its JSON object (keys are strings there)."""
+    where = "sl_mzm.energy_per_switch_fj"
+    if not (isinstance(raw, dict) and raw):
+        raise CatalogError(f"{where} must be a non-empty object of bits: fJ, got {raw!r}")
+    table = {}
+    for key, value in raw.items():
+        try:
+            bits = int(key)
+        except ValueError:
+            raise CatalogError(f"{where} keys must be integer bit counts, got {key!r}") from None
+        _check_number(f"{where}[{key}]", value)
+        table[bits] = float(value)
+    return table
+
+
 def _build_subsystem(name: str, cls: type, raw: Mapping[str, Any]) -> Any:
-    valid = {f.name for f in fields(cls)}
-    unknown = set(raw) - valid
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(raw) - set(types)
     if unknown:
         raise CatalogError(f"{name}: unknown fields {sorted(unknown)}")
     kwargs = dict(raw)
+    for key, value in raw.items():
+        if types[key] in ("float", "int"):                     # annotations are strings here
+            _check_number(f"{name}.{key}", value, integer=types[key] == "int")
     if name == "sl_mzm" and "energy_per_switch_fj" in kwargs:
-        kwargs["energy_per_switch_fj"] = {int(k): float(v) for k, v in kwargs["energy_per_switch_fj"].items()}
+        kwargs["energy_per_switch_fj"] = _energy_table(kwargs["energy_per_switch_fj"])
     try:
         return cls(**kwargs)
     except TypeError as exc:

@@ -4,7 +4,8 @@
 definition and never touches the lowering or the engine; it exists so the
 lowered path can be checked against an independent route. ``run_conv`` is the
 production path: im2col lowering, row tiling at wavelength-group granularity,
-engine evaluation per tile, digital partial-sum accumulation.
+engine evaluation per tile, digital partial-sum accumulation. It takes one
+image or a batch of them and makes one engine call per tile either way.
 """
 
 from __future__ import annotations
@@ -57,17 +58,18 @@ def im2col(activations: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
 
     Row order is channel-major: rows [c*k*k, (c+1)*k*k) hold channel c's taps
     in (ky, kx) order, matching the per-group tap assignment of the array.
+    Leading axes are kept: (B, c_in, h, w) gives (B, c_in*k*k, h_out*w_out).
     """
-    c_in, h, w = activations.shape
+    *lead, c_in, h, w = activations.shape
     h_out = (h - k) // stride + 1
     w_out = (w - k) // stride + 1
-    cols = np.empty((c_in * k * k, h_out * w_out))
+    cols = np.empty((*lead, c_in * k * k, h_out * w_out))
     for ic in range(c_in):
         for ky in range(k):
             for kx in range(k):
                 row = ic * k * k + ky * k + kx
-                patch = activations[ic, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
-                cols[row] = patch.reshape(-1)
+                patch = activations[..., ic, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
+                cols[..., row, :] = patch.reshape(*lead, -1)
     return cols
 
 
@@ -93,21 +95,27 @@ def run_conv(
 ) -> np.ndarray:
     """Execute one conv layer through the lowered, tiled analog datapath.
 
-    Row tiles honor the geometry's per-pass channel capacity; partial sums
-    accumulate digitally across row tiles, and column tiles are evaluated
-    independently (the engine handles each tile's columns in one call).
+    ``activations`` is one image (c_in, h, w) or a batch (B, c_in, h, w); the
+    result is (c_out, h_out, w_out) or (B, c_out, h_out, w_out). Row tiles
+    honor the geometry's per-pass channel capacity; partial sums accumulate
+    digitally across row tiles, and column tiles are evaluated independently
+    (the engine handles each tile's columns in one call). Each tile is one
+    engine call for the whole batch, and image ``b`` draws the noise of seed
+    ``noise.seed + b``, so it equals a call on that image alone with that seed.
     """
-    c_in, h, w = activations.shape
+    batched = activations.ndim == 4
+    images = activations if batched else activations[None]
+    batch, c_in, h, w = images.shape
     c_out, _, k, _ = weights.shape
     h_out = (h - k) // stride + 1
     w_out = (w - k) // stride + 1
     layer = ConvLayerSpec(f"layer{layer_index}", c_in, c_out, k, h_out, w_out, stride)
     dims = lower_conv(layer, geom, pack_pointwise=pack_pointwise)
 
-    x_cols = im2col(activations, k, stride)
+    x_cols = im2col(images, k, stride)
     w_mat = lowered_weight_matrix(weights)
 
-    y = np.zeros((c_out, h_out * w_out))
+    y = np.zeros((batch, c_out, h_out * w_out))
     taps = k * k
     tile = 0
     for rt in range(dims.tiles_row):
@@ -117,8 +125,8 @@ def run_conv(
         for ct in range(dims.tiles_col):
             col_lo = ct * geom.cols
             col_hi = min(col_lo + geom.cols, c_out)
-            y[col_lo:col_hi] += noisy_mvm(
-                x_cols[rows],
+            y[:, col_lo:col_hi] += noisy_mvm(
+                x_cols[:, rows],
                 w_mat[rows, col_lo:col_hi],
                 in_quant,
                 w_quant,
@@ -129,7 +137,8 @@ def run_conv(
                 tile=tile,
             )
             tile += 1
-    return y.reshape(c_out, h_out, w_out)
+    y = y.reshape(batch, c_out, h_out, w_out)
+    return y if batched else y[0]
 
 
 def integer_out_quant(in_quant: QuantSpec, w_quant: QuantSpec, rows: int) -> QuantSpec:

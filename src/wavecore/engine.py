@@ -15,6 +15,14 @@ cache-sized blocks of cols x positions with the longer axis innermost, each
 detector's first bus reduced into the block's running sum and every later bus
 added to it. With 9-row buses the scratch is about 0.7 MiB on top of the
 detectors x cols x positions output.
+
+The datapath takes a leading batch axis (inputs B x rows x positions), and a
+single tile is a batch of one. Shared weights and the batch's inputs are
+quantized once per call; only the noise is drawn per item, item ``b`` from
+the streams of seed ``noise.seed + b``. A batch is therefore bit-identical to
+B separate calls. In the kernel the batch is the outermost block axis: small
+tiles share a block while one bus's products fit in 2^13 elements, so the
+scratch does not grow with the batch.
 """
 
 from __future__ import annotations
@@ -115,27 +123,38 @@ def quantize(x, q: QuantSpec):
 
     Scalars in, scalars out; arrays in, arrays out.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(arr)):
         raise ValueError("quantize requires finite inputs")
-    t = (arr - q.lo) / q.step
-    base = np.floor(t)
-    frac = t - base
-    up = frac > 0.5
+    # In place where possible, so a batch holds two full-size temporaries:
+    # t is the position on the grid, then its fractional part.
+    t = arr - q.lo
+    t /= q.step
+    idx = np.floor(t)
+    t -= idx
     # Midpoint ties resolve away from zero (toward the higher level for
     # non-negative values, the lower one for negative values).
-    tie = frac == 0.5
-    up = up | (tie & (arr >= 0.0))
-    idx = base + up.astype(np.float64)
-    idx = np.clip(idx, 0, q.levels - 1).astype(np.int64)
-    value = q.lo + idx.astype(np.float64) * q.step
+    up = t == 0.5
+    up &= arr >= 0.0
+    up |= t > 0.5
+    del t
+    idx += up
+    np.clip(idx, 0, q.levels - 1, out=idx)
+    levels = idx.astype(np.int64)
+    value = idx                                                # lo + level * step, in place
+    value *= q.step
+    value += q.lo
     if np.isscalar(x) or np.ndim(x) == 0:
-        return int(idx), float(value)
-    return idx, value
+        return int(levels[0]), float(value[0])
+    return levels, value
 
 
-def inject_noise(q_value, sigma: float, rng: np.random.Generator):
+def inject_noise(q_value, sigma: float, rng):
     """Add zero-mean Gaussian noise with standard deviation sigma*|value|.
+
+    ``rng`` is one generator, or a sequence of generators, one per item of
+    the leading axis; each item's noise is then drawn from its own generator,
+    exactly as a call on that item alone would draw it.
 
     Exactly the identity when sigma is zero (no RNG draw is consumed), and
     exactly zero-preserving since the noise scale is proportional to the
@@ -147,7 +166,12 @@ def inject_noise(q_value, sigma: float, rng: np.random.Generator):
         out = arr
     else:
         # arr + standard_normal * (sigma * |arr|), in two full-size buffers
-        out = rng.standard_normal(arr.shape)
+        if isinstance(rng, np.random.Generator):
+            out = rng.standard_normal(arr.shape)
+        else:
+            out = np.empty(arr.shape)
+            for item, item_rng in zip(out, rng, strict=True):
+                item_rng.standard_normal(out=item)
         scale = np.abs(arr)
         scale *= sigma
         out *= scale
@@ -172,65 +196,79 @@ def _even_spans(n: int, width: int) -> tuple[list[tuple[int, int]], int]:
 
 
 def _detector_sums(x: np.ndarray, w: np.ndarray, tree: AccumulationTree) -> np.ndarray:
-    """Per-detector sums of ``w[r, c] * x[r, p]``, shape (detectors, cols, positions).
+    """Per-detector sums of ``w[b, r, c] * x[b, r, p]``, shape (batch, detectors, cols, positions).
 
-    The tile is walked in blocks of about ``_BLOCK`` cols x positions elements
-    with the longer of the two axes innermost. Per block and detector, the
-    first bus's (rows_in_bus, block) products are reduced with
-    ``np.add.reduce(axis=0)`` into a running block sum, and every later bus is
-    reduced into a scratch block and added to it. numpy starts a reduction
-    from +0.0, so the additions run in row order, then bus order, and give the
-    bits the zero-padded rows x cols x positions product tensor would give,
-    signed zeros included; that tensor is never built.
+    ``x`` is (batch, rows, positions) and ``w`` (batch, rows, cols). The tile
+    is walked in blocks of about ``_BLOCK`` cols x positions elements with the
+    longer of the two axes innermost; items of the batch share a block while
+    a bus's products fit in ``_BLOCK`` elements. Per block and detector, the first bus's (rows_in_bus, block) products are
+    reduced with ``np.add.reduce(axis=0)`` into a running block sum, and every
+    later bus is reduced into a scratch block and added to it. numpy starts a
+    reduction from +0.0, so the additions run in row order, then bus order,
+    and give each item the bits its zero-padded rows x cols x positions
+    product tensor would give, signed zeros included; that tensor is never
+    built.
     """
-    rows, cols = w.shape
-    positions = x.shape[1]
+    batch, rows, cols = w.shape
+    positions = x.shape[2]
     group, ports = tree.group_size, tree.pd_ports
     buses = -(-rows // group)
     detectors = -(-buses // ports)
     if cols * positions == 1:
         # numpy sums a reduction into a single element pairwise, not in
         # order, so a one-element tile keeps the zero-padded reductions.
-        padded = np.zeros(detectors * ports * group)
-        padded[:rows] = w[:, 0] * x[:, 0]
-        return padded.reshape(detectors, ports, group).sum(axis=2).sum(axis=1).reshape(detectors, 1, 1)
+        padded = np.zeros((batch, detectors * ports * group))
+        padded[:, :rows] = w[:, :, 0] * x[:, :, 0]
+        sums = padded.reshape(batch, detectors, ports, group).sum(axis=3).sum(axis=2)
+        return sums.reshape(batch, detectors, 1, 1)
 
-    level2 = np.empty((detectors, cols, positions))
-    # outer[r, o] * inner[r, i] is written to out[d, o, i], inner the long
-    # axis. Even spans keep every block at least two elements wide, so no
-    # block is summed pairwise.
+    level2 = np.empty((batch, detectors, cols, positions))
+    # outer[r, b, o] * inner[r, b, i] is written to out[b, d, o, i], inner the
+    # long axis. Even spans keep every block at least two elements wide, so
+    # no block is summed pairwise.
     if positions < cols:
-        outer, inner, out = x, w, level2.transpose(0, 2, 1)
+        outer, inner, out = x, w, level2.transpose(0, 1, 3, 2)
     else:
         outer, inner, out = w, x, level2
-    inner_spans, inner_width = _even_spans(inner.shape[1], _BLOCK)
-    outer_spans, outer_width = _even_spans(outer.shape[1], max(1, _BLOCK // inner_width))
-    block = outer_width * inner_width
+    outer, inner = outer.transpose(1, 0, 2), inner.transpose(1, 0, 2)
+    inner_spans, inner_width = _even_spans(inner.shape[2], _BLOCK)
+    outer_spans, outer_width = _even_spans(outer.shape[2], max(1, _BLOCK // inner_width))
+    # items share a block only while all of a bus's products fit in _BLOCK
+    # elements: a batch of small tiles saves numpy calls, and its scratch is
+    # no larger than one item's
+    batch_spans, batch_width = _even_spans(batch, max(1, _BLOCK // (group * outer_width * inner_width)))
+    block = batch_width * outer_width * inner_width
     products_buf = np.empty(group * block)
     sum_buf = np.empty(block)
     bus_buf = np.empty(block)
 
-    for o0, o1 in outer_spans:
-        for i0, i1 in inner_spans:
-            shape = (o1 - o0, i1 - i0)
-            size = shape[0] * shape[1]
-            level = sum_buf[:size].reshape(shape)
-            bus = bus_buf[:size].reshape(shape)
-            a = outer[:, o0:o1, None]
-            b = inner[:, None, i0:i1]
-            for d in range(detectors):
-                first = d * ports * group
-                for r0 in range(first, min(first + ports * group, rows), group):
-                    r1 = min(r0 + group, rows)
-                    products = products_buf[: (r1 - r0) * size].reshape((r1 - r0,) + shape)
-                    np.multiply(a[r0:r1], b[r0:r1], out=products)
-                    if r0 == first:
-                        np.add.reduce(products, axis=0, out=level)
-                    else:
-                        np.add.reduce(products, axis=0, out=bus)
-                        level += bus
-                out[d, o0:o1, i0:i1] = level
+    for b0, b1 in batch_spans:
+        for o0, o1 in outer_spans:
+            for i0, i1 in inner_spans:
+                shape = (b1 - b0, o1 - o0, i1 - i0)
+                size = shape[0] * shape[1] * shape[2]
+                level = sum_buf[:size].reshape(shape)
+                bus = bus_buf[:size].reshape(shape)
+                a = outer[:, b0:b1, o0:o1, None]
+                b = inner[:, b0:b1, None, i0:i1]
+                for d in range(detectors):
+                    first = d * ports * group
+                    for r0 in range(first, min(first + ports * group, rows), group):
+                        r1 = min(r0 + group, rows)
+                        products = products_buf[: (r1 - r0) * size].reshape((r1 - r0,) + shape)
+                        np.multiply(a[r0:r1], b[r0:r1], out=products)
+                        if r0 == first:
+                            np.add.reduce(products, axis=0, out=level)
+                        else:
+                            np.add.reduce(products, axis=0, out=bus)
+                            level += bus
+                    out[b0:b1, d, o0:o1, i0:i1] = level
     return level2
+
+
+def _streams(noise: NoiseSpec, batch: int, layer: int, tile: int, role: str) -> list[np.random.Generator]:
+    """One generator per batch item: item ``b`` draws from the stream of seed ``noise.seed + b``."""
+    return [keyed_rng(noise.seed + b, "mvm", layer, tile, role) for b in range(batch)]
 
 
 def _mvm_non_negative(
@@ -243,13 +281,16 @@ def _mvm_non_negative(
     tile: int,
     w_role: str,
 ) -> np.ndarray:
-    w_eq = inject_noise(w_values, noise.sigma_w, keyed_rng(noise.seed, "mvm", layer, tile, w_role))
+    batch = x_eq.shape[0]
+    # the shared weight grid, perturbed per item (a broadcast view at sigma_w = 0)
+    w_batch = np.broadcast_to(w_values, (batch,) + w_values.shape)
+    w_eq = inject_noise(w_batch, noise.sigma_w, _streams(noise, batch, layer, tile, w_role))
     level2 = _detector_sums(x_eq, w_eq, tree)
 
-    level2 = inject_noise(level2, noise.sigma_out, keyed_rng(noise.seed, "mvm", layer, tile, w_role + "/out"))
+    level2 = inject_noise(level2, noise.sigma_out, _streams(noise, batch, layer, tile, w_role + "/out"))
     if out_quant is not None:
         _, level2 = quantize(level2, out_quant)
-    return level2.sum(axis=0)                                  # digital across detectors
+    return level2.sum(axis=1)                                  # digital across detectors
 
 
 def noisy_mvm(
@@ -266,13 +307,16 @@ def noisy_mvm(
 ) -> np.ndarray:
     """y = W^T x through the quantized, noisy, hierarchically-accumulated datapath.
 
-    ``x`` is a length-R vector (or an R x P matrix of positions evaluated as a
-    batch), ``weights`` is R x C. Inputs and weights are quantized on their
-    grids, perturbed by signal-proportional noise, multiplied per cell, summed
-    per wavelength group, then per detector; each detector reading picks up
-    readout noise and, when ``out_quant`` is given, is digitized before the
-    final digital sum. Results are a deterministic function of
-    (seed, layer, tile, operands).
+    ``x`` is a length-R vector, an R x P matrix of positions evaluated
+    together, or a B x R x P batch of such matrices; ``weights`` is R x C and
+    the result is C, C x P or B x C x P. Inputs and weights are quantized on
+    their grids, perturbed by signal-proportional noise, multiplied per cell,
+    summed per wavelength group, then per detector; each detector reading
+    picks up readout noise and, when ``out_quant`` is given, is digitized
+    before the final digital sum. Results are a deterministic function of
+    (seed, layer, tile, operands). Batch item ``b`` draws its noise from the
+    streams of seed ``noise.seed + b``, so it equals, bit for bit, a call on
+    ``x[b]`` alone with that seed.
 
     In ``differential_pair`` weight mode, signed weights are carried by a
     positive/negative column pair on the magnitude grid and subtracted after
@@ -282,17 +326,21 @@ def noisy_mvm(
     w_arr = np.asarray(weights, dtype=np.float64)
     if w_arr.ndim != 2:
         raise ValueError(f"weights must be 2-D (rows x cols), got shape {w_arr.shape}")
-    squeeze = x_arr.ndim == 1
-    if squeeze:
-        x_arr = x_arr[:, None]
-    if x_arr.ndim != 2 or x_arr.shape[0] != w_arr.shape[0]:
+    if x_arr.ndim == 1:
+        x_batch = x_arr[None, :, None]                         # one position of one item
+    elif x_arr.ndim == 2:
+        x_batch = x_arr[None]                                  # one item
+    else:
+        x_batch = x_arr
+    if x_batch.ndim != 3 or x_batch.shape[1] != w_arr.shape[0]:
         raise ValueError(f"operand shapes do not agree: x {x_arr.shape}, weights {w_arr.shape}")
     if in_quant.lo < 0.0:
         raise ValueError("input intensities are non-negative; in_quant range must start at >= 0")
 
-    _, x_values = quantize(x_arr, in_quant)
-    # one input draw per tile: both weight legs see the same optical inputs
-    x_eq = inject_noise(x_values, noise.sigma_in, keyed_rng(noise.seed, "mvm", layer, tile, "in"))
+    # one input draw per item and tile: both weight legs see the same optical inputs
+    x_eq = inject_noise(
+        quantize(x_batch, in_quant)[1], noise.sigma_in, _streams(noise, len(x_batch), layer, tile, "in")
+    )
 
     if w_quant.signed_mode == DIFFERENTIAL_PAIR:
         span = max(abs(w_quant.lo), abs(w_quant.hi))
@@ -308,7 +356,9 @@ def noisy_mvm(
         _, w_values = quantize(w_arr, w_quant)
         y = _mvm_non_negative(x_eq, w_values, out_quant, noise, tree, layer, tile, "w")
 
-    return y[:, 0] if squeeze else y
+    if x_arr.ndim == 1:
+        return y[0, :, 0]
+    return y[0] if x_arr.ndim == 2 else y
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,9 @@ def workload_to_jsonable(layers: Iterable[ConvLayerSpec]) -> list[dict]:
     return out
 
 
+_INTEGER_FIELDS = ("c_in", "c_out", "kernel", "h_out", "w_out", "stride")
+
+
 def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
     """Resolve a workload reference: a bundled name or a JSON file path.
 
@@ -399,6 +402,12 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
     for i, raw in enumerate(data):
         if not isinstance(raw, dict) or "name" not in raw:
             raise ValueError(f"workload entry {i} must be an object with a 'name'")
+        for field_name in _INTEGER_FIELDS:
+            value = raw.get(field_name)
+            if field_name in raw and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(
+                    f"workload entry {i} ({raw['name']!r}): {field_name} must be an integer, got {value!r}"
+                )
         try:
             layers.append(ConvLayerSpec(**raw))
         except TypeError as exc:

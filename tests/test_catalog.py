@@ -59,6 +59,30 @@ class TestLoader:
         with pytest.raises(CatalogError, match="wsc.insertion_loss_db"):
             load_catalog(path)
 
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"wsc": {"insertion_loss_db": "abc"}}, "wsc.insertion_loss_db"),
+            ({"wsc": {"area_um": [1]}}, "wsc.area_um"),
+            ({"wsc": {"area_um": [1, "x"]}}, "wsc.area_um"),
+            ({"voa": {"static_power_mw": "3"}}, "voa.static_power_mw"),
+            ({"laser": {"wpe": None}}, "laser.wpe"),
+            ({"laser": {"wpe": True}}, "laser.wpe"),
+            ({"laser": {"channels_per_comb": 9.5}}, "laser.channels_per_comb"),
+            ({"pd": {"bandwidth_hz": float("nan")}}, "pd.bandwidth_hz"),
+            ({"soa": {"drive_power_mw": float("inf")}}, "soa.drive_power_mw"),
+            ({"sl_mzm": {"energy_per_switch_fj": {"six": 1.0}}}, "sl_mzm.energy_per_switch_fj"),
+            ({"sl_mzm": {"energy_per_switch_fj": {"6": "a"}}}, "sl_mzm.energy_per_switch_fj[6]"),
+            ({"sl_mzm": {"energy_per_switch_fj": []}}, "sl_mzm.energy_per_switch_fj"),
+        ],
+    )
+    def test_non_numeric_field_names_component_and_field(self, tmp_path, entry, field):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"schema_version": 1, **entry}))
+        with pytest.raises(CatalogError) as info:
+            load_catalog(path)
+        assert field in str(info.value)
+
     def test_unknown_component_rejected(self, tmp_path):
         path = tmp_path / "cat.json"
         path.write_text(json.dumps({"schema_version": 1, "wcs": {"insertion_loss_db": 0.25}}))

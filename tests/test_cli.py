@@ -36,6 +36,31 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert "catalog" in result.output
 
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"wsc": {"insertion_loss_db": "abc"}}, "wsc.insertion_loss_db"),
+            ({"wsc": {"area_um": [1]}}, "wsc.area_um"),
+            ({"laser": {"wpe": None}}, "laser.wpe"),
+        ],
+    )
+    def test_non_numeric_catalog_field_exits_1_naming_it(self, runner, tmp_path, entry, field):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"schema_version": 1, **entry}))
+        result = runner.invoke(main, ["evaluate", "--catalog", str(path), "--format", "json"])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert field in result.output
+
+    @pytest.mark.parametrize("value", [True, 3.5])
+    def test_non_integer_workload_field_exits_1_naming_it(self, runner, tmp_path, value):
+        path = tmp_path / "wl.json"
+        path.write_text(json.dumps([{"name": "conv_a", "c_in": value, "c_out": 4, "kernel": 3, "h_out": 4, "w_out": 4}]))
+        result = runner.invoke(main, ["evaluate", "--workload", str(path), "--format", "json"])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "conv_a" in result.output and "c_in" in result.output
+
     def test_bad_core_exit_one(self, runner):
         result = runner.invoke(main, ["evaluate", "--core", "10x10"])
         assert result.exit_code == 1

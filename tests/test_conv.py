@@ -106,3 +106,29 @@ class TestEngineConvMatchesOracle:
         a = run_conv(acts, weights, geom, in_q, w_q, None, noise)
         b = run_conv(acts, weights, geom, in_q, w_q, None, noise)
         assert np.array_equal(a, b)
+
+
+class TestBatchedRunConv:
+    @pytest.mark.parametrize("geom", [CoreGeometry(9, 2), CoreGeometry(18, 8), CoreGeometry(144, 256)])
+    def test_batch_equals_one_image_per_call(self, geom):
+        # row and column tiling on the small cores; image b with seed + b
+        rng = np.random.default_rng(43)
+        acts = rng.random((5, 3, 6, 6))
+        weights = rng.uniform(-1.0, 1.0, (4, 3, 3, 3))
+        in_q = QuantSpec(bits=6, lo=0.0, hi=1.0)
+        w_q = QuantSpec(bits=7, lo=-1.0, hi=1.0, signed_mode=DIFFERENTIAL_PAIR)
+        noise = NoiseSpec(seed=11)
+        got = run_conv(acts, weights, geom, in_q, w_q, None, noise, layer_index=2)
+        assert got.shape == (5, 4, 4, 4)
+        for b, image in enumerate(acts):
+            alone = NoiseSpec(noise.sigma_in, noise.sigma_w, noise.sigma_out, noise.seed + b)
+            expected = run_conv(image, weights, geom, in_q, w_q, None, alone, layer_index=2)
+            assert np.array_equal(got[b], expected)
+            assert np.array_equal(np.signbit(got[b]), np.signbit(expected))
+
+    def test_im2col_keeps_the_batch_axis(self):
+        acts = np.random.default_rng(3).random((4, 2, 7, 7))
+        cols = im2col(acts, 3, stride=2)
+        assert cols.shape == (4, 18, 9)
+        for b, image in enumerate(acts):
+            assert np.array_equal(cols[b], im2col(image, 3, stride=2))

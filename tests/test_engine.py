@@ -137,6 +137,11 @@ def _group_reduce(products, group):
     return products.reshape((blocks, group) + products.shape[1:]).sum(axis=1)
 
 
+def detector_sums(x, w, tree):
+    """The kernel on one (rows x positions, rows x cols) tile: a batch of one."""
+    return _detector_sums(x[None], w[None], tree)[0]
+
+
 def reference_detector_sums(x, w, tree):
     """The whole R x C x P product tensor, reduced per bus and then per detector."""
     products = w[:, :, None] * x[:, None, :]
@@ -195,21 +200,21 @@ class TestDetectorSums:
     def test_matches_reference(self, rows, cols, positions, tree, seed, signed, decades):
         x, w = spread_operands(seed, rows, cols, positions, signed, decades)
         t = AccumulationTree(*tree)
-        assert_same_bits(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+        assert_same_bits(detector_sums(x, w, t), reference_detector_sums(x, w, t))
 
     @pytest.mark.parametrize("tree", TREES)
     @pytest.mark.parametrize("rows, cols, positions", EDGE_SHAPES)
     def test_edge_shapes(self, rows, cols, positions, tree):
         x, w = spread_operands(rows * cols + positions, rows, cols, positions)
         t = AccumulationTree(*tree)
-        assert_same_bits(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+        assert_same_bits(detector_sums(x, w, t), reference_detector_sums(x, w, t))
 
     @pytest.mark.parametrize("tree", TREES)
     @pytest.mark.parametrize("rows, cols, positions", EDGE_SHAPES)
     def test_signed_edge_shapes(self, rows, cols, positions, tree):
         x, w = spread_operands(rows * cols + positions, rows, cols, positions, signed=True)
         t = AccumulationTree(*tree)
-        assert_same_bits(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+        assert_same_bits(detector_sums(x, w, t), reference_detector_sums(x, w, t))
 
     @pytest.mark.parametrize("tree", [(9, 16), (3, 2)])
     @pytest.mark.parametrize(
@@ -227,14 +232,14 @@ class TestDetectorSums:
     def test_several_blocks(self, rows, cols, positions, tree, decades):
         x, w = spread_operands(rows + cols + positions, rows, cols, positions, True, decades)
         t = AccumulationTree(*tree)
-        assert_same_bits(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+        assert_same_bits(detector_sums(x, w, t), reference_detector_sums(x, w, t))
 
     @pytest.mark.parametrize("positions", [2**15 + 1, 2**16 + 3])
     @pytest.mark.parametrize("tree", [(9, 16), (3, 2)])
     def test_several_chunks_single_column(self, positions, tree):
         x, w = spread_operands(positions, 40, 1, positions)
         t = AccumulationTree(*tree)
-        assert_same_bits(_detector_sums(x, w, t), reference_detector_sums(x, w, t))
+        assert_same_bits(detector_sums(x, w, t), reference_detector_sums(x, w, t))
 
     def test_scratch_fits_in_cache(self):
         rng = np.random.default_rng(0)
@@ -242,7 +247,7 @@ class TestDetectorSums:
         w = rng.random((144, 256))
         tracemalloc.start()
         try:
-            level2 = _detector_sums(x, w, AccumulationTree())
+            level2 = _detector_sums(x[None], w[None], AccumulationTree())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -261,6 +266,46 @@ class TestDetectorSums:
             tracemalloc.stop()
         # the R x C x P product tensor alone would be 144*256*4096*8 B = 1.2 GB
         assert peak < 64 * 2**20
+
+
+class TestBatchedKernel:
+    """A batch through the kernel equals each item through it alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 6),
+        rows=st.integers(1, 160),
+        cols=st.integers(1, 12),
+        positions=st.integers(1, 20),
+        tree=st.sampled_from(TREES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_item_reference(self, batch, rows, cols, positions, tree, seed):
+        items = [spread_operands(seed + b, rows, cols, positions, True, 2) for b in range(batch)]
+        x = np.stack([item[0] for item in items])
+        w = np.stack([item[1] for item in items])
+        t = AccumulationTree(*tree)
+        got = _detector_sums(x, w, t)
+        for b in range(batch):
+            assert_same_bits(got[b], reference_detector_sums(x[b], w[b], t))
+
+    @pytest.mark.parametrize("tree", [(9, 16), (3, 2)])
+    @pytest.mark.parametrize(
+        "batch, rows, cols, positions",
+        [
+            (500, 9, 3, 36),    # the tinycnn tile: the batch spans several blocks
+            (7, 150, 1, 1),     # one-element tiles keep the padded reductions per item
+            (3, 20, 3000, 4),   # cols innermost, one item per block
+        ],
+    )
+    def test_batch_blocks(self, batch, rows, cols, positions, tree):
+        rng = np.random.default_rng(batch + rows)
+        x = rng.random((batch, rows, positions)) * 10.0 ** rng.integers(-1, 1, (batch, rows, positions))
+        w = rng.random((batch, rows, cols)) * 10.0 ** rng.integers(-1, 1, (batch, rows, cols))
+        t = AccumulationTree(*tree)
+        got = _detector_sums(x, w, t)
+        for b in range(batch):
+            assert_same_bits(got[b], reference_detector_sums(x[b], w[b], t))
 
 
 def integer_operands(rng, rows, cols, positions=None, x_levels=16, w_levels=16):
@@ -372,6 +417,62 @@ class TestNoisyMvm:
         # 150 rows x 5 differential columns x 7 positions: two detectors and a
         # partial last bus, recorded before the product tensor was removed
         assert_regression_fixture("regression_mvm_batch.json")
+
+
+class TestBatchContract:
+    """A (B, R, P) batch equals B calls on its items, item b with seed ``seed + b``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        batch=st.integers(1, 5),
+        rows=st.integers(1, 160),
+        cols=st.integers(1, 10),
+        positions=st.integers(1, 12),
+        tree=st.sampled_from(TREES),
+        sigmas=st.tuples(*[st.sampled_from([0.0, 0.02]) for _ in range(3)]),
+        differential=st.booleans(),
+        digitize=st.booleans(),
+        seed=st.integers(0, 2**31),
+        layer=st.integers(0, 3),
+        tile=st.integers(0, 3),
+    )
+    def test_batch_equals_separate_calls(
+        self, batch, rows, cols, positions, tree, sigmas, differential, digitize, seed, layer, tile
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.random((batch, rows, positions))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        in_q = QuantSpec(bits=6, lo=0.0, hi=1.0)
+        if differential:
+            w = rng.uniform(-1.0, 1.0, (rows, cols))
+            w_q = QuantSpec(bits=7, lo=-1.0, hi=1.0, signed_mode=DIFFERENTIAL_PAIR)
+        else:
+            w = rng.random((rows, cols))
+            w_q = QuantSpec(bits=7, lo=0.0, hi=1.0)
+        out_q = QuantSpec(bits=12, lo=0.0, hi=16.0) if digitize else None
+        t = AccumulationTree(*tree)
+        noise = NoiseSpec(*sigmas, seed=seed)
+        got = noisy_mvm(x, w, in_q, w_q, out_q, noise, t, layer=layer, tile=tile)
+        assert got.shape == (batch, cols, positions)
+        for b in range(batch):
+            alone = NoiseSpec(*sigmas, seed=seed + b)
+            assert_same_bits(got[b], noisy_mvm(x[b], w, in_q, w_q, out_q, alone, t, layer=layer, tile=tile))
+
+    def test_vector_and_matrix_forms_are_a_batch_of_one(self):
+        rng = np.random.default_rng(19)
+        x = rng.random((30, 4))
+        w = rng.uniform(-1.0, 1.0, (30, 5))
+        in_q = QuantSpec(bits=6)
+        w_q = QuantSpec(bits=7, lo=-1.0, hi=1.0, signed_mode=DIFFERENTIAL_PAIR)
+        noise = NoiseSpec(seed=8)
+        batch = noisy_mvm(x[None], w, in_q, w_q, noise=noise)
+        assert_same_bits(noisy_mvm(x, w, in_q, w_q, noise=noise), batch[0])
+        column = noisy_mvm(x[None, :, :1], w, in_q, w_q, noise=noise)
+        assert_same_bits(noisy_mvm(x[:, 0], w, in_q, w_q, noise=noise), column[0, :, 0])
+
+    def test_batch_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shapes"):
+            noisy_mvm(np.ones((2, 4, 3)), np.ones((5, 2)), QuantSpec(bits=4), QuantSpec(bits=4))
 
 
 def assert_regression_fixture(name):

@@ -1,0 +1,56 @@
+import random
+
+import numpy as np
+import pytest
+
+from wavecore import rng as rng_module
+from wavecore.rng import keyed_rng, stream_key
+
+KEYS = [0, 2**64 - 1, 2**127 + 1] + [random.Random(20261018).getrandbits(128) for _ in range(50)]
+
+
+def same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def assert_same_stream(got, expected):
+    assert same_state(got.bit_generator.state, expected.bit_generator.state)
+    assert np.array_equal(got.standard_normal(1000), expected.standard_normal(1000))
+    assert same_state(got.bit_generator.state, expected.bit_generator.state)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_stream_equals_philox_keyed_directly(key, monkeypatch):
+    monkeypatch.setattr(rng_module, "stream_key", lambda seed, *parts: key)
+    assert_same_stream(keyed_rng(0), np.random.Generator(np.random.Philox(key=key)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 59, -3, 2**40])
+def test_derived_keys_unchanged(seed):
+    parts = (seed, "mvm", 2, 7, "w+/out")
+    assert_same_stream(keyed_rng(*parts), np.random.Generator(np.random.Philox(key=stream_key(*parts))))
+
+
+def test_reads_no_os_entropy(monkeypatch):
+    # numpy draws a SeedSequence's entropy through this name; Philox(key=...) calls it
+    def no_entropy(*args, **kwargs):
+        raise AssertionError("a keyed stream must not read OS entropy")
+
+    monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+    keyed_rng(3, "mvm", 0, 0, "in").standard_normal(4)
+
+
+@pytest.mark.parametrize(
+    "parts, key",
+    [
+        ((3, "mvm", 0, 0, "in"), 131694613136429817529099855201411826841),
+        ((0, "synth-data"), 334503184017782546094105976626558821821),
+        ((-7, "mvm", 2, 5, "w-/out"), 142602328627406031880342552802143282623),
+    ],
+)
+def test_stream_keys_are_stable(parts, key):
+    assert stream_key(*parts) == key

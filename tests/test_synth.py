@@ -1,8 +1,19 @@
-import numpy as np
+import json
+from pathlib import Path
 
-from wavecore import CoreGeometry, NoiseSpec
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from wavecore import CoreGeometry, NoiseSpec, conv
+from wavecore.cli import main
 from wavecore.engine import ZERO_NOISE
-from wavecore.synth import make_dataset, run_tinycnn, simulate_accuracy
+from wavecore.synth import _FILTERS, make_dataset, run_tinycnn, simulate_accuracy
+from wavecore.workload import ConvLayerSpec, lower_conv
+
+# simulate's stdout and full-precision statistics, recorded from the
+# one-image-per-call simulator before batching; compared, never regenerated
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_simulate.json").read_text())
 
 
 def test_dataset_deterministic():
@@ -32,3 +43,37 @@ def test_layer_stats_reported():
     _, stats = run_tinycnn(images, geom, ZERO_NOISE)
     assert stats[0].name == "conv3x3"
     assert stats[0].max >= stats[0].min
+
+
+@pytest.mark.parametrize("run", GOLDEN["runs"], ids=lambda r: f"{r['core']}-{r['sigma_in']}-{r['seed']}")
+def test_simulate_matches_golden(run):
+    noise = NoiseSpec(run["sigma_in"], GOLDEN["sigma_w"], GOLDEN["sigma_out"], run["seed"])
+    for fmt, expected in run["stdout"].items():
+        argv = ["simulate", "--core", run["core"], "--sigma-in", repr(noise.sigma_in),
+                "--sigma-w", repr(noise.sigma_w), "--sigma-out", repr(noise.sigma_out),
+                "--seed", str(noise.seed), "--samples", str(GOLDEN["samples"]), "--format", fmt]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0
+        assert result.stdout_bytes == expected.encode()
+    _, preds, _, stats = simulate_accuracy(CoreGeometry.parse(run["core"]), noise, n_samples=GOLDEN["samples"])
+    assert preds.tolist() == run["predictions"]
+    s = stats[0]
+    assert [v.hex() for v in (s.mean, s.std, s.min, s.max)] == run["stats_hex"]
+
+
+@pytest.mark.parametrize("core", ["144x256", "9x2", "18x1"])
+def test_one_engine_call_per_tile_not_per_image(core, monkeypatch):
+    calls = []
+    noisy_mvm = conv.noisy_mvm
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["tile"])
+        return noisy_mvm(*args, **kwargs)
+
+    monkeypatch.setattr(conv, "noisy_mvm", counting)
+    geom = CoreGeometry.parse(core)
+    images, _ = make_dataset(11, seed=4)
+    run_tinycnn(images, geom, NoiseSpec(seed=2))
+    dims = lower_conv(ConvLayerSpec("conv3x3", 1, len(_FILTERS), 3, 6, 6), geom)
+    assert calls == list(range(dims.tiles_row * dims.tiles_col))
+    assert len(calls) < len(images)

@@ -205,3 +205,12 @@ class TestWorkloadIo:
         path.write_text("{}")
         with pytest.raises(ValueError, match="list"):
             load_workload(str(path))
+
+    @pytest.mark.parametrize("field", ["c_in", "c_out", "kernel", "h_out", "w_out", "stride"])
+    @pytest.mark.parametrize("value", [True, 3.5, 3.0, "3"])
+    def test_non_integer_field_names_entry_and_field(self, tmp_path, field, value):
+        entry = {"name": "conv_a", "c_in": 3, "c_out": 4, "kernel": 3, "h_out": 4, "w_out": 4, field: value}
+        path = tmp_path / "wl.json"
+        path.write_text(json.dumps([{"name": "ok", "c_in": 1}, entry]))
+        with pytest.raises(ValueError, match=f"entry 1 \\('conv_a'\\): {field} must be an integer"):
+            load_workload(str(path))
