@@ -2,9 +2,10 @@
 
 The layout is a column of input conditioning strips (comb, demux, trim,
 modulator) followed by the tiled compute array. Width grows by one group
-pitch per MMI bundle of 8 columns; height grows by one unit-cell height per
-row plus a detector strip at the bottom. Everything here is closed-form,
-there is no placement or routing model.
+pitch per MMI bundle of ``cols_per_mmi`` columns (8 for a raw rows x cols
+pair); height grows by one unit-cell height per row plus a detector strip at
+the bottom. Everything here is closed-form, there is no placement or routing
+model.
 """
 
 from __future__ import annotations
@@ -85,13 +86,13 @@ def crossbar_area(
     bundle width, so oversized what-if geometries can still be sized.
     """
     if isinstance(geom, CoreGeometry):
-        rows, cols = geom.rows, geom.cols
+        rows, cols, bundles = geom.rows, geom.cols, geom.mmi_bundles
     else:
         rows, cols = geom
+        bundles = max(1, -(-cols // 8))
     if rows < 1 or cols < 1:
         raise ValueError(f"geometry must be at least 1x1, got {rows}x{cols}")
 
-    bundles = max(1, -(-cols // 8))
     width_um = params.input_strip_um + bundles * params.group_pitch_um
     height_um = rows * params.cell_height_um + params.pd_strip_um
     w_mm = width_um / 1000.0

@@ -28,12 +28,13 @@ scratch does not grow with the batch.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import PcmSpec
-from .rng import keyed_rng
+from .rng import keyed_rng, keyed_streams
 
 NON_NEGATIVE = "non_negative"
 DIFFERENTIAL_PAIR = "differential_pair"
@@ -152,9 +153,12 @@ def quantize(x, q: QuantSpec):
 def inject_noise(q_value, sigma: float, rng):
     """Add zero-mean Gaussian noise with standard deviation sigma*|value|.
 
-    ``rng`` is one generator, or a sequence of generators, one per item of
+    ``rng`` is one generator, or any iterable of generators, one per item of
     the leading axis; each item's noise is then drawn from its own generator,
-    exactly as a call on that item alone would draw it.
+    exactly as a call on that item alone would draw it. Items are drawn in
+    order and each generator is used before the next is taken, so an
+    iterable may hand out one generator re-keyed per item, and at sigma zero
+    it is not iterated at all.
 
     Exactly the identity when sigma is zero (no RNG draw is consumed), and
     exactly zero-preserving since the noise scale is proportional to the
@@ -266,9 +270,9 @@ def _detector_sums(x: np.ndarray, w: np.ndarray, tree: AccumulationTree) -> np.n
     return level2
 
 
-def _streams(noise: NoiseSpec, batch: int, layer: int, tile: int, role: str) -> list[np.random.Generator]:
-    """One generator per batch item: item ``b`` draws from the stream of seed ``noise.seed + b``."""
-    return [keyed_rng(noise.seed + b, "mvm", layer, tile, role) for b in range(batch)]
+def _streams(noise: NoiseSpec, batch: int, layer: int, tile: int, role: str) -> Iterator[np.random.Generator]:
+    """One generator per batch item, lazily: item ``b`` draws from the stream of seed ``noise.seed + b``."""
+    return keyed_streams(range(noise.seed, noise.seed + batch), "mvm", layer, tile, role)
 
 
 def _mvm_non_negative(

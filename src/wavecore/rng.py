@@ -8,20 +8,28 @@ work is parallelized across columns, batch items or design points. The
 simulator gives batch item ``b`` the streams of seed ``seed + b``, so a batch
 draws exactly what one call per item would.
 
-A generator is built from its 128-bit key alone: ``Philox(key=...)`` would
-first build a ``SeedSequence`` from OS entropy and then discard it, so the key
-is handed to ``Philox`` as a fixed-key seed sequence instead. The stream (key,
-counter and buffer) is the same either way.
+A stream's key is the first 16 bytes of one SHA-256 over the seed and the
+labels, encoded once by ``_encode_labels``. A Philox stream is built from its
+128-bit key alone: ``Philox(key=...)`` would first build a ``SeedSequence``
+from OS entropy and then discard it, so the key is handed to ``Philox`` as a
+fixed-key seed sequence instead. ``keyed_streams`` serves a batch: it builds
+one Philox for its first seed and re-keys it for every later one by assigning
+its state (key, zero counter, empty buffer), lazily, so an unused role derives
+no key. Every stream (key, counter and buffer) is the same either way.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 _WORD = (1 << 64) - 1
+# a 128-bit key as Philox's two little-endian 64-bit key words
+_KEY_WORDS = struct.Struct("<2Q")
 
 
 class _FixedKey(ISeedSequence):
@@ -29,8 +37,8 @@ class _FixedKey(ISeedSequence):
 
     __slots__ = ("words",)
 
-    def __init__(self, key: int) -> None:
-        self.words = np.array([key & _WORD, key >> 64], dtype=np.uint64)
+    def __init__(self, words) -> None:
+        self.words = np.array(words, dtype=np.uint64)
 
     def generate_state(self, n_words, dtype=np.uint32):
         # Philox asks for its key as generate_state(2, np.uint64)
@@ -39,20 +47,26 @@ class _FixedKey(ISeedSequence):
         return self.words
 
 
+def _encode_labels(parts: tuple[int | str, ...]) -> bytes:
+    """Canonical byte encoding of the context labels that follow the seed."""
+    return b"".join([
+        b"s" + part.encode("utf-8") + b"\x00" if isinstance(part, str)
+        else b"i" + int(part).to_bytes(16, "little", signed=True)
+        for part in parts
+    ])
+
+
+def _digest(seed: int, labels: bytes) -> bytes:
+    return hashlib.sha256(int(seed).to_bytes(16, "little", signed=True) + labels).digest()
+
+
 def stream_key(seed: int, *parts: int | str) -> int:
     """Stable 128-bit key from a seed and context labels.
 
     Uses a hash of the canonical byte encoding, so keys are reproducible
     across processes and platforms (unlike the builtin ``hash``).
     """
-    h = hashlib.sha256()
-    h.update(int(seed).to_bytes(16, "little", signed=True))
-    for part in parts:
-        if isinstance(part, str):
-            h.update(b"s" + part.encode("utf-8") + b"\x00")
-        else:
-            h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
-    return int.from_bytes(h.digest()[:16], "little")
+    return int.from_bytes(_digest(seed, _encode_labels(parts))[:16], "little")
 
 
 def keyed_rng(seed: int, *parts: int | str) -> np.random.Generator:
@@ -60,4 +74,33 @@ def keyed_rng(seed: int, *parts: int | str) -> np.random.Generator:
 
     Equal, state and draws, to ``Generator(Philox(key=stream_key(seed, *parts)))``.
     """
-    return np.random.Generator(np.random.Philox(_FixedKey(stream_key(seed, *parts))))
+    key = stream_key(seed, *parts)
+    return np.random.Generator(np.random.Philox(_FixedKey((key & _WORD, key >> 64))))
+
+
+def keyed_streams(seeds: Iterable[int], *parts: int | str) -> Iterator[np.random.Generator]:
+    """Lazily yield the stream of (seed, *parts) for each seed in turn.
+
+    Each yielded generator equals ``keyed_rng(seed, *parts)``, state and
+    draws, but every yield is the same generator re-keyed, so it is valid only
+    until the next one is taken. A seed's key is derived when its generator is
+    taken, so an iterator that is never advanced hashes nothing.
+    """
+    labels = _encode_labels(parts)
+    gen = None
+    for seed in seeds:
+        words = _KEY_WORDS.unpack_from(_digest(seed, labels))
+        if gen is None:
+            gen = np.random.Generator(np.random.Philox(_FixedKey(words)))
+        else:
+            # the state of a fresh Philox with this key; tuples, because the
+            # setter reads them element by element faster than arrays
+            gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": (0, 0, 0, 0), "key": words},
+                "buffer": (0, 0, 0, 0),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        yield gen

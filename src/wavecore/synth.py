@@ -35,19 +35,21 @@ _FILTERS = np.array(
 def make_dataset(n: int, seed: int = 0, size: int = 8, pixel_noise: float = 0.1):
     """n labelled patches, shape (n, 1, size, size), values in [0, 1]."""
     rng = keyed_rng(seed, "synth-data")
-    images = np.empty((n, 1, size, size))
     labels = rng.integers(0, 3, size=n)
-    rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    # per image, a phase bit then the pixel noise, interleaved on the one stream
+    phases = np.empty(n, dtype=np.int64)
+    noisy = np.empty((n, 1, size, size))
     for i in range(n):
-        phase = int(rng.integers(0, 2))
-        if labels[i] == 0:
-            base = (cc + phase) % 2
-        elif labels[i] == 1:
-            base = (rr + phase) % 2
-        else:
-            base = (rr + cc + phase) % 2
-        noisy = base + pixel_noise * rng.standard_normal((size, size))
-        images[i, 0] = np.clip(noisy, 0.0, 1.0)
+        phases[i] = rng.integers(0, 2)
+        rng.standard_normal(out=noisy[i, 0])
+    # period-2 gratings: label 0 alternates along columns, 1 along rows, 2 both
+    rr, cc = np.ogrid[:size, :size]
+    along_rows = (labels != 0)[:, None, None, None]
+    along_cols = (labels != 1)[:, None, None, None]
+    base = (along_rows * rr + along_cols * cc + phases[:, None, None, None]) % 2
+    noisy *= pixel_noise
+    noisy += base
+    images = np.clip(noisy, 0.0, 1.0, out=noisy)
     return images, labels
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from wavecore import crossbar_area, reticle_check
+from wavecore import CoreGeometry, crossbar_area, reticle_check
 from wavecore.area import AreaParams
 
 
@@ -30,6 +30,12 @@ class TestFootprint:
         w1 = crossbar_area((144, 256)).crossbar_w_mm
         w2 = crossbar_area((144, 264)).crossbar_w_mm
         assert (w2 - w1) * 1000 == pytest.approx(700.0, abs=1e-9)
+
+    def test_width_follows_cols_per_mmi(self):
+        wide = crossbar_area(CoreGeometry(144, 256, cols_per_mmi=16))
+        params = AreaParams()
+        assert wide.crossbar_w_mm * 1000 == pytest.approx(params.input_strip_um + 16 * params.group_pitch_um, abs=1e-9)
+        assert dict(wide.strips)["column_groups"] == pytest.approx(16 * params.group_pitch_um / 1000, abs=1e-12)
 
     def test_strictly_increasing(self):
         a = crossbar_area((144, 256)).total_area_mm2

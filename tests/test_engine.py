@@ -20,7 +20,9 @@ from wavecore import (
 )
 from wavecore.catalog import PcmSpec
 from wavecore.engine import DIFFERENTIAL_PAIR, ZERO_NOISE, _detector_sums, unit_step_out_quant
-from wavecore.rng import keyed_rng
+from wavecore.rng import keyed_rng, keyed_streams
+
+from conftest import assert_same_bits
 
 DATA = Path(__file__).parent / "data"
 
@@ -110,6 +112,18 @@ class TestInjectNoise:
         assert_same_bits(inject_noise(arr, 0.0, rng), arr)
         assert rng.standard_normal() == keyed_rng(4, "z").standard_normal()
 
+    def test_zero_sigma_takes_no_stream(self):
+        streams = keyed_streams(range(3), "z")
+        arr = np.array([[1.0, -2.0], [0.5, 0.0], [3.0, -0.0]])
+        assert_same_bits(inject_noise(arr, 0.0, streams), arr)
+        assert next(streams).standard_normal() == keyed_rng(0, "z").standard_normal()
+
+    def test_items_draw_from_their_own_streams(self):
+        arr = np.arange(-5.0, 7.0).reshape(3, 4)
+        got = inject_noise(arr, 0.01, keyed_streams(range(7, 10), "it"))
+        for b in range(3):
+            assert_same_bits(got[b], inject_noise(arr[b], 0.01, keyed_rng(7 + b, "it")))
+
     def test_scales_with_magnitude(self):
         rng1 = keyed_rng(7, "a")
         rng2 = keyed_rng(7, "a")
@@ -177,11 +191,6 @@ def spread_operands(seed, rows, cols, positions, signed=False, decades=16):
             arr[rng.random(arr.shape) < 0.2] = 0.0
             arr *= rng.choice([-1.0, 1.0], arr.shape)
     return x, w
-
-
-def assert_same_bits(got, expected):
-    assert np.array_equal(got, expected)
-    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestDetectorSums:

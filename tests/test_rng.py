@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavecore import rng as rng_module
-from wavecore.rng import keyed_rng, stream_key
+from wavecore.rng import keyed_rng, keyed_streams, stream_key
 
 KEYS = [0, 2**64 - 1, 2**127 + 1] + [random.Random(20261018).getrandbits(128) for _ in range(50)]
 
@@ -35,13 +35,55 @@ def test_derived_keys_unchanged(seed):
     assert_same_stream(keyed_rng(*parts), np.random.Generator(np.random.Philox(key=stream_key(*parts))))
 
 
-def test_reads_no_os_entropy(monkeypatch):
+@pytest.fixture
+def no_os_entropy(monkeypatch):
     # numpy draws a SeedSequence's entropy through this name; Philox(key=...) calls it
     def no_entropy(*args, **kwargs):
         raise AssertionError("a keyed stream must not read OS entropy")
 
     monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+
+
+def test_reads_no_os_entropy(no_os_entropy):
     keyed_rng(3, "mvm", 0, 0, "in").standard_normal(4)
+
+
+SEEDS = [0, 1, 2, -1, -2**70, 2**63 - 1, 2**63, 2**64 + 5, 2**100]
+
+
+@pytest.mark.parametrize(
+    "parts", [("mvm", 0, 0, "in"), ("mvm", 3, 124, "w-/out"), ("mvm", -1, 2**63, "wß/ëλ"), ()]
+)
+def test_each_stream_equals_keyed_rng(parts, no_os_entropy):
+    for seed, gen in zip(SEEDS, keyed_streams(SEEDS, *parts), strict=True):
+        assert_same_stream(gen, keyed_rng(seed, *parts))
+
+
+def test_rekey_drops_a_cached_half_word():
+    # an odd count of 32-bit draws leaves half a 64-bit word cached in the bit generator
+    streams = keyed_streams([5, 6, 5], "mvm", 0, 0, "w+")
+    first = next(streams)
+    first.integers(0, 2, size=3, dtype=np.uint32)
+    assert first.bit_generator.state["has_uint32"] == 1
+    for seed in (6, 5):
+        gen = next(streams)
+        assert gen.bit_generator.state["has_uint32"] == 0
+        assert_same_stream(gen, keyed_rng(seed, "mvm", 0, 0, "w+"))
+        gen.integers(0, 2, dtype=np.uint32)
+
+
+def test_derives_no_key_before_an_item_is_taken():
+    taken = []
+
+    def seeds():
+        for seed in range(3):
+            taken.append(seed)
+            yield seed
+
+    streams = keyed_streams(seeds(), "mvm", 0, 0, "in")
+    assert taken == []
+    next(streams)
+    assert taken == [0]
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,11 @@ from click.testing import CliRunner
 from wavecore import CoreGeometry, NoiseSpec, conv
 from wavecore.cli import main
 from wavecore.engine import ZERO_NOISE
+from wavecore.rng import keyed_rng
 from wavecore.synth import _FILTERS, make_dataset, run_tinycnn, simulate_accuracy
 from wavecore.workload import ConvLayerSpec, lower_conv
+
+from conftest import assert_same_bits
 
 # simulate's stdout and full-precision statistics, recorded from the
 # one-image-per-call simulator before batching; compared, never regenerated
@@ -22,6 +25,37 @@ def test_dataset_deterministic():
     assert np.array_equal(a_images, b_images)
     assert np.array_equal(a_labels, b_labels)
     assert a_images.min() >= 0.0 and a_images.max() <= 1.0
+
+
+def _per_image_dataset(n, seed, size, pixel_noise):
+    """make_dataset as one loop body per image, the reference for its vectorised form."""
+    rng = keyed_rng(seed, "synth-data")
+    images = np.empty((n, 1, size, size))
+    labels = rng.integers(0, 3, size=n)
+    rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    for i in range(n):
+        phase = int(rng.integers(0, 2))
+        if labels[i] == 0:
+            base = (cc + phase) % 2
+        elif labels[i] == 1:
+            base = (rr + phase) % 2
+        else:
+            base = (rr + cc + phase) % 2
+        noisy = base + pixel_noise * rng.standard_normal((size, size))
+        images[i, 0] = np.clip(noisy, 0.0, 1.0)
+    return images, labels
+
+
+@pytest.mark.parametrize(
+    "n, seed, size, pixel_noise",
+    [(1, 0, 8, 0.1), (60, 1, 8, 0.1), (7, -3, 5, 0.0), (33, 2**63, 8, 0.6), (16, 7, 1, 0.1), (0, 4, 8, 0.1)],
+)
+def test_dataset_matches_per_image_loop(n, seed, size, pixel_noise):
+    images, labels = make_dataset(n, seed=seed, size=size, pixel_noise=pixel_noise)
+    expected_images, expected_labels = _per_image_dataset(n, seed, size, pixel_noise)
+    assert images.shape == (n, 1, size, size)
+    assert_same_bits(images, expected_images)
+    assert np.array_equal(labels, expected_labels)
 
 
 def test_zero_noise_accuracy_perfect():
@@ -77,3 +111,31 @@ def test_one_engine_call_per_tile_not_per_image(core, monkeypatch):
     dims = lower_conv(ConvLayerSpec("conv3x3", 1, len(_FILTERS), 3, 6, 6), geom)
     assert calls == list(range(dims.tiles_row * dims.tiles_col))
     assert len(calls) < len(images)
+
+
+@pytest.mark.parametrize("core", ["144x256", "9x2"])
+def test_one_philox_per_engine_call_and_role(core, monkeypatch):
+    # a generator built per batch item would grow with --samples
+    philox = np.random.Philox
+    noisy_mvm = conv.noisy_mvm
+    counts = {"philox": 0, "engine": 0}
+
+    def counting_philox(*args, **kwargs):
+        counts["philox"] += 1
+        return philox(*args, **kwargs)
+
+    def counting_mvm(*args, **kwargs):
+        counts["engine"] += 1
+        return noisy_mvm(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    monkeypatch.setattr(conv, "noisy_mvm", counting_mvm)
+    seen = []
+    for samples in (60, 240):
+        counts.update(philox=0, engine=0)
+        result = CliRunner().invoke(main, ["simulate", "--core", core, "--samples", str(samples)])
+        assert result.exit_code == 0
+        # roles per call: the input, and each differential weight leg and its readout
+        assert 1 < counts["philox"] <= 5 * counts["engine"] + 1     # + make_dataset's stream
+        seen.append(counts["philox"])
+    assert seen[0] == seen[1]
