@@ -39,7 +39,7 @@ from .linkbudget import (
     fanout_loss,
     variant_feasibility,
 )
-from .power import PowerReport, PrecisionSpec, adc_power, dac_power, laser_power, total_power, vcsel_program_energy
+from .power import PowerReport, PrecisionSpec, dac_power, laser_power, total_power, vcsel_program_energy
 from .area import AreaParams, AreaReport, crossbar_area, reticle_check
 from .workload import (
     ConvLayerSpec,
@@ -108,7 +108,6 @@ __all__ = [
     "SoaAssisted",
     "ThermoOpticWeights",
     "TileSchedule",
-    "adc_power",
     "crossbar_area",
     "critical_path_il",
     "dac_power",

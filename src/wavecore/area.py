@@ -2,15 +2,14 @@
 
 The layout is a column of input conditioning strips (comb, demux, trim,
 modulator) followed by the tiled compute array. Width grows by one group
-pitch per MMI bundle of ``cols_per_mmi`` columns (8 for a raw rows x cols
-pair); height grows by one unit-cell height per row plus a detector strip at
-the bottom. Everything here is closed-form, there is no placement or routing
-model.
+pitch per MMI bundle of the geometry's ``cols_per_mmi`` columns; height
+grows by one unit-cell height per row plus a detector strip at the bottom.
+Everything here is closed-form, there is no placement or routing model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .linkbudget import CoreGeometry
 
@@ -75,26 +74,12 @@ def _reticle_fit(w_mm: float, h_mm: float, params: AreaParams) -> tuple[bool, tu
     return False, short
 
 
-def crossbar_area(
-    geom: CoreGeometry | tuple[int, int],
-    params: AreaParams = AreaParams(),
-) -> AreaReport:
-    """Floorplan footprint of a rows x cols core.
-
-    Accepts either a validated :class:`CoreGeometry` or a raw ``(rows, cols)``
-    pair; the raw form only needs rows > 0 and cols compatible with the MMI
-    bundle width, so oversized what-if geometries can still be sized.
-    """
-    if isinstance(geom, CoreGeometry):
-        rows, cols, bundles = geom.rows, geom.cols, geom.mmi_bundles
-    else:
-        rows, cols = geom
-        bundles = max(1, -(-cols // 8))
-    if rows < 1 or cols < 1:
-        raise ValueError(f"geometry must be at least 1x1, got {rows}x{cols}")
-
+def crossbar_area(geom: CoreGeometry, params: AreaParams = AreaParams()) -> AreaReport:
+    """Floorplan footprint of a core; any valid geometry can be sized, even
+    one too large for the reticle."""
+    bundles = geom.mmi_bundles
     width_um = params.input_strip_um + bundles * params.group_pitch_um
-    height_um = rows * params.cell_height_um + params.pd_strip_um
+    height_um = geom.rows * params.cell_height_um + params.pd_strip_um
     w_mm = width_um / 1000.0
     h_mm = height_um / 1000.0
     total = w_mm * h_mm
@@ -130,15 +115,11 @@ def reticle_check(report: AreaReport, reticle_mm: tuple[float, float] = (26.0, 3
     params = AreaParams(reticle_w_mm=reticle_mm[0], reticle_h_mm=reticle_mm[1])
     fits, shortfall = _reticle_fit(report.crossbar_w_mm, report.crossbar_h_mm, params)
     residual = reticle_mm[0] * reticle_mm[1] - report.total_area_mm2 if fits else None
-    return AreaReport(
-        crossbar_w_mm=report.crossbar_w_mm,
-        crossbar_h_mm=report.crossbar_h_mm,
-        total_area_mm2=report.total_area_mm2,
+    return replace(
+        report,
         reticle_w_mm=reticle_mm[0],
         reticle_h_mm=reticle_mm[1],
         residual_mm2=residual,
         fits_reticle=fits,
-        strips=report.strips,
-        unit_cell_um=report.unit_cell_um,
         shortfall_mm=shortfall,
     )

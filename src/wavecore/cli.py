@@ -11,25 +11,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import click
 
 from . import __version__
 from .area import crossbar_area
 from .catalog import CatalogError, DeviceCatalog, default_catalog_path, load_catalog
-from .linkbudget import (
-    ArchitectureVariant,
-    Baseline3D,
-    CoherentCombining,
-    CoreGeometry,
-    KclOnly,
-    MrrAccumulation,
-    Planar2D,
-    SoaAssisted,
-    ThermoOpticWeights,
-    critical_path_il,
-)
+from .linkbudget import VARIANTS, ArchitectureVariant, CoreGeometry, critical_path_il
 from .power import PowerReport, PrecisionSpec, total_power
 from .report import canonical_json, render_csv, render_table
 from .workload import (
@@ -44,28 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 
-_VARIANT_BUILDERS = {
-    "baseline3d": Baseline3D,
-    "baseline": Baseline3D,
-    "soa": SoaAssisted,
-    "planar2d": Planar2D,
-    "thermo": ThermoOpticWeights,
-    "mrr": MrrAccumulation,
-    "kcl": KclOnly,
-    "coherent": CoherentCombining,
-}
-
-_VARIANT_PARAM_TYPES = {
-    "fanout_before_amp": int,
-    "crossing_count": int,
-    "ybranch_count": int,
-    "ring_loss_db": float,
-    "ring_loss": float,
-    "stage_loss_db": float,
-    "stage_loss": float,
-}
-
-ABLATION_VARIANTS = ("baseline3d", "soa", "planar2d", "thermo", "mrr", "kcl", "coherent")
+ABLATION_VARIANTS = tuple(VARIANTS)
 DEFAULT_SWEEP_CORES = "9x8,18x16,36x32,72x64,144x128,144x256"
 
 
@@ -74,12 +42,18 @@ class ScenarioError(click.ClickException):
 
 
 def parse_variant(text: str) -> ArchitectureVariant:
+    """``NAME[:k=v,...]`` to a variant; parameters are the class's fields, and
+    a ``_db`` field also takes its name without the suffix."""
     name, _, params_text = text.partition(":")
     name = name.strip().lower()
-    if name not in _VARIANT_BUILDERS:
+    cls = VARIANTS.get("baseline3d" if name == "baseline" else name)
+    if cls is None:
         raise ScenarioError(
-            f"variant: unknown name {name!r} (choose from {', '.join(sorted(set(_VARIANT_BUILDERS)))})"
+            f"variant: unknown name {name!r} (choose from {', '.join(sorted([*VARIANTS, 'baseline']))})"
         )
+    params = {}
+    for field in fields(cls):
+        params[field.name] = params[field.name.removesuffix("_db")] = field
     kwargs = {}
     if params_text:
         for item in params_text.split(","):
@@ -87,19 +61,20 @@ def parse_variant(text: str) -> ArchitectureVariant:
             if not sep:
                 raise ScenarioError(f"variant: malformed parameter {item!r} (expected k=v)")
             key = key.strip()
-            caster = _VARIANT_PARAM_TYPES.get(key)
-            if caster is None:
-                raise ScenarioError(f"variant: unknown parameter {key!r}")
-            # accept the short aliases used on the command line
-            if key in ("ring_loss", "stage_loss"):
-                key += "_db"
+            field = params.get(key)
+            if field is None:
+                accepted = ", ".join(sorted(params)) or "none"
+                raise ScenarioError(f"variant: {cls.label} has no parameter {key!r} (accepts: {accepted})")
+            if field.name in kwargs:
+                raise ScenarioError(f"variant: {cls.label} parameter {field.name!r} given twice ({key!r} repeats it)")
+            caster = int if field.type.startswith("int") else float  # annotations are strings here
             try:
-                kwargs[key] = caster(value)
+                kwargs[field.name] = caster(value)
             except ValueError:
                 raise ScenarioError(f"variant: cannot parse {item!r}") from None
     try:
-        return _VARIANT_BUILDERS[name](**kwargs)
-    except (TypeError, ValueError) as exc:
+        return cls(**kwargs)
+    except ValueError as exc:
         raise ScenarioError(f"variant: {exc}") from None
 
 
@@ -136,7 +111,7 @@ def _resolve_frequency(profile: str, freq: float | None, allow_overclock: bool) 
 def _scenario_options(fn):
     opts = [
         click.option("--catalog", "catalog_path", type=click.Path(), default=None,
-                     envvar="WAVECORE_CATALOG", help="Catalog JSON (defaults to the shipped calibration)."),
+                     help="Catalog JSON (defaults to $WAVECORE_CATALOG, then the shipped calibration)."),
         click.option("--core", "core_text", default="144x256", show_default=True, help="Geometry HxW."),
         click.option("--variant", "variant_text", default="baseline3d", show_default=True,
                      help="Architecture variant NAME[:k=v,...]."),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 from .catalog import DeviceCatalog, LaserSpec, PdSpec
 
@@ -83,37 +83,62 @@ class CoreGeometry:
 # Architecture variants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Baseline3D:
-    label: str = "baseline3d"
+class ArchitectureVariant:
+    """One point of the architecture ablation, defined wholly by its class.
+
+    ``label`` names it on the command line and in reports; its dataclass
+    fields are its parameters. A variant overrides ``loss_terms`` to swap
+    terms of the baseline critical path and ``extra_power`` to add static
+    loads (name, watts) to the power roll-up.
+    """
+
+    label: ClassVar[str]
+
+    def loss_terms(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
+        return _baseline_terms(geom, cat, geom.cols)
+
+    def extra_power(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
+        return []
 
 
 @dataclass(frozen=True)
-class SoaAssisted:
+class Baseline3D(ArchitectureVariant):
+    label = "baseline3d"
+
+
+@dataclass(frozen=True)
+class SoaAssisted(ArchitectureVariant):
     """Amplified fanout: the source drives only ``fanout_before_amp`` columns,
     one amplifier per row restores the budget for the rest. The reported path
     is the pre-amplifier section plus both amplifier facets; amplifier gain is
     assumed to exactly offset the post-amplifier loss (never below 0 dB net).
     """
 
+    label = "soa"
     fanout_before_amp: int = 128
-    label: str = "soa"
 
     def __post_init__(self) -> None:
         if self.fanout_before_amp < 1:
             raise ValueError("fanout_before_amp must be >= 1")
 
+    def loss_terms(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
+        terms = _baseline_terms(geom, cat, min(self.fanout_before_amp, geom.cols))
+        return [*terms, ("soa_facets", 2 * cat.soa.facet_loss_db)]
+
+    def extra_power(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
+        return [("soa_drive", geom.rows * cat.soa.drive_power_mw * 1e-3)]
+
 
 @dataclass(frozen=True)
-class Planar2D:
+class Planar2D(ArchitectureVariant):
     """Single-layer topology: the critical path picks up a crossing per column
     (plus the accumulation spur) and a Y-branch per column. Counts default to
     cols + 8 crossings and cols Y-branches and can be overridden.
     """
 
+    label = "planar2d"
     crossing_count: int | None = None
     ybranch_count: int | None = None
-    label: str = "planar2d"
 
     def __post_init__(self) -> None:
         for name in ("crossing_count", "ybranch_count"):
@@ -121,9 +146,29 @@ class Planar2D:
             if count is not None and (type(count) is not int or count < 0):
                 raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
 
+    def loss_terms(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
+        crossings = self.crossing_count if self.crossing_count is not None else geom.cols + 8
+        ybranches = self.ybranch_count if self.ybranch_count is not None else geom.cols
+        return [
+            *super().loss_terms(geom, cat),
+            ("crossings", crossings * cat.loss_db("crossing")),
+            ("y_branches", ybranches * cat.loss_db("y_branch")),
+        ]
+
 
 @dataclass(frozen=True)
-class MrrAccumulation:
+class ThermoOpticWeights(ArchitectureVariant):
+    """Volatile thermo-optic weighting; loss-identical to the baseline path
+    (the weighting element swap shows up in power, not loss)."""
+
+    label = "thermo"
+
+    def extra_power(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
+        return [("heater_hold", geom.cells * cat.thermo.heater_hold_mw_per_weight * 1e-3)]
+
+
+@dataclass(frozen=True)
+class MrrAccumulation(ArchitectureVariant):
     """Ring-based accumulation bus: two rings per row on the column path.
 
     The default per-ring loss is a calibration constant, not a measured
@@ -131,49 +176,51 @@ class MrrAccumulation:
     territory, which is the architectural point being made.
     """
 
+    label = "mrr"
     ring_loss_db: float = 0.925
-    label: str = "mrr"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.ring_loss_db) and self.ring_loss_db > 0.0):
             raise ValueError(f"ring_loss_db must be finite and > 0, got {self.ring_loss_db!r}")
 
+    def loss_terms(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
+        return [*_without_coupler_chain(geom, cat), ("ring_chain", 2 * geom.rows * self.ring_loss_db)]
+
 
 @dataclass(frozen=True)
-class KclOnly:
+class KclOnly(ArchitectureVariant):
     """Per-site detection with photocurrent-only summation: optical
     accumulation is forfeited, so the distribution network must additionally
     split power across all rows (10log10(H))."""
 
-    label: str = "kcl"
+    label = "kcl"
+
+    def loss_terms(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
+        return [*_without_coupler_chain(geom, cat), ("row_fanout", fanout_loss(geom.rows))]
 
 
 @dataclass(frozen=True)
-class CoherentCombining:
+class CoherentCombining(ArchitectureVariant):
     """Interferometric combiner tree of depth ceil(log2 H) with a worst-case
     per-stage alignment penalty."""
 
+    label = "coherent"
     stage_loss_db: float = 3.0
-    label: str = "coherent"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.stage_loss_db) and self.stage_loss_db > 0.0):
             raise ValueError(f"stage_loss_db must be finite and > 0, got {self.stage_loss_db!r}")
 
-
-@dataclass(frozen=True)
-class ThermoOpticWeights:
-    """Volatile thermo-optic weighting; loss-identical to the baseline path
-    (the weighting element swap shows up in power, not loss)."""
-
-    label: str = "thermo"
+    def loss_terms(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
+        stages = math.ceil(math.log2(geom.rows)) if geom.rows > 1 else 0
+        return [*_without_coupler_chain(geom, cat), ("combiner_tree", stages * self.stage_loss_db)]
 
 
-ArchitectureVariant = Union[
-    Baseline3D, SoaAssisted, Planar2D, MrrAccumulation, KclOnly, CoherentCombining, ThermoOpticWeights
-]
-
-VARIANT_LABELS = ("baseline3d", "soa", "planar2d", "thermo", "mrr", "kcl", "coherent")
+# Every variant by label, in ablation order.
+VARIANTS: dict[str, type[ArchitectureVariant]] = {
+    cls.label: cls
+    for cls in (Baseline3D, SoaAssisted, Planar2D, ThermoOpticWeights, MrrAccumulation, KclOnly, CoherentCombining)
+}
 
 
 @dataclass(frozen=True)
@@ -224,15 +271,14 @@ def fanout_loss(w: int) -> float:
     return 10.0 * math.log10(w)
 
 
-def _escalator_count() -> int:
-    # Interlayer transitions traversed on the distribution path.
-    return 5
+# Interlayer transitions traversed on the distribution path.
+_ESCALATORS = 5
 
 
 def _baseline_terms(geom: CoreGeometry, cat: DeviceCatalog, fanout_cols: int) -> list[tuple[str, float]]:
     return [
         ("awg", cat.loss_db("awg")),
-        ("escalators", _escalator_count() * cat.loss_db("escalator")),
+        ("escalators", _ESCALATORS * cat.loss_db("escalator")),
         ("mmi_1x8", cat.loss_db("mmi_1x8")),
         ("sl_mzm", cat.modulator.insertion_loss_db),
         ("splitter_stages", max(-(-fanout_cols // geom.cols_per_mmi) - 1, 0) * cat.loss_db("splitter_1x2")),
@@ -241,6 +287,11 @@ def _baseline_terms(geom: CoreGeometry, cat: DeviceCatalog, fanout_cols: int) ->
         ("voa", cat.loss_db("voa")),
         ("fanout", fanout_loss(fanout_cols)),
     ]
+
+
+def _without_coupler_chain(geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
+    """Baseline terms less the add-coupler accumulation chain."""
+    return [term for term in _baseline_terms(geom, cat, geom.cols) if term[0] != "wsc_chain"]
 
 
 def critical_path_il(
@@ -254,37 +305,7 @@ def critical_path_il(
     (8 for 9-wavelength groups). Variants that abandon coupler-based optical
     accumulation drop that term and substitute their own summation penalty.
     """
-    terms = _baseline_terms(geom, cat, geom.cols)
-
-    def drop(name: str) -> float:
-        nonlocal terms
-        value = dict(terms)[name]
-        terms = [(label, db) for label, db in terms if label != name]
-        return value
-
-    if isinstance(variant, (Baseline3D, ThermoOpticWeights)):
-        pass
-    elif isinstance(variant, SoaAssisted):
-        terms = _baseline_terms(geom, cat, min(variant.fanout_before_amp, geom.cols))
-        terms.append(("soa_facets", 2 * cat.soa.facet_loss_db))
-    elif isinstance(variant, Planar2D):
-        crossings = variant.crossing_count if variant.crossing_count is not None else geom.cols + 8
-        ybranches = variant.ybranch_count if variant.ybranch_count is not None else geom.cols
-        terms.append(("crossings", crossings * cat.loss_db("crossing")))
-        terms.append(("y_branches", ybranches * cat.loss_db("y_branch")))
-    elif isinstance(variant, MrrAccumulation):
-        drop("wsc_chain")
-        terms.append(("ring_chain", 2 * geom.rows * variant.ring_loss_db))
-    elif isinstance(variant, KclOnly):
-        drop("wsc_chain")
-        terms.append(("row_fanout", fanout_loss(geom.rows)))
-    elif isinstance(variant, CoherentCombining):
-        drop("wsc_chain")
-        stages = math.ceil(math.log2(geom.rows)) if geom.rows > 1 else 0
-        terms.append(("combiner_tree", stages * variant.stage_loss_db))
-    else:
-        raise ValueError(f"unknown architecture variant {variant!r}")
-
+    terms = variant.loss_terms(geom, cat)
     total = sum(db for _, db in terms)
     return LinkBudgetReport(
         total_db=total, terms=tuple(terms), geometry=geom, variant_label=variant.label

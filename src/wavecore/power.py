@@ -25,8 +25,6 @@ from .linkbudget import (
     Baseline3D,
     CoreGeometry,
     LinkBudgetReport,
-    SoaAssisted,
-    ThermoOpticWeights,
     critical_path_il,
     variant_feasibility,
 )
@@ -145,10 +143,6 @@ def dac_power(bits: int, f_hz: float, p0_ws: float) -> float:
     return p0_ws * (2.0 ** bits) / (bits + 1) * f_hz
 
 
-def adc_power(bits: int, f_hz: float, p0_ws: float) -> float:
-    return dac_power(bits, f_hz, p0_ws)
-
-
 def vcsel_program_energy(e_opt_pj: float, gc_loss_db: float, eta_vcsel: float) -> float:
     """Electrical emitter energy (pJ) delivering ``e_opt_pj`` at the weight cell.
 
@@ -196,13 +190,9 @@ def total_power(
     entries.append(("input_dac", geom.rows * dac_power(precision.b_in, f_hz, cat.converters.p0_dac_ws)))
     entries.append(("mzm_driver", geom.rows * cat.modulator.switch_energy_fj(precision.b_in) * 1e-15 * f_hz))
     entries.append(("voa_bank", geom.rows * (cat.component("voa").static_power_mw or 0.0) * 1e-3))
-    entries.append(("output_adc", geom.cols * adc_power(precision.b_out, f_hz, cat.converters.p0_adc_ws)))
+    entries.append(("output_adc", geom.cols * dac_power(precision.b_out, f_hz, cat.converters.p0_adc_ws)))
     entries.append(("tia", geom.cols * (cat.component("tia").static_power_mw or 0.0) * 1e-3))
-
-    if isinstance(variant, SoaAssisted):
-        entries.append(("soa_drive", geom.rows * cat.soa.drive_power_mw * 1e-3))
-    elif isinstance(variant, ThermoOpticWeights):
-        entries.append(("heater_hold", geom.cells * cat.thermo.heater_hold_mw_per_weight * 1e-3))
+    entries.extend(variant.extra_power(geom, cat))
 
     total = sum(w for _, w in entries)
     verdict = variant_feasibility(link, cat.laser, cat.pd)

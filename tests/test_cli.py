@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from wavecore.cli import main
+from wavecore.cli import ablate, main, parse_variant
+from wavecore.linkbudget import VARIANTS
+
+# linkbudget and ablate stdout for every variant and each parametrized form,
+# recorded before the variants became one class each; compared, never regenerated
+GOLDEN_VARIANTS = json.loads((Path(__file__).parent / "data" / "golden_variants.json").read_text())["runs"]
+GOLDEN_CATALOG_SHA256 = json.loads(GOLDEN_VARIANTS[0]["stdout"])["header"]["catalog_sha256"]
 
 
 @pytest.fixture()
@@ -130,6 +137,59 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert field in result.output
+
+    @pytest.mark.parametrize(
+        "variant, message",
+        [
+            ("mrr:ring_loss=1,ring_loss_db=2", "mrr parameter 'ring_loss_db' given twice ('ring_loss_db' repeats it)"),
+            ("mrr:ring_loss_db=1,ring_loss=2", "mrr parameter 'ring_loss_db' given twice ('ring_loss' repeats it)"),
+            ("coherent:stage_loss=1,stage_loss=2", "coherent parameter 'stage_loss_db' given twice"),
+            ("planar2d:crossing_count=1,ybranch_count=2,crossing_count=3", "planar2d parameter 'crossing_count' given"),
+            ("soa:ring_loss=1", "soa has no parameter 'ring_loss'"),
+            ("thermo:fanout_before_amp=2", "thermo has no parameter 'fanout_before_amp'"),
+            ("kcl:stage_loss_db=2", "kcl has no parameter 'stage_loss_db'"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_repeated_or_foreign_variant_parameter_exits_1_naming_it(self, runner, variant, message, fmt):
+        result = runner.invoke(main, ["evaluate", "--variant", variant, "--format", fmt])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert message in result.output
+
+
+class TestVariantRegistry:
+    @pytest.mark.parametrize("label, cls", VARIANTS.items())
+    def test_every_field_parses_under_both_spellings(self, label, cls):
+        assert parse_variant(label) == cls()
+        for field in dataclasses.fields(cls):
+            value = {"int": 3, "int | None": 3, "float": 0.5}[field.type]
+            expected = cls(**{field.name: value})
+            for key in (field.name, field.name.removesuffix("_db")):
+                got = parse_variant(f"{label}:{key}={value}")
+                assert got == expected
+                assert type(getattr(got, field.name)) is type(value)
+
+    def test_ablate_defaults_to_the_registry_in_order(self):
+        (option,) = [p for p in ablate.params if p.name == "variants_text"]
+        assert option.default == ",".join(VARIANTS)
+
+
+def _golden_id(run: dict) -> str:
+    opts = dict(zip(run["argv"][1::2], run["argv"][2::2]))
+    if "--variants" in opts:
+        variants = f"{len(opts['--variants'].split(','))}-variants"
+    else:
+        variants = opts.get("--variant", "default-variants")
+    return f"{run['argv'][0]}-{opts['--core']}-{variants}-{opts['--format']}"
+
+
+@pytest.mark.parametrize("run", GOLDEN_VARIANTS, ids=_golden_id)
+def test_variant_outputs_match_golden(runner, monkeypatch, run):
+    monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    result = runner.invoke(main, run["argv"])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == run["stdout"].encode()
 
 
 class TestLinkbudget:
@@ -289,3 +349,22 @@ def test_env_var_catalog(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("WAVECORE_CATALOG", str(custom))
     result = runner.invoke(main, ["evaluate", "--format", "json"])
     assert result.exit_code == 0
+
+
+def test_catalog_option_wins_over_env_var(runner, tmp_path, monkeypatch):
+    from wavecore.catalog import default_catalog_path
+
+    monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    custom = tmp_path / "cat.json"
+    custom.write_text(default_catalog_path().read_text())
+    monkeypatch.setenv("WAVECORE_CATALOG", str(tmp_path / "missing.json"))
+    assert runner.invoke(main, ["evaluate", "--format", "json"]).exit_code == 1
+    result = runner.invoke(main, ["evaluate", "--catalog", str(custom), "--format", "json"])
+    assert result.exit_code == 0
+
+
+def test_empty_env_var_means_shipped_catalog(runner, monkeypatch):
+    monkeypatch.setenv("WAVECORE_CATALOG", "")
+    result = runner.invoke(main, ["evaluate", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["header"]["catalog_sha256"] == GOLDEN_CATALOG_SHA256

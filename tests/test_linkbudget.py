@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -18,17 +19,21 @@ from wavecore import (
     variant_feasibility,
 )
 from wavecore.catalog import LaserSpec, PdSpec
+from wavecore.linkbudget import VARIANTS
 
 PASSIVE_NAMES = ("awg", "escalator", "mmi_1x8", "splitter_1x2", "wsc", "pcm_cell", "voa")
 
 
 def zero_loss_catalog(catalog):
     cat = catalog.with_losses(**{name: 0.0 for name in PASSIVE_NAMES})
-    import dataclasses
     return dataclasses.replace(cat, modulator=dataclasses.replace(cat.modulator, insertion_loss_db=0.0))
 
 
 class TestGeometry:
+    def test_degenerate_rejected(self):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            CoreGeometry(0, 256)
+
     def test_groups(self, core_144x256):
         assert core_144x256.groups == 16
         assert core_144x256.splitter_stages_excess == 31
@@ -149,6 +154,12 @@ class TestVariants:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("cls", VARIANTS.values())
+    def test_label_is_a_class_constant_not_a_parameter(self, cls):
+        assert "label" not in {field.name for field in dataclasses.fields(cls)}
+        with pytest.raises(TypeError, match="label"):
+            cls(label="other")
+
     @pytest.mark.parametrize("field", ["crossing_count", "ybranch_count"])
     @pytest.mark.parametrize("value", [-1, -5, 2.5, True])
     def test_planar2d_counts_are_integers_from_zero(self, field, value):

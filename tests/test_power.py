@@ -9,7 +9,6 @@ from wavecore import (
     MrrAccumulation,
     SoaAssisted,
     ThermoOpticWeights,
-    adc_power,
     dac_power,
     laser_power,
     total_power,
@@ -57,7 +56,7 @@ class TestConverterPower:
         assert dac_power(1, 1.0, 1.0) == 1.0
 
     def test_8bit_1ghz(self):
-        assert adc_power(8, 1e9, 1e-12) == pytest.approx(28.444e-3, rel=1e-3)
+        assert dac_power(8, 1e9, 1e-12) == pytest.approx(28.444e-3, rel=1e-3)
 
     def test_linear_in_rate(self):
         assert dac_power(6, 2e9, 1e-13) == pytest.approx(2 * dac_power(6, 1e9, 1e-13), rel=1e-12)
