@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -28,32 +29,69 @@ class CatalogError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Numeric field checks
+# ---------------------------------------------------------------------------
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def check_number(
+    where: str,
+    value: Any,
+    *,
+    integer: bool = False,
+    ge: float | None = None,
+    gt: float | None = None,
+    le: float | None = None,
+    lt: float | None = None,
+) -> None:
+    """Raise a ValueError naming ``where`` unless ``value`` is a finite number
+    (an ``int`` where ``integer`` is set, never a ``bool``) within the bounds.
+
+    Float subclasses such as numpy's count as floats, and an integer too large
+    for a float counts as not finite. Every spec's ``__post_init__`` checks its
+    numeric fields here, thousands of times per design-space pass, so an
+    accepted value costs a few type tests and comparisons and builds no message.
+    """
+    kind = type(value)
+    if (kind is int or kind is float and not integer
+            or kind is not bool and isinstance(value, int if integer else (int, float))):
+        if (-_FLOAT_MAX <= value <= _FLOAT_MAX
+                and (ge is None or value >= ge) and (gt is None or value > gt)
+                and (le is None or value <= le) and (lt is None or value < lt)):
+            return
+    wanted = "an integer" if integer else "a finite number"
+    bounds = [f"{op} {bound}" for op, bound in ((">=", ge), (">", gt), ("<=", le), ("<", lt)) if bound is not None]
+    if bounds:
+        wanted += " " + " and ".join(bounds)
+    too_large = isinstance(value, int) and kind is not bool and not -_FLOAT_MAX <= value <= _FLOAT_MAX
+    got = "an integer too large for a float" if too_large else repr(value)
+    raise ValueError(f"{where} must be {wanted}, got {got}")
+
+
+# ---------------------------------------------------------------------------
 # Unit conversions
 # ---------------------------------------------------------------------------
 
 def db_to_linear(x_db: float) -> float:
     """Power ratio for a dB value: 10^(x/10)."""
-    if not math.isfinite(x_db):
-        raise ValueError(f"dB value must be finite, got {x_db!r}")
+    check_number("dB value", x_db)
     return 10.0 ** (x_db / 10.0)
 
 
 def linear_to_db(ratio: float) -> float:
-    if not math.isfinite(ratio) or ratio <= 0.0:
-        raise ValueError(f"power ratio must be finite and positive, got {ratio!r}")
+    check_number("power ratio", ratio, gt=0.0)
     return 10.0 * math.log10(ratio)
 
 
 def dbm_to_mw(x_dbm: float) -> float:
     """Absolute power in mW for a dBm value."""
-    if not math.isfinite(x_dbm):
-        raise ValueError(f"dBm value must be finite, got {x_dbm!r}")
+    check_number("dBm value", x_dbm)
     return 10.0 ** (x_dbm / 10.0)
 
 
 def mw_to_dbm(p_mw: float) -> float:
-    if not math.isfinite(p_mw) or p_mw <= 0.0:
-        raise ValueError(f"power in mW must be finite and positive, got {p_mw!r}")
+    check_number("power in mW", p_mw, gt=0.0)
     return 10.0 * math.log10(p_mw)
 
 
@@ -68,6 +106,7 @@ class ComponentSpec:
     ``insertion_loss_db`` is the on-path attenuation per traversal. Area is
     the layout bounding box in um. ``static_power_mw`` holds a continuous
     drive/bias power where the component has one (e.g. a VOA trim bias).
+    Loss and area are stored as floats.
     """
 
     name: str
@@ -77,16 +116,17 @@ class ComponentSpec:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.insertion_loss_db) or self.insertion_loss_db < 0.0:
-            raise CatalogError(
-                f"{self.name}.insertion_loss_db must be finite and >= 0, got {self.insertion_loss_db!r}"
-            )
+        name = self.name
+        check_number(f"{name}.insertion_loss_db", self.insertion_loss_db, ge=0.0)
+        object.__setattr__(self, "insertion_loss_db", float(self.insertion_loss_db))
         if self.area_um is not None:
-            w, h = self.area_um
-            if w <= 0.0 or h <= 0.0:
-                raise CatalogError(f"{self.name}.area_um dimensions must be positive, got {self.area_um!r}")
-        if self.static_power_mw is not None and self.static_power_mw < 0.0:
-            raise CatalogError(f"{self.name}.static_power_mw must be >= 0, got {self.static_power_mw!r}")
+            if not (isinstance(self.area_um, (tuple, list)) and len(self.area_um) == 2):
+                raise ValueError(f"{name}.area_um must be a [width, height] pair, got {self.area_um!r}")
+            for value in self.area_um:
+                check_number(f"{name}.area_um", value, gt=0.0)
+            object.__setattr__(self, "area_um", (float(self.area_um[0]), float(self.area_um[1])))
+        if self.static_power_mw is not None:
+            check_number(f"{name}.static_power_mw", self.static_power_mw, ge=0.0)
 
 
 @dataclass(frozen=True)
@@ -98,10 +138,9 @@ class LaserSpec:
     wpe: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.channels_per_comb < 1:
-            raise CatalogError(f"laser.channels_per_comb must be >= 1, got {self.channels_per_comb}")
-        if not 0.0 < self.wpe <= 1.0:
-            raise CatalogError(f"laser.wpe must be in (0, 1], got {self.wpe!r}")
+        check_number("laser.channel_power_dbm", self.channel_power_dbm)
+        check_number("laser.channels_per_comb", self.channels_per_comb, integer=True, ge=1)
+        check_number("laser.wpe", self.wpe, gt=0.0, le=1.0)
 
 
 @dataclass(frozen=True)
@@ -115,16 +154,11 @@ class PdSpec:
     max_ports: int = 16
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.responsivity_a_per_w <= 1.2:
-            raise CatalogError(f"pd.responsivity_a_per_w must be in (0, 1.2], got {self.responsivity_a_per_w!r}")
-        if self.sensitivity_dbm >= 0.0:
-            raise CatalogError(f"pd.sensitivity_dbm must be < 0 dBm, got {self.sensitivity_dbm!r}")
-        if self.max_ports < 1:
-            raise CatalogError(f"pd.max_ports must be >= 1, got {self.max_ports}")
-        if self.dark_current_a < 0.0:
-            raise CatalogError(f"pd.dark_current_a must be >= 0, got {self.dark_current_a!r}")
-        if self.bandwidth_hz <= 0.0:
-            raise CatalogError(f"pd.bandwidth_hz must be > 0, got {self.bandwidth_hz!r}")
+        check_number("pd.responsivity_a_per_w", self.responsivity_a_per_w, gt=0.0, le=1.2)
+        check_number("pd.dark_current_a", self.dark_current_a, ge=0.0)
+        check_number("pd.bandwidth_hz", self.bandwidth_hz, gt=0.0)
+        check_number("pd.sensitivity_dbm", self.sensitivity_dbm, lt=0.0)
+        check_number("pd.max_ports", self.max_ports, integer=True, ge=1)
 
 
 @dataclass(frozen=True)
@@ -143,13 +177,14 @@ class ModulatorSpec:
     max_rate_hz: float = 1e9
 
     def __post_init__(self) -> None:
-        if self.extinction_ratio_db <= 0.0:
-            raise CatalogError(f"sl_mzm.extinction_ratio_db must be > 0, got {self.extinction_ratio_db!r}")
-        if self.insertion_loss_db < 0.0:
-            raise CatalogError(f"sl_mzm.insertion_loss_db must be >= 0, got {self.insertion_loss_db!r}")
-        if self.max_rate_hz <= 0.0:
-            raise CatalogError(f"sl_mzm.max_rate_hz must be > 0, got {self.max_rate_hz!r}")
-        object.__setattr__(self, "energy_per_switch_fj", MappingProxyType(dict(self.energy_per_switch_fj)))
+        check_number("sl_mzm.insertion_loss_db", self.insertion_loss_db, ge=0.0)
+        check_number("sl_mzm.extinction_ratio_db", self.extinction_ratio_db, gt=0.0)
+        check_number("sl_mzm.max_rate_hz", self.max_rate_hz, gt=0.0)
+        table = {}
+        for bits, energy in self.energy_per_switch_fj.items():
+            check_number(f"sl_mzm.energy_per_switch_fj[{bits}]", energy, ge=0.0)
+            table[bits] = float(energy)
+        object.__setattr__(self, "energy_per_switch_fj", MappingProxyType(table))
 
     def switch_energy_fj(self, bits: int) -> float:
         """Per-symbol drive energy at the nearest tabulated resolution."""
@@ -179,15 +214,16 @@ class PcmSpec:
     program_std: float = 0.01
 
     def __post_init__(self) -> None:
-        for name in ("program_energy_pj", "erase_energy_pj", "program_time_ns",
-                     "stabilize_program_ns", "erase_time_ns", "stabilize_erase_ns"):
-            value = getattr(self, name)
-            if value < 0.0 or not math.isfinite(value):
-                raise CatalogError(f"pcm.{name} must be finite and >= 0, got {value!r}")
+        check_number("pcm.program_energy_pj", self.program_energy_pj, ge=0.0)
+        check_number("pcm.erase_energy_pj", self.erase_energy_pj, ge=0.0)
+        check_number("pcm.program_time_ns", self.program_time_ns, ge=0.0)
+        check_number("pcm.stabilize_program_ns", self.stabilize_program_ns, ge=0.0)
+        check_number("pcm.erase_time_ns", self.erase_time_ns, ge=0.0)
+        check_number("pcm.stabilize_erase_ns", self.stabilize_erase_ns, ge=0.0)
+        check_number("pcm.levels_bits", self.levels_bits, integer=True)
         if self.levels_bits not in (5, 7):
-            raise CatalogError(f"pcm.levels_bits must be 5 or 7, got {self.levels_bits}")
-        if self.program_std < 0.0:
-            raise CatalogError(f"pcm.program_std must be >= 0, got {self.program_std!r}")
+            raise ValueError(f"pcm.levels_bits must be 5 or 7, got {self.levels_bits}")
+        check_number("pcm.program_std", self.program_std, ge=0.0)
 
     @property
     def cycle_time_ns(self) -> float:
@@ -203,10 +239,9 @@ class SoaSpec:
     drive_power_mw: float = 410.0
 
     def __post_init__(self) -> None:
-        if self.facet_loss_db < 0.0:
-            raise CatalogError(f"soa.facet_loss_db must be >= 0, got {self.facet_loss_db!r}")
-        if self.drive_power_mw < 0.0:
-            raise CatalogError(f"soa.drive_power_mw must be >= 0, got {self.drive_power_mw!r}")
+        check_number("soa.facet_loss_db", self.facet_loss_db, ge=0.0)
+        check_number("soa.gain_db", self.gain_db)
+        check_number("soa.drive_power_mw", self.drive_power_mw, ge=0.0)
 
 
 @dataclass(frozen=True)
@@ -217,10 +252,8 @@ class ConverterCoeffs:
     p0_adc_ws: float
 
     def __post_init__(self) -> None:
-        if self.p0_dac_ws <= 0.0:
-            raise CatalogError(f"converters.p0_dac_ws must be > 0, got {self.p0_dac_ws!r}")
-        if self.p0_adc_ws <= 0.0:
-            raise CatalogError(f"converters.p0_adc_ws must be > 0, got {self.p0_adc_ws!r}")
+        check_number("converters.p0_dac_ws", self.p0_dac_ws, gt=0.0)
+        check_number("converters.p0_adc_ws", self.p0_adc_ws, gt=0.0)
 
 
 @dataclass(frozen=True)
@@ -230,8 +263,7 @@ class VcselSpec:
     efficiency: float = 0.548
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.efficiency <= 1.0:
-            raise CatalogError(f"vcsel.efficiency must be in (0, 1], got {self.efficiency!r}")
+        check_number("vcsel.efficiency", self.efficiency, gt=0.0, le=1.0)
 
 
 @dataclass(frozen=True)
@@ -241,10 +273,7 @@ class ThermalSpec:
     heater_hold_mw_per_weight: float = 6.55
 
     def __post_init__(self) -> None:
-        if self.heater_hold_mw_per_weight < 0.0:
-            raise CatalogError(
-                f"thermo.heater_hold_mw_per_weight must be >= 0, got {self.heater_hold_mw_per_weight!r}"
-            )
+        check_number("thermo.heater_hold_mw_per_weight", self.heater_hold_mw_per_weight, ge=0.0)
 
 
 # Passive components every catalog must resolve (shipped defaults fill gaps).
@@ -334,45 +363,21 @@ class DeviceCatalog:
         return replace(self, components=comps)
 
 
-def _check_number(where: str, value: Any, integer: bool = False) -> None:
-    """Reject a value that is not a finite JSON number (an integer where ``integer``), naming ``where``."""
-    if integer:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    if not ok:
-        kind = "an integer" if integer else "a finite number"
-        raise CatalogError(f"{where} must be {kind}, got {value!r}")
-
-
 def _build_component(name: str, raw: Mapping[str, Any]) -> ComponentSpec:
-    known = {"insertion_loss_db", "area_um", "static_power_mw", "notes"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {"insertion_loss_db", "area_um", "static_power_mw", "notes"}
     if unknown:
         raise CatalogError(f"{name}: unknown fields {sorted(unknown)}")
-    if "insertion_loss_db" in raw:
-        _check_number(f"{name}.insertion_loss_db", raw["insertion_loss_db"])
-    if raw.get("static_power_mw") is not None:
-        _check_number(f"{name}.static_power_mw", raw["static_power_mw"])
-    if raw.get("area_um") is not None:
-        if not (isinstance(raw["area_um"], list) and len(raw["area_um"]) == 2):
-            raise CatalogError(f"{name}.area_um must be a [width, height] pair, got {raw['area_um']!r}")
-        for value in raw["area_um"]:
-            _check_number(f"{name}.area_um", value)
     base = _DEFAULT_COMPONENTS[name]
-    area = raw.get("area_um", base.area_um)
-    if area is not None:
-        area = (float(area[0]), float(area[1]))
     return ComponentSpec(
         name=name,
-        insertion_loss_db=float(raw.get("insertion_loss_db", base.insertion_loss_db)),
-        area_um=area,
+        insertion_loss_db=raw.get("insertion_loss_db", base.insertion_loss_db),
+        area_um=raw.get("area_um", base.area_um),
         static_power_mw=raw.get("static_power_mw", base.static_power_mw),
         notes=str(raw.get("notes", base.notes)),
     )
 
 
-def _energy_table(raw: Any) -> dict[int, float]:
+def _energy_table(raw: Any) -> dict[int, Any]:
     """The modulator's {bits: fJ} table from its JSON object (keys are strings there)."""
     where = "sl_mzm.energy_per_switch_fj"
     if not (isinstance(raw, dict) and raw):
@@ -380,23 +385,17 @@ def _energy_table(raw: Any) -> dict[int, float]:
     table = {}
     for key, value in raw.items():
         try:
-            bits = int(key)
+            table[int(key)] = value
         except ValueError:
             raise CatalogError(f"{where} keys must be integer bit counts, got {key!r}") from None
-        _check_number(f"{where}[{key}]", value)
-        table[bits] = float(value)
     return table
 
 
 def _build_subsystem(name: str, cls: type, raw: Mapping[str, Any]) -> Any:
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(raw) - set(types)
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise CatalogError(f"{name}: unknown fields {sorted(unknown)}")
     kwargs = dict(raw)
-    for key, value in raw.items():
-        if types[key] in ("float", "int"):                     # annotations are strings here
-            _check_number(f"{name}.{key}", value, integer=types[key] == "int")
     if name == "sl_mzm" and "energy_per_switch_fj" in kwargs:
         kwargs["energy_per_switch_fj"] = _energy_table(kwargs["energy_per_switch_fj"])
     try:
@@ -418,7 +417,7 @@ def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
         data = json.loads(raw_bytes)
     except OSError as exc:
         raise CatalogError(f"cannot read catalog file {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:                                  # bad JSON, UTF-8 or integer literal
         raise CatalogError(f"catalog file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise CatalogError("catalog root must be a JSON object")
@@ -436,12 +435,15 @@ def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
             continue
         if not isinstance(raw, dict):
             raise CatalogError(f"{name}: entry must be a JSON object")
-        if name in _DEFAULT_COMPONENTS:
-            components[name] = _build_component(name, raw)
-        elif name in _SUBSYSTEM_FIELDS:
-            subsystems[name] = _build_subsystem(name, _SUBSYSTEM_FIELDS[name], raw)
-        else:
-            raise CatalogError(f"unknown component name {name!r}")
+        try:
+            if name in _DEFAULT_COMPONENTS:
+                components[name] = _build_component(name, raw)
+            elif name in _SUBSYSTEM_FIELDS:
+                subsystems[name] = _build_subsystem(name, _SUBSYSTEM_FIELDS[name], raw)
+            else:
+                raise CatalogError(f"unknown component name {name!r}")
+        except ValueError as exc:                              # the specs' checks name component.field
+            raise CatalogError(str(exc)) from None
 
     for name, spec in _DEFAULT_COMPONENTS.items():
         if name not in components:
@@ -485,8 +487,7 @@ def default_catalog() -> DeviceCatalog:
 
 def snr_required(bits: int) -> float:
     """SNR in dB a quantization-noise-limited converter needs at ``bits`` resolution."""
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
+    check_number("bits", bits, integer=True, ge=1)
     return 6.02 * bits + 1.76
 
 
@@ -498,8 +499,7 @@ def pd_min_power(pd: PdSpec, snr_db: float) -> float:
     This is an auxiliary calculator; the catalog sensitivity figure is the
     value used by the system models.
     """
-    if snr_db < 0.0:
-        raise ValueError(f"snr_db must be >= 0, got {snr_db!r}")
+    check_number("snr_db", snr_db, ge=0.0)
     k = db_to_linear(snr_db)
     a = k * 2.0 * _Q_ELECTRON * pd.bandwidth_hz
     # I^2 - a I - a I_d = 0 -> positive root

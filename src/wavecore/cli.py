@@ -17,7 +17,7 @@ import click
 
 from . import __version__
 from .area import crossbar_area
-from .catalog import CatalogError, DeviceCatalog, default_catalog_path, load_catalog
+from .catalog import CatalogError, DeviceCatalog, check_number, default_catalog_path, load_catalog
 from .linkbudget import VARIANTS, ArchitectureVariant, CoreGeometry, critical_path_il
 from .power import PowerReport, PrecisionSpec, total_power
 from .report import canonical_json, render_csv, render_table
@@ -39,6 +39,17 @@ DEFAULT_SWEEP_CORES = "9x8,18x16,36x32,72x64,144x128,144x256"
 
 class ScenarioError(click.ClickException):
     exit_code = EXIT_CONFIG
+
+
+def _model(field: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a ValueError or an arithmetic error of
+    the models (a result out of float range) as an exit 1 naming ``field``."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{field}: {exc}") from None
+    except ArithmeticError:
+        raise ScenarioError(f"{field}: a result is out of float range") from None
 
 
 def parse_variant(text: str) -> ArchitectureVariant:
@@ -98,8 +109,10 @@ class Scenario:
 
 def _resolve_frequency(profile: str, freq: float | None, allow_overclock: bool) -> tuple[float, str, bool]:
     if freq is not None:
-        if not (math.isfinite(freq) and freq > 0.0):
-            raise ScenarioError(f"freq: must be a finite clock > 0 Hz, got {freq}")
+        try:
+            check_number("freq", freq, gt=0.0)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         return freq, "custom", allow_overclock
     if profile == "pareto":
         return PARETO_CLOCK_HZ, "pareto", True
@@ -177,8 +190,8 @@ def _stamp(scenario: Scenario) -> str:
 
 
 def _evaluate_point(scenario: Scenario) -> tuple[dict, PowerReport]:
-    power = total_power(
-        scenario.geometry, scenario.catalog, scenario.variant, scenario.precision,
+    power = _model(
+        "power", total_power, scenario.geometry, scenario.catalog, scenario.variant, scenario.precision,
         scenario.f_hz, wpe=scenario.wpe,
     )
     area = crossbar_area(scenario.geometry)
@@ -200,17 +213,11 @@ def _evaluate_point(scenario: Scenario) -> tuple[dict, PowerReport]:
         "feasible": power.feasible,
     }
     if scenario.workload:
-        try:
-            layers = load_workload(scenario.workload)
-        except ValueError as exc:
-            raise ScenarioError(f"workload: {exc}") from None
+        layers = _model("workload", load_workload, scenario.workload)
         sched = schedule(layers, scenario.geometry, scenario.catalog.pcm,
                          pack_pointwise=scenario.pack_pointwise)
-        try:
-            perf = estimate_perf(sched, power, scenario.f_hz, scenario.catalog,
-                                 allow_overclock=scenario.allow_overclock)
-        except ValueError as exc:
-            raise ScenarioError(f"perf: {exc}") from None
+        perf = _model("perf", estimate_perf, sched, power, scenario.f_hz, scenario.catalog,
+                      allow_overclock=scenario.allow_overclock)
         doc["perf"] = perf.to_jsonable()
     return doc, power
 
@@ -226,7 +233,7 @@ def main() -> None:
 def linkbudget(**kwargs) -> None:
     """Critical-path insertion loss breakdown for one design point."""
     scenario = _build_scenario(**kwargs)
-    report = critical_path_il(scenario.geometry, scenario.catalog, scenario.variant)
+    report = _model("link_budget", critical_path_il, scenario.geometry, scenario.catalog, scenario.variant)
     if scenario.fmt == "json":
         doc = {"header": _header(scenario), "link_budget": report.to_jsonable()}
         click.echo(canonical_json(doc), nl=False)
@@ -307,9 +314,9 @@ def ablate(variants_text: str, **kwargs) -> None:
         except ScenarioError as exc:
             raise ScenarioError(f"variants[{i}]: {exc.message}") from None
     reports = [
-        total_power(scenario.geometry, scenario.catalog, variant, scenario.precision, scenario.f_hz,
-                    wpe=scenario.wpe)
-        for variant in variants
+        _model(f"variants[{i}]", total_power, scenario.geometry, scenario.catalog, variant, scenario.precision,
+               scenario.f_hz, wpe=scenario.wpe)
+        for i, variant in enumerate(variants)
     ]
 
     rows = []
@@ -349,10 +356,7 @@ def sweep(cores_text: str, **kwargs) -> None:
             geometries.append(CoreGeometry.parse(text))
         except ValueError as exc:
             raise ScenarioError(f"cores[{i}]: {exc}") from None
-    try:
-        layers = load_workload(scenario.workload)
-    except ValueError as exc:
-        raise ScenarioError(f"workload: {exc}") from None
+    layers = _model("workload", load_workload, scenario.workload)
 
     def run(geom: CoreGeometry):
         power = total_power(geom, scenario.catalog, scenario.variant, scenario.precision,
@@ -362,10 +366,7 @@ def sweep(cores_text: str, **kwargs) -> None:
                              allow_overclock=scenario.allow_overclock)
         return geom, perf
 
-    try:
-        results = [run(geom) for geom in geometries]
-    except ValueError as exc:
-        raise ScenarioError(f"sweep: {exc}") from None
+    results = _model("sweep", lambda: [run(geom) for geom in geometries])
 
     header = ("core", "fps", "mj_per_inference", "total_w")
     rows = [

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import PcmSpec
+from .catalog import PcmSpec, check_number
 from .rng import keyed_rng, keyed_streams
 
 NON_NEGATIVE = "non_negative"
@@ -64,8 +64,9 @@ class QuantSpec:
     signed_mode: str = NON_NEGATIVE
 
     def __post_init__(self) -> None:
-        if not 1 <= self.bits <= 16:
-            raise ValueError(f"bits must be in [1, 16], got {self.bits}")
+        check_number("bits", self.bits, integer=True, ge=1, le=16)
+        check_number("lo", self.lo)
+        check_number("hi", self.hi)
         if not self.hi > self.lo:
             raise ValueError(f"range must satisfy hi > lo, got [{self.lo}, {self.hi}]")
         if self.signed_mode not in (NON_NEGATIVE, DIFFERENTIAL_PAIR):
@@ -80,11 +81,6 @@ class QuantSpec:
         return (self.hi - self.lo) / (self.levels - 1)
 
 
-def _check_sigma(name: str, sigma: float) -> None:
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {sigma}")
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Relative (signal-proportional) noise levels for the three injection points."""
@@ -95,8 +91,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("sigma_in", "sigma_w", "sigma_out"):
-            _check_sigma(name, getattr(self, name))
+        check_number("sigma_in", self.sigma_in, ge=0.0)
+        check_number("sigma_w", self.sigma_w, ge=0.0)
+        check_number("sigma_out", self.sigma_out, ge=0.0)
+        check_number("seed", self.seed, integer=True)
 
 
 ZERO_NOISE = NoiseSpec(sigma_in=0.0, sigma_w=0.0, sigma_out=0.0, seed=0)
@@ -115,8 +113,8 @@ class AccumulationTree:
     pd_ports: int = 16
 
     def __post_init__(self) -> None:
-        if self.group_size < 1 or self.pd_ports < 1:
-            raise ValueError("group_size and pd_ports must be >= 1")
+        check_number("group_size", self.group_size, integer=True, ge=1)
+        check_number("pd_ports", self.pd_ports, integer=True, ge=1)
 
 
 def quantize(x, q: QuantSpec):
@@ -164,7 +162,7 @@ def inject_noise(q_value, sigma: float, rng):
     exactly zero-preserving since the noise scale is proportional to the
     signal magnitude.
     """
-    _check_sigma("sigma", sigma)
+    check_number("sigma", sigma, ge=0.0)
     arr = np.asarray(q_value, dtype=np.float64)
     if sigma == 0.0:
         out = arr

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .catalog import DeviceCatalog, LaserSpec, PdSpec
+from .catalog import DeviceCatalog, LaserSpec, PdSpec, check_number
 
 _TOL_SUM_DB = 1e-9
 
@@ -35,10 +35,10 @@ class CoreGeometry:
     cols_per_mmi: int = 8
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"geometry must be at least 1x1, got {self.rows}x{self.cols}")
-        if self.wavelengths_per_group < 1 or self.cols_per_mmi < 1:
-            raise ValueError("wavelengths_per_group and cols_per_mmi must be >= 1")
+        check_number("rows", self.rows, integer=True, ge=1)
+        check_number("cols", self.cols, integer=True, ge=1)
+        check_number("wavelengths_per_group", self.wavelengths_per_group, integer=True, ge=1)
+        check_number("cols_per_mmi", self.cols_per_mmi, integer=True, ge=1)
         if self.rows % self.wavelengths_per_group != 0:
             raise ValueError(
                 f"rows ({self.rows}) must be divisible by the wavelength group size "
@@ -118,8 +118,7 @@ class SoaAssisted(ArchitectureVariant):
     fanout_before_amp: int = 128
 
     def __post_init__(self) -> None:
-        if self.fanout_before_amp < 1:
-            raise ValueError("fanout_before_amp must be >= 1")
+        check_number("fanout_before_amp", self.fanout_before_amp, integer=True, ge=1)
 
     def loss_terms(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
         terms = _baseline_terms(geom, cat, min(self.fanout_before_amp, geom.cols))
@@ -141,10 +140,10 @@ class Planar2D(ArchitectureVariant):
     ybranch_count: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("crossing_count", "ybranch_count"):
-            count = getattr(self, name)
-            if count is not None and (type(count) is not int or count < 0):
-                raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
+        if self.crossing_count is not None:
+            check_number("crossing_count", self.crossing_count, integer=True, ge=0)
+        if self.ybranch_count is not None:
+            check_number("ybranch_count", self.ybranch_count, integer=True, ge=0)
 
     def loss_terms(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
         crossings = self.crossing_count if self.crossing_count is not None else geom.cols + 8
@@ -180,8 +179,7 @@ class MrrAccumulation(ArchitectureVariant):
     ring_loss_db: float = 0.925
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.ring_loss_db) and self.ring_loss_db > 0.0):
-            raise ValueError(f"ring_loss_db must be finite and > 0, got {self.ring_loss_db!r}")
+        check_number("ring_loss_db", self.ring_loss_db, gt=0.0)
 
     def loss_terms(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
         return [*_without_coupler_chain(geom, cat), ("ring_chain", 2 * geom.rows * self.ring_loss_db)]
@@ -208,8 +206,7 @@ class CoherentCombining(ArchitectureVariant):
     stage_loss_db: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.stage_loss_db) and self.stage_loss_db > 0.0):
-            raise ValueError(f"stage_loss_db must be finite and > 0, got {self.stage_loss_db!r}")
+        check_number("stage_loss_db", self.stage_loss_db, gt=0.0)
 
     def loss_terms(self, geom: CoreGeometry, cat: DeviceCatalog) -> list[tuple[str, float]]:
         stages = math.ceil(math.log2(geom.rows)) if geom.rows > 1 else 0
@@ -233,6 +230,7 @@ class LinkBudgetReport:
     variant_label: str
 
     def __post_init__(self) -> None:
+        check_number("total_db", self.total_db)
         total = sum(db for _, db in self.terms)
         if not (abs(total - self.total_db) <= _TOL_SUM_DB):
             raise ValueError(f"report total {self.total_db} != term sum {total}")
@@ -266,7 +264,7 @@ class FeasibilityVerdict:
 
 def fanout_loss(w: int) -> float:
     """Ideal power-division loss of a 1-to-w broadcast: 10log10(w)."""
-    if w < 1:
+    if not w >= 1:
         raise ValueError(f"fanout width must be >= 1, got {w}")
     return 10.0 * math.log10(w)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .catalog import DeviceCatalog
+from .catalog import DeviceCatalog, check_number
 from .linkbudget import (
     ArchitectureVariant,
     Baseline3D,
@@ -41,10 +41,9 @@ class PrecisionSpec:
     b_out: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("b_in", "b_w", "b_out"):
-            bits = getattr(self, name)
-            if not 1 <= bits <= 16:
-                raise ValueError(f"{name} must be in [1, 16], got {bits}")
+        check_number("b_in", self.b_in, integer=True, ge=1, le=16)
+        check_number("b_w", self.b_w, integer=True, ge=1, le=16)
+        check_number("b_out", self.b_out, integer=True, ge=1, le=16)
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,7 @@ class PowerReport:
     infeasible_reason: str = ""
 
     def __post_init__(self) -> None:
+        check_number("total_w", self.total_w)
         total = sum(w for _, w, _ in self.entries)
         if not math.isclose(total, self.total_w, rel_tol=_TOL_FRACTION, abs_tol=0.0):
             raise ValueError(f"total {self.total_w} != entry sum {total}")
@@ -125,7 +125,7 @@ def laser_power(
     output code range, corrected for the usable modulation depth of a finite
     extinction ratio, divided by the wall-plug efficiency.
     """
-    if er_db <= 0.0:
+    if not er_db > 0.0:
         raise ValueError(f"extinction ratio must be > 0 dB, got {er_db!r} (modulator unusable)")
     if not 0.0 < wpe <= 1.0:
         raise ValueError(f"wpe must be in (0, 1], got {wpe!r}")
@@ -136,9 +136,9 @@ def laser_power(
 
 def dac_power(bits: int, f_hz: float, p0_ws: float) -> float:
     """Converter power (W) under the resolution-rate scaling law p0 * 2^b/(b+1) * f."""
-    if bits < 1:
+    if not bits >= 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
-    if f_hz <= 0.0:
+    if not f_hz > 0.0:
         raise ValueError(f"f_hz must be > 0, got {f_hz!r}")
     return p0_ws * (2.0 ** bits) / (bits + 1) * f_hz
 
@@ -151,7 +151,7 @@ def vcsel_program_energy(e_opt_pj: float, gc_loss_db: float, eta_vcsel: float) -
     """
     if not 0.0 < eta_vcsel <= 1.0:
         raise ValueError(f"eta_vcsel must be in (0, 1], got {eta_vcsel!r}")
-    if e_opt_pj < 0.0:
+    if not e_opt_pj >= 0.0:
         raise ValueError(f"optical energy must be >= 0, got {e_opt_pj!r}")
     return e_opt_pj * 10.0 ** (gc_loss_db / 10.0) / eta_vcsel
 
@@ -177,7 +177,7 @@ def total_power(
     ``1.0`` reports at the optical launch budget level (the variant-comparison
     convention).
     """
-    if f_hz <= 0.0:
+    if not f_hz > 0.0:
         raise ValueError(f"f_hz must be > 0, got {f_hz!r}")
     effective_wpe = cat.laser.wpe if wpe is None else wpe
 

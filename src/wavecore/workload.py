@@ -14,13 +14,14 @@ parallel), then every output position streams through at the symbol clock.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .catalog import DeviceCatalog, PcmSpec
+from .catalog import DeviceCatalog, PcmSpec, check_number
 from .linkbudget import CoreGeometry
 from .power import PowerReport, vcsel_program_energy
 
@@ -49,15 +50,16 @@ class ConvLayerSpec:
     kind: str = "conv"
 
     def __post_init__(self) -> None:
+        check_number("c_in", self.c_in, integer=True, ge=1)
+        check_number("c_out", self.c_out, integer=True, ge=1)
+        check_number("kernel", self.kernel, integer=True, ge=1)
+        check_number("h_out", self.h_out, integer=True, ge=1)
+        check_number("w_out", self.w_out, integer=True, ge=1)
+        check_number("stride", self.stride, integer=True, ge=1)
         if self.kind not in ("conv", "other"):
-            raise ValueError(f"{self.name}: kind must be 'conv' or 'other', got {self.kind!r}")
-        if self.kind == "other":
-            return
-        if self.kernel not in (1, 3):
-            raise ValueError(f"{self.name}: unsupported kernel size {self.kernel} (supported: 1, 3)")
-        for field_name in ("c_in", "c_out", "h_out", "w_out", "stride"):
-            if getattr(self, field_name) < 1:
-                raise ValueError(f"{self.name}: {field_name} must be >= 1")
+            raise ValueError(f"kind must be 'conv' or 'other', got {self.kind!r}")
+        if self.kind == "conv" and self.kernel not in (1, 3):
+            raise ValueError(f"unsupported kernel size {self.kernel} (supported: 1, 3)")
 
     @property
     def positions(self) -> int:
@@ -195,7 +197,7 @@ def schedule(
 
 def peak_tops(geom: CoreGeometry, f_hz: float) -> float:
     """Peak throughput in TOPS: 2 ops (multiply + add) per cell per cycle."""
-    if f_hz <= 0.0:
+    if not f_hz > 0.0:
         raise ValueError(f"f_hz must be > 0, got {f_hz!r}")
     return 2.0 * geom.cells * f_hz / 1e12
 
@@ -239,6 +241,10 @@ class PerfReport:
         for got, want in checks:
             if not math.isclose(got, want, rel_tol=_TOL_REL):
                 raise ValueError(f"perf identities violated: {got} != {want}")
+        # Reported in ms and mJ; every energy is at most the non-negative sum.
+        check_number("peak_tops", self.peak_tops)
+        check_number("latency_ms", self.latency_s * 1e3)
+        check_number("energy_with_erase_mj", self.energy_with_erase_j * 1e3)
 
     def to_jsonable(self) -> dict:
         return {
@@ -275,7 +281,7 @@ def estimate_perf(
     cell converts the optical program/erase pulses to electrical emitter
     energy through the vertical coupler loss and emitter efficiency.
     """
-    if f_hz <= 0.0:
+    if not f_hz > 0.0:
         raise ValueError(f"f_hz must be > 0, got {f_hz!r}")
     if not sched.entries:
         raise ValueError("schedule is empty")
@@ -287,7 +293,7 @@ def estimate_perf(
 
     pcm = cat.pcm
     latency = sched.total_tile_loads * pcm.cycle_time_ns * 1e-9 + sched.total_stream_cycles / f_hz
-    if latency <= 0.0:
+    if not latency > 0.0:
         raise ValueError("workload has no photonic work to schedule")
     fps = 1.0 / latency
 
@@ -325,12 +331,14 @@ def estimate_perf(
 # Workload definitions
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def resnet50_workload(input_hw: int = 256) -> tuple[ConvLayerSpec, ...]:
     """Conv layer shapes of a 50-layer bottleneck residual network.
 
     The stem is carried as a 3x3 convolution (the array maps 1x1 and 3x3
     kernels), strides follow the v1.5 convention (stride on the 3x3), and
-    pooling/classifier stages are flagged non-photonic entries.
+    pooling/classifier stages are flagged non-photonic entries. The tuple is
+    built once per ``input_hw`` and shared; its layers are frozen.
     """
     if input_hw % 32 != 0:
         raise ValueError("input_hw must be divisible by 32")
@@ -378,9 +386,6 @@ def workload_to_jsonable(layers: Iterable[ConvLayerSpec]) -> list[dict]:
     return out
 
 
-_INTEGER_FIELDS = ("c_in", "c_out", "kernel", "h_out", "w_out", "stride")
-
-
 def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
     """Resolve a workload reference: a bundled name or a JSON file path.
 
@@ -394,22 +399,16 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
         raise ValueError(f"workload {ref!r} is neither a bundled name {sorted(_BUNDLED_WORKLOADS)} nor a file")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"workload file {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, list):
-        raise ValueError("workload file must contain a JSON list of layers")
+    except (OSError, ValueError) as exc:                     # unreadable, not UTF-8 or not JSON
+        raise ValueError(f"workload file {path} is not readable JSON: {exc}") from None
+    if not (isinstance(data, list) and data):
+        raise ValueError("workload file must contain a non-empty JSON list of layers")
     layers = []
     for i, raw in enumerate(data):
         if not isinstance(raw, dict) or "name" not in raw:
             raise ValueError(f"workload entry {i} must be an object with a 'name'")
-        for field_name in _INTEGER_FIELDS:
-            value = raw.get(field_name)
-            if field_name in raw and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ValueError(
-                    f"workload entry {i} ({raw['name']!r}): {field_name} must be an integer, got {value!r}"
-                )
         try:
             layers.append(ConvLayerSpec(**raw))
-        except TypeError as exc:
-            raise ValueError(f"workload entry {i}: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"workload entry {i} ({raw['name']!r}): {exc}") from None
     return tuple(layers)

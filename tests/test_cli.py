@@ -15,6 +15,7 @@ from wavecore.linkbudget import VARIANTS
 # recorded before the variants became one class each; compared, never regenerated
 GOLDEN_VARIANTS = json.loads((Path(__file__).parent / "data" / "golden_variants.json").read_text())["runs"]
 GOLDEN_CATALOG_SHA256 = json.loads(GOLDEN_VARIANTS[0]["stdout"])["header"]["catalog_sha256"]
+HUGE = int("9" * 400)                           # an integer too large for a float
 
 
 @pytest.fixture()
@@ -137,6 +138,71 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert field in result.output
+
+    @pytest.mark.parametrize(
+        "args, file, field",
+        [
+            (["linkbudget", "--variant", f"planar2d:crossing_count={HUGE}"], None, "crossing_count"),
+            (["evaluate", "--workload"], [{"name": "conv_a", "c_in": HUGE}], "c_in"),
+            (["evaluate", "--catalog"], {"schema_version": 1, "pcm": {"program_time_ns": HUGE}}, "pcm.program_time_ns"),
+            (["evaluate", "--catalog"], {"schema_version": 1, "laser": {"channels_per_comb": HUGE}},
+             "laser.channels_per_comb"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_huge_integer_exits_1_naming_it(self, runner, tmp_path, args, file, field, fmt):
+        if file is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(file))
+            args = [*args, str(path)]
+        result = runner.invoke(main, [*args, "--format", fmt])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{field} must be an integer" in result.output or f"{field} must be a finite number" in result.output
+        assert str(HUGE) not in result.output
+
+    @pytest.mark.parametrize(
+        "option, content",
+        [
+            ("--catalog", '{"schema_version": 1, "awg": {"insertion_loss_db": ' + "9" * 5000 + "}}"),
+            ("--workload", '[{"name": "conv_a", "c_in": ' + "9" * 5000 + "}]"),
+            ("--workload", None),                                       # a directory
+        ],
+    )
+    def test_unreadable_input_file_exits_1_naming_the_option(self, runner, tmp_path, option, content):
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        result = runner.invoke(main, ["evaluate", option, str(path), "--format", "json"])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"Error: {option.removeprefix('--')}: " in result.output
+
+    @pytest.mark.parametrize(
+        "args, catalog, message",
+        [
+            (["evaluate", "--variant", "planar2d:crossing_count=100000"], None, "power: a result is out of float range"),
+            (["ablate", "--variants", "kcl,mrr:ring_loss=1e300"], None, "variants[1]: a result is out of float range"),
+            (["linkbudget", "--variant", "coherent:stage_loss=1e308"], None, "link_budget: total_db must be a finite"),
+            (["evaluate"], {"voa": {"static_power_mw": 1e308}}, "power: total_w must be a finite number"),
+            (["evaluate", "--workload", "resnet50"], {"pcm": {"program_energy_pj": 1e308}},
+             "perf: energy_with_erase_mj must be a finite number"),
+            (["evaluate", "--workload", "resnet50", "--freq", "1e-300"], None, "perf: latency_ms must be a finite"),
+            (["sweep", "--cores", "9x8", "--variant", "mrr:ring_loss=1e300"], None, "sweep: a result is out of float"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_result_out_of_float_range_exits_1_naming_the_section(self, runner, tmp_path, args, catalog, message, fmt):
+        if catalog is not None:
+            path = tmp_path / "cat.json"
+            path.write_text(json.dumps({"schema_version": 1, **catalog}))
+            args = [*args, "--catalog", str(path)]
+        result = runner.invoke(main, [*args, "--format", fmt])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert message in result.output
 
     @pytest.mark.parametrize(
         "variant, message",

@@ -31,7 +31,7 @@ def zero_loss_catalog(catalog):
 
 class TestGeometry:
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError, match="at least 1x1"):
+        with pytest.raises(ValueError, match="rows must be an integer >= 1"):
             CoreGeometry(0, 256)
 
     def test_groups(self, core_144x256):

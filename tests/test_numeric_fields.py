@@ -1,0 +1,165 @@
+"""Every numeric field of every spec is checked by ``catalog.check_number``:
+finite, an integer (never a bool) where the field is one, and in range.
+The roll-up functions' own argument checks fail on NaN."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from wavecore.catalog import (
+    ComponentSpec,
+    ConverterCoeffs,
+    LaserSpec,
+    ModulatorSpec,
+    PcmSpec,
+    PdSpec,
+    SoaSpec,
+    ThermalSpec,
+    VcselSpec,
+    check_number,
+)
+from wavecore.engine import AccumulationTree, NoiseSpec, QuantSpec
+from wavecore.linkbudget import CoherentCombining, CoreGeometry, MrrAccumulation, Planar2D, SoaAssisted, fanout_loss
+from wavecore.power import PrecisionSpec, dac_power, laser_power, total_power, vcsel_program_energy
+from wavecore.workload import ConvLayerSpec, estimate_perf, peak_tops, resnet50_workload, schedule
+
+# Each class with the arguments it needs beyond its defaults.
+SPECS = [
+    (ComponentSpec, {"name": "wsc", "insertion_loss_db": 0.25, "area_um": (100.0, 10.0), "static_power_mw": 1.0}),
+    (LaserSpec, {}),
+    (PdSpec, {}),
+    (ModulatorSpec, {}),
+    (PcmSpec, {}),
+    (SoaSpec, {}),
+    (ConverterCoeffs, {"p0_dac_ws": 1e-13, "p0_adc_ws": 1e-13}),
+    (VcselSpec, {}),
+    (ThermalSpec, {}),
+    (CoreGeometry, {"rows": 9, "cols": 8}),
+    (SoaAssisted, {}),
+    (Planar2D, {"crossing_count": 3, "ybranch_count": 2}),
+    (MrrAccumulation, {}),
+    (CoherentCombining, {}),
+    (PrecisionSpec, {}),
+    (QuantSpec, {"bits": 6}),
+    (NoiseSpec, {}),
+    (AccumulationTree, {}),
+    (ConvLayerSpec, {"name": "l"}),
+]
+NUMERIC_TYPES = {"float": False, "float | None": False, "int": True, "int | None": True}
+NOT_NUMBERS = [math.nan, math.inf, -math.inf, True, "1", None, 10**400]
+
+
+def value_id(value):
+    return f"int of {value.bit_length()} bits" if type(value) is int and value.bit_length() > 64 else repr(value)
+
+
+def numeric_fields():
+    for cls, base in SPECS:
+        for field in dataclasses.fields(cls):
+            if field.type in NUMERIC_TYPES:
+                yield pytest.param(cls, base, field.name, NUMERIC_TYPES[field.type], id=f"{cls.__name__}.{field.name}")
+
+
+@pytest.mark.parametrize("cls, base", SPECS, ids=[cls.__name__ for cls, _ in SPECS])
+def test_defaults_construct(cls, base):
+    cls(**base)
+
+
+@pytest.mark.parametrize("cls, base, name, integer", numeric_fields())
+def test_field_rejects_non_numbers_naming_it(cls, base, name, integer):
+    optional = {f.name: f.type for f in dataclasses.fields(cls)}[name].endswith("None")
+    bad = [v for v in NOT_NUMBERS if not (optional and v is None)] + ([2.5, 3.0] if integer else [])
+    for value in bad:
+        with pytest.raises(ValueError, match=name):
+            cls(**{**base, name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, True, "1", 10**400, 0.0, -1.0], ids=value_id)
+def test_component_area_elements_are_checked(value):
+    with pytest.raises(ValueError, match=r"wsc\.area_um"):
+        ComponentSpec("wsc", 0.25, area_um=(value, 10.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, True, "1", 10**400, -1.0], ids=value_id)
+def test_modulator_energy_entries_are_checked(value):
+    with pytest.raises(ValueError, match=r"sl_mzm\.energy_per_switch_fj\[6\]"):
+        ModulatorSpec(energy_per_switch_fj={4: 131.6, 6: value})
+
+
+def test_component_loss_and_area_are_stored_as_floats():
+    spec = ComponentSpec("awg", 2, area_um=[600, 1800])
+    assert type(spec.insertion_loss_db) is float and spec.insertion_loss_db == 2.0
+    assert spec.area_um == (600.0, 1800.0) and all(type(v) is float for v in spec.area_um)
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value", [0, 1, 2.5, -3.0, np.float64(0.5), 2**1000, -1.7e308], ids=value_id)
+    def test_accepts_finite_numbers(self, value):
+        check_number("x", value)
+
+    @pytest.mark.parametrize("value", [math.nan, np.float64("nan"), math.inf, -math.inf, True, False, None, "1",
+                                       [1], 2**1024, -(2**1024)], ids=value_id)
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(ValueError, match="^x must be a finite number, got"):
+            check_number("x", value)
+
+    @pytest.mark.parametrize("value", [1.0, 2.5, True, np.float64(3.0), np.int64(3), "3"])
+    def test_integer_means_int(self, value):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            check_number("n", value, integer=True)
+
+    @pytest.mark.parametrize(
+        "bounds, inside, outside",
+        [
+            ({"ge": 0.0}, [0.0, 1e308], [-1e-300]),
+            ({"gt": 0.0}, [1e-300], [0.0, -1.0]),
+            ({"le": 1.0}, [1.0, -5.0], [1.0000001]),
+            ({"lt": 0.0}, [-1e-300], [0.0]),
+            ({"gt": 0.0, "le": 1.0}, [0.5, 1.0], [0.0, 1.5]),
+        ],
+    )
+    def test_bounds(self, bounds, inside, outside):
+        for value in inside:
+            check_number("x", value, **bounds)
+        for value in outside:
+            with pytest.raises(ValueError, match=f"got {value!r}$"):
+                check_number("x", value, **bounds)
+
+    def test_message_states_the_range_and_hides_huge_integers(self):
+        with pytest.raises(ValueError, match=r"^laser\.wpe must be a finite number > 0\.0 and <= 1\.0, got 2$"):
+            check_number("laser.wpe", 2, gt=0.0, le=1.0)
+        with pytest.raises(ValueError, match="^c_in must be an integer >= 1, got an integer too large for a float$"):
+            check_number("c_in", 10**400, integer=True, ge=1)
+
+
+@pytest.fixture(scope="module")
+def design_point(catalog):
+    geom = CoreGeometry(144, 256)
+    power = total_power(geom, catalog)
+    return geom, power, schedule(resnet50_workload(), geom, catalog.pcm)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cat, geom, power, sched: peak_tops(geom, math.nan),
+        lambda cat, geom, power, sched: dac_power(8, math.nan, 1e-13),
+        lambda cat, geom, power, sched: dac_power(math.nan, 1e9, 1e-13),
+        lambda cat, geom, power, sched: total_power(geom, cat, f_hz=math.nan),
+        lambda cat, geom, power, sched: laser_power(-25.0, 30.0, 8, math.nan, 1.0),
+        lambda cat, geom, power, sched: laser_power(-25.0, 30.0, 8, 1.17, math.nan),
+        lambda cat, geom, power, sched: vcsel_program_energy(math.nan, 1.43, 0.548),
+        lambda cat, geom, power, sched: vcsel_program_energy(135.0, 1.43, math.nan),
+        lambda cat, geom, power, sched: fanout_loss(math.nan),
+        lambda cat, geom, power, sched: estimate_perf(sched, power, math.nan, cat, allow_overclock=True),
+    ],
+    ids=["peak_tops.f_hz", "dac_power.f_hz", "dac_power.bits", "total_power.f_hz", "laser_power.er_db",
+         "laser_power.wpe", "vcsel_program_energy.e_opt_pj", "vcsel_program_energy.eta_vcsel", "fanout_loss.w",
+         "estimate_perf.f_hz"],
+)
+def test_roll_up_arguments_reject_nan(catalog, design_point, call):
+    geom, power, sched = design_point
+    with pytest.raises(ValueError):
+        call(catalog, geom, power, sched)

@@ -188,6 +188,9 @@ class TestWorkloadIo:
         assert convs[-1].c_out == 2048
         assert sum(l.weight_count for l in convs) == 23447232
 
+    def test_bundled_workload_is_built_once(self):
+        assert load_workload("resnet50") is load_workload("resnet50")
+
     def test_bundled_json_matches_builder(self, resnet):
         from pathlib import Path
 
