@@ -6,6 +6,8 @@ throughput/energy. A desk-scale functional simulator of the quantized, noisy
 analog datapath supports robustness studies.
 """
 
+import types
+
 from .catalog import (
     CatalogError,
     ComponentSpec,
@@ -77,62 +79,9 @@ def __getattr__(name: str):
         return getattr(engine, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "AccumulationTree",
-    "AreaParams",
-    "AreaReport",
-    "Baseline3D",
-    "CatalogError",
-    "CoherentCombining",
-    "ComponentSpec",
-    "ConvLayerSpec",
-    "ConverterCoeffs",
-    "CoreGeometry",
-    "DeviceCatalog",
-    "FeasibilityVerdict",
-    "KclOnly",
-    "LaserSpec",
-    "LinkBudgetReport",
-    "ModulatorSpec",
-    "MrrAccumulation",
-    "NoiseSpec",
-    "PcmProgrammer",
-    "PcmRefreshError",
-    "PcmSpec",
-    "PdSpec",
-    "PerfReport",
-    "Planar2D",
-    "PowerReport",
-    "PrecisionSpec",
-    "QuantSpec",
-    "SoaAssisted",
-    "ThermoOpticWeights",
-    "TileSchedule",
-    "crossbar_area",
-    "critical_path_il",
-    "dac_power",
-    "db_to_linear",
-    "dbm_to_mw",
-    "default_catalog",
-    "estimate_perf",
-    "fanout_loss",
-    "inject_noise",
-    "laser_power",
-    "linear_to_db",
-    "load_catalog",
-    "load_workload",
-    "lower_conv",
-    "mw_to_dbm",
-    "noisy_mvm",
-    "pcm_program",
-    "pd_min_power",
-    "peak_tops",
-    "quantize",
-    "resnet50_workload",
-    "reticle_check",
-    "schedule",
-    "snr_required",
-    "total_power",
-    "variant_feasibility",
-    "vcsel_program_energy",
-]
+
+# Every public name imported above, plus the lazily resolved simulator names.
+__all__ = sorted(
+    {name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    | _ENGINE_NAMES
+)

@@ -17,17 +17,11 @@ import click
 
 from . import __version__
 from .area import crossbar_area
-from .catalog import CatalogError, DeviceCatalog, check_number, default_catalog_path, load_catalog
+from .catalog import DeviceCatalog, check_number, default_catalog_path, load_catalog
 from .linkbudget import VARIANTS, ArchitectureVariant, CoreGeometry, critical_path_il
 from .power import PowerReport, PrecisionSpec, total_power
 from .report import canonical_json, render_csv, render_table
-from .workload import (
-    DEFAULT_CLOCK_HZ,
-    PARETO_CLOCK_HZ,
-    estimate_perf,
-    load_workload,
-    schedule,
-)
+from .workload import DEFAULT_CLOCK_HZ, PARETO_CLOCK_HZ, PerfReport, estimate_perf, load_workload, schedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,10 +77,7 @@ def parse_variant(text: str) -> ArchitectureVariant:
                 kwargs[field.name] = caster(value)
             except ValueError:
                 raise ScenarioError(f"variant: cannot parse {item!r}") from None
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"variant: {exc}") from None
+    return _model("variant", cls, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -109,10 +100,7 @@ class Scenario:
 
 def _resolve_frequency(profile: str, freq: float | None, allow_overclock: bool) -> tuple[float, str, bool]:
     if freq is not None:
-        try:
-            check_number("freq", freq, gt=0.0)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
+        _model("freq", check_number, "clock", freq, gt=0.0)
         return freq, "custom", allow_overclock
     if profile == "pareto":
         return PARETO_CLOCK_HZ, "pareto", True
@@ -148,14 +136,8 @@ def _scenario_options(fn):
 
 def _build_scenario(catalog_path, core_text, variant_text, profile, freq, allow_overclock,
                     wpe_mode, workload, pack_pointwise, seed, fmt) -> Scenario:
-    try:
-        cat = load_catalog(catalog_path) if catalog_path else load_catalog(default_catalog_path())
-    except CatalogError as exc:
-        raise ScenarioError(f"catalog: {exc}") from None
-    try:
-        geom = CoreGeometry.parse(core_text)
-    except ValueError as exc:
-        raise ScenarioError(f"core: {exc}") from None
+    cat = _model("catalog", load_catalog, catalog_path or default_catalog_path())
+    geom = _model("core", CoreGeometry.parse, core_text)
     variant = parse_variant(variant_text)
     f_hz, profile_name, allow = _resolve_frequency(profile, freq, allow_overclock)
     return Scenario(
@@ -189,37 +171,26 @@ def _stamp(scenario: Scenario) -> str:
     return f"wavecore {__version__} catalog sha256:{scenario.catalog.source_sha256}"
 
 
-def _evaluate_point(scenario: Scenario) -> tuple[dict, PowerReport]:
-    power = _model(
-        "power", total_power, scenario.geometry, scenario.catalog, scenario.variant, scenario.precision,
-        scenario.f_hz, wpe=scenario.wpe,
-    )
-    area = crossbar_area(scenario.geometry)
-    doc = {
-        "header": _header(scenario),
-        "scenario": {
-            "core": scenario.geometry.label,
-            "variant": scenario.variant.label,
-            "profile": scenario.profile,
-            "f_hz": scenario.f_hz,
-            "wpe": power.wpe,
-            "workload": scenario.workload,
-            "pack_pointwise": scenario.pack_pointwise,
-        },
-        "link_budget": power.link.to_jsonable(),
-        "power": power.to_jsonable(),
-        "area": area.to_jsonable(),
-        "perf": None,
-        "feasible": power.feasible,
-    }
-    if scenario.workload:
-        layers = _model("workload", load_workload, scenario.workload)
-        sched = schedule(layers, scenario.geometry, scenario.catalog.pcm,
-                         pack_pointwise=scenario.pack_pointwise)
-        perf = _model("perf", estimate_perf, sched, power, scenario.f_hz, scenario.catalog,
-                      allow_overclock=scenario.allow_overclock)
-        doc["perf"] = perf.to_jsonable()
-    return doc, power
+def _emit(scenario: Scenario, doc: dict, header, rows, title: str) -> None:
+    """One report in the scenario's format: ``doc`` under the JSON header, or
+    the stamp and ``rows`` as CSV (lower-case column names) or a titled table."""
+    if scenario.fmt == "json":
+        click.echo(canonical_json({"header": _header(scenario), **doc}), nl=False)
+    elif scenario.fmt == "csv":
+        click.echo(f"# {_stamp(scenario)}")
+        click.echo(render_csv([name.lower() for name in header], rows), nl=False)
+    else:
+        click.echo(_stamp(scenario))
+        click.echo(render_table(header, rows, title=title), nl=False)
+
+
+def _power(scenario: Scenario, geom: CoreGeometry, variant: ArchitectureVariant) -> PowerReport:
+    return total_power(geom, scenario.catalog, variant, scenario.precision, scenario.f_hz, wpe=scenario.wpe)
+
+
+def _perf(scenario: Scenario, geom: CoreGeometry, layers, power: PowerReport) -> PerfReport:
+    sched = schedule(layers, geom, scenario.catalog.pcm, pack_pointwise=scenario.pack_pointwise)
+    return estimate_perf(sched, power, scenario.f_hz, scenario.catalog, allow_overclock=scenario.allow_overclock)
 
 
 @click.group()
@@ -234,21 +205,9 @@ def linkbudget(**kwargs) -> None:
     """Critical-path insertion loss breakdown for one design point."""
     scenario = _build_scenario(**kwargs)
     report = _model("link_budget", critical_path_il, scenario.geometry, scenario.catalog, scenario.variant)
-    if scenario.fmt == "json":
-        doc = {"header": _header(scenario), "link_budget": report.to_jsonable()}
-        click.echo(canonical_json(doc), nl=False)
-    elif scenario.fmt == "csv":
-        rows = [(name, db) for name, db in report.terms] + [("total", report.total_db)]
-        click.echo(f"# {_stamp(scenario)}")
-        click.echo(render_csv(("term", "db"), rows), nl=False)
-    else:
-        rows = [(name, db) for name, db in report.terms] + [("total", report.total_db)]
-        click.echo(_stamp(scenario))
-        click.echo(
-            render_table(("term", "dB"), rows,
-                         title=f"critical path, {scenario.geometry.label} {report.variant_label}"),
-            nl=False,
-        )
+    _emit(scenario, {"link_budget": report.to_jsonable()}, ("term", "dB"),
+          [*report.terms, ("total", report.total_db)],
+          f"critical path, {scenario.geometry.label} {report.variant_label}")
 
 
 @main.command()
@@ -257,30 +216,48 @@ def linkbudget(**kwargs) -> None:
 def evaluate(area_only: bool, **kwargs) -> None:
     """Combined link budget + power + area (+ workload perf) report."""
     scenario = _build_scenario(**kwargs)
-    doc, power = _evaluate_point(scenario)
-    area = doc["area"]
+    power = _model("power", _power, scenario, scenario.geometry, scenario.variant)
+    area = crossbar_area(scenario.geometry).to_jsonable()
+    perf = None
+    if scenario.workload:
+        layers = _model("workload", load_workload, scenario.workload)
+        perf = _model("perf", _perf, scenario, scenario.geometry, layers, power).to_jsonable()
     area_rows = [
         ("crossbar", f"{area['crossbar_w_mm']:.3f} x {area['crossbar_h_mm']:.3f} mm"),
         ("total", f"{area['total_area_mm2']:.2f} mm^2"),
         ("fits_reticle", str(area["fits_reticle"])),
         ("residual", "n/a" if area["residual_mm2"] is None else f"{area['residual_mm2']:.1f} mm^2"),
     ]
+    # csv prints the same text tables as table: evaluate has no one-table csv form
     if scenario.fmt == "json":
-        if area_only:
-            doc = {"header": doc["header"], "area": area}
-        click.echo(canonical_json(doc), nl=False)
+        doc = {"area": area} if area_only else {
+            "scenario": {
+                "core": scenario.geometry.label,
+                "variant": scenario.variant.label,
+                "profile": scenario.profile,
+                "f_hz": scenario.f_hz,
+                "wpe": power.wpe,
+                "workload": scenario.workload,
+                "pack_pointwise": scenario.pack_pointwise,
+            },
+            "link_budget": power.link.to_jsonable(),
+            "power": power.to_jsonable(),
+            "area": area,
+            "perf": perf,
+            "feasible": power.feasible,
+        }
+        click.echo(canonical_json({"header": _header(scenario), **doc}), nl=False)
     elif area_only:
         click.echo(_stamp(scenario))
         click.echo(render_table(("area", "value"), area_rows, title="area"), nl=False)
     else:
         click.echo(_stamp(scenario))
-        link_rows = [(n, db) for n, db in power.link.terms] + [("total", power.link.total_db)]
+        link_rows = [*power.link.terms, ("total", power.link.total_db)]
         click.echo(render_table(("term", "dB"), link_rows, title="link budget"), nl=False)
-        power_rows = [(n, w, f) for n, w, f in power.entries] + [("total", power.total_w, 1.0)]
+        power_rows = [*power.entries, ("total", power.total_w, 1.0)]
         click.echo(render_table(("subsystem", "W", "fraction"), power_rows, title="power"), nl=False)
         click.echo(render_table(("area", "value"), area_rows, title="area"), nl=False)
-        if doc["perf"] is not None:
-            perf = doc["perf"]
+        if perf is not None:
             perf_rows = [
                 ("fps", perf["fps"]),
                 ("latency_ms", perf["latency_s"] * 1e3),
@@ -313,29 +290,13 @@ def ablate(variants_text: str, **kwargs) -> None:
             variants.append(parse_variant(name))
         except ScenarioError as exc:
             raise ScenarioError(f"variants[{i}]: {exc.message}") from None
-    reports = [
-        _model(f"variants[{i}]", total_power, scenario.geometry, scenario.catalog, variant, scenario.precision,
-               scenario.f_hz, wpe=scenario.wpe)
-        for i, variant in enumerate(variants)
-    ]
-
-    rows = []
-    for rep in reports:
-        top, frac = rep.top_contributor
-        rows.append((rep.variant_label, rep.link.total_db, rep.total_w, top, frac, rep.feasible))
+    reports = [_model(f"variants[{i}]", _power, scenario, scenario.geometry, variant)
+               for i, variant in enumerate(variants)]
     header = ("variant", "il_db", "total_w", "top_contributor", "fraction", "feasible")
-    if scenario.fmt == "json":
-        doc = {
-            "header": _header(scenario),
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        click.echo(canonical_json(doc), nl=False)
-    elif scenario.fmt == "table":
-        click.echo(_stamp(scenario))
-        click.echo(render_table(header, rows, title=f"ablation @ {scenario.geometry.label}"), nl=False)
-    else:
-        click.echo(f"# {_stamp(scenario)}")
-        click.echo(render_csv(header, rows), nl=False)
+    rows = [(rep.variant_label, rep.link.total_db, rep.total_w, *rep.top_contributor, rep.feasible)
+            for rep in reports]
+    _emit(scenario, {"rows": [dict(zip(header, row)) for row in rows]}, header, rows,
+          f"ablation @ {scenario.geometry.label}")
 
 
 @main.command()
@@ -350,38 +311,16 @@ def sweep(cores_text: str, **kwargs) -> None:
     core_texts = [c.strip() for c in cores_text.split(",") if c.strip()]
     if not core_texts:
         raise ScenarioError("cores: empty list")
-    geometries = []
-    for i, text in enumerate(core_texts):
-        try:
-            geometries.append(CoreGeometry.parse(text))
-        except ValueError as exc:
-            raise ScenarioError(f"cores[{i}]: {exc}") from None
+    geometries = [_model(f"cores[{i}]", CoreGeometry.parse, text) for i, text in enumerate(core_texts)]
     layers = _model("workload", load_workload, scenario.workload)
-
-    def run(geom: CoreGeometry):
-        power = total_power(geom, scenario.catalog, scenario.variant, scenario.precision,
-                            scenario.f_hz, wpe=scenario.wpe)
-        sched = schedule(layers, geom, scenario.catalog.pcm, pack_pointwise=scenario.pack_pointwise)
-        perf = estimate_perf(sched, power, scenario.f_hz, scenario.catalog,
-                             allow_overclock=scenario.allow_overclock)
-        return geom, perf
-
-    results = _model("sweep", lambda: [run(geom) for geom in geometries])
-
+    perfs = _model("sweep", lambda: [
+        _perf(scenario, geom, layers, _power(scenario, geom, scenario.variant)) for geom in geometries
+    ])
     header = ("core", "fps", "mj_per_inference", "total_w")
-    rows = [
-        (geom.label, perf.fps, perf.energy_per_inference_j * 1e3, perf.total_power_w)
-        for geom, perf in results
-    ]
-    if scenario.fmt == "json":
-        doc = {"header": _header(scenario), "rows": [dict(zip(header, row)) for row in rows]}
-        click.echo(canonical_json(doc), nl=False)
-    elif scenario.fmt == "table":
-        click.echo(_stamp(scenario))
-        click.echo(render_table(header, rows, title=f"core sweep ({scenario.workload})"), nl=False)
-    else:
-        click.echo(f"# {_stamp(scenario)}")
-        click.echo(render_csv(header, rows), nl=False)
+    rows = [(geom.label, perf.fps, perf.energy_per_inference_j * 1e3, perf.total_power_w)
+            for geom, perf in zip(geometries, perfs)]
+    _emit(scenario, {"rows": [dict(zip(header, row)) for row in rows]}, header, rows,
+          f"core sweep ({scenario.workload})")
 
 
 @main.command()
@@ -403,20 +342,20 @@ def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_
 
     if model != "tinycnn":
         raise ScenarioError(f"model: unknown model {model!r} (bundled: tinycnn)")
-    if samples < 1:
-        raise ScenarioError(f"samples: must be >= 1, got {samples}")
-    try:
-        geom = CoreGeometry.parse(core_text)
-        noise = NoiseSpec(sigma_in=sigma_in, sigma_w=sigma_w, sigma_out=sigma_out, seed=seed)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    geom = _model("core", CoreGeometry.parse, core_text)
+    noise = _model("noise", NoiseSpec, sigma_in=sigma_in, sigma_w=sigma_w, sigma_out=sigma_out, seed=seed)
+    _model("samples", check_number, "sample count", samples, integer=True, ge=1)
     # Overflow to inf/NaN is reported below as an exit 1, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        accuracy, _, _, stats = simulate_accuracy(geom, noise, n_samples=samples)
+        try:
+            accuracy, _, _, stats = simulate_accuracy(geom, noise, n_samples=samples)
+        except (ValueError, MemoryError) as exc:
+            # core and noise are checked above; numpy refuses or cannot hold this many images
+            raise ScenarioError(f"samples: {samples} samples do not fit in memory ({exc})") from None
     if not all(math.isfinite(v) for s in stats for v in (s.mean, s.std, s.min, s.max)):
         raise ScenarioError(
-            f"sigma_in, sigma_w, sigma_out: noise of {sigma_in}, {sigma_w}, {sigma_out} "
-            "overflows the simulated datapath (non-finite layer statistics)"
+            f"noise: sigma_in, sigma_w, sigma_out of {sigma_in}, {sigma_w}, {sigma_out} "
+            "overflow the simulated datapath (non-finite layer statistics)"
         )
     if fmt == "json":
         doc = {

@@ -230,7 +230,10 @@ class LinkBudgetReport:
     variant_label: str
 
     def __post_init__(self) -> None:
-        check_number("total_db", self.total_db)
+        try:
+            check_number("total_db", self.total_db)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (largest term {self.largest_term[0]})") from None
         total = sum(db for _, db in self.terms)
         if not (abs(total - self.total_db) <= _TOL_SUM_DB):
             raise ValueError(f"report total {self.total_db} != term sum {total}")
@@ -243,6 +246,10 @@ class LinkBudgetReport:
             if label == name:
                 return db
         raise KeyError(name)
+
+    @property
+    def largest_term(self) -> tuple[str, float]:
+        return max(self.terms, key=lambda t: t[1])
 
     def to_jsonable(self) -> dict:
         return {

@@ -63,7 +63,10 @@ class PowerReport:
     infeasible_reason: str = ""
 
     def __post_init__(self) -> None:
-        check_number("total_w", self.total_w)
+        try:
+            check_number("total_w", self.total_w)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (largest entry {self.top_contributor[0]})") from None
         total = sum(w for _, w, _ in self.entries)
         if not math.isclose(total, self.total_w, rel_tol=_TOL_FRACTION, abs_tol=0.0):
             raise ValueError(f"total {self.total_w} != entry sum {total}")
@@ -182,9 +185,16 @@ def total_power(
     effective_wpe = cat.laser.wpe if wpe is None else wpe
 
     link = critical_path_il(geom, cat, variant)
-    laser_w = laser_power(
-        cat.pd.sensitivity_dbm, link.total_db, precision.b_out, cat.modulator.extinction_ratio_db, effective_wpe
-    )
+    try:
+        laser_w = laser_power(
+            cat.pd.sensitivity_dbm, link.total_db, precision.b_out, cat.modulator.extinction_ratio_db, effective_wpe
+        )
+    except OverflowError:
+        name, db = link.largest_term
+        raise ValueError(
+            f"a result is out of float range: the laser power for a {link.total_db:.6g} dB critical-path loss"
+            f" (largest term {name}, {db:.6g} dB)"
+        ) from None
 
     entries: list[tuple[str, float]] = [("laser", laser_w)]
     entries.append(("input_dac", geom.rows * dac_power(precision.b_in, f_hz, cat.converters.p0_dac_ws)))

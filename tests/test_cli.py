@@ -15,6 +15,10 @@ from wavecore.linkbudget import VARIANTS
 # recorded before the variants became one class each; compared, never regenerated
 GOLDEN_VARIANTS = json.loads((Path(__file__).parent / "data" / "golden_variants.json").read_text())["runs"]
 GOLDEN_CATALOG_SHA256 = json.loads(GOLDEN_VARIANTS[0]["stdout"])["header"]["catalog_sha256"]
+# evaluate and sweep exit codes and stdout in every format, recorded before the
+# commands shared one renderer and one power-to-perf path; compared, never regenerated
+GOLDEN_CLI = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())["runs"]
+REPO_ROOT = Path(__file__).resolve().parent.parent
 HUGE = int("9" * 400)                           # an integer too large for a float
 
 
@@ -205,6 +209,28 @@ class TestEvaluate:
         assert message in result.output
 
     @pytest.mark.parametrize(
+        "args, catalog, message",
+        [
+            (["evaluate", "--variant", "planar2d:crossing_count=100000"], None,
+             "power: a result is out of float range: the laser power for a 23058.3 dB critical-path loss"
+             " (largest term crossings, 23000 dB)"),
+            (["evaluate"], {"voa": {"static_power_mw": 1e308}},
+             "power: total_w must be a finite number, got inf (largest entry voa_bank)"),
+            (["linkbudget", "--variant", "coherent:stage_loss=1e308"], None,
+             "link_budget: total_db must be a finite number, got inf (largest term combiner_tree)"),
+        ],
+    )
+    def test_result_out_of_float_range_names_the_cause(self, runner, tmp_path, args, catalog, message):
+        if catalog is not None:
+            path = tmp_path / "cat.json"
+            path.write_text(json.dumps({"schema_version": 1, **catalog}))
+            args = [*args, "--catalog", str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"Error: {message}\n" in result.output
+
+    @pytest.mark.parametrize(
         "variant, message",
         [
             ("mrr:ring_loss=1,ring_loss_db=2", "mrr parameter 'ring_loss_db' given twice ('ring_loss_db' repeats it)"),
@@ -255,6 +281,16 @@ def test_variant_outputs_match_golden(runner, monkeypatch, run):
     monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
     result = runner.invoke(main, run["argv"])
     assert result.exit_code == 0
+    assert result.stdout_bytes == run["stdout"].encode()
+
+
+@pytest.mark.parametrize("run", GOLDEN_CLI, ids=lambda run: " ".join(run["argv"]))
+def test_evaluate_and_sweep_outputs_match_golden(runner, monkeypatch, run):
+    monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    monkeypatch.chdir(REPO_ROOT)                # one case names a workload file by relative path
+    result = runner.invoke(main, run["argv"])
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exit_code == run["exit_code"]
     assert result.stdout_bytes == run["stdout"].encode()
 
 
@@ -361,6 +397,36 @@ class TestSimulate:
         assert "nan" not in result.output.lower()
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["linkbudget", "--core", "10x10"], "core"),
+        (["linkbudget", "--variant", "magic"], "variant"),
+        (["linkbudget", "--profile", "nope"], "profile"),
+        (["evaluate", "--catalog", "no-such-catalog.json"], "catalog"),
+        (["evaluate", "--workload", "no-such-workload.json"], "workload"),
+        (["evaluate", "--freq", "inf"], "freq"),
+        (["evaluate", "--variant", "planar2d:crossing_count=-5"], "variant"),
+        (["ablate", "--variants", ""], "variants"),
+        (["ablate", "--variants", "baseline3d,nope"], "variants[1]"),
+        (["sweep", "--cores", ""], "cores"),
+        (["sweep", "--cores", "9x8,10x10"], "cores[1]"),
+        (["simulate", "--model", "resnet"], "model"),
+        (["simulate", "--core", "10x8"], "core"),
+        (["simulate", "--sigma-in", "nan"], "noise"),
+        (["simulate", "--samples", "0"], "samples"),
+        # numpy refuses this many images before it allocates anything
+        (["simulate", "--samples", "1" + "0" * 30], "samples"),
+    ],
+)
+def test_exit_1_message_starts_with_the_field(runner, monkeypatch, args, field):
+    monkeypatch.chdir(REPO_ROOT)                # the missing input files are named by relative path
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.split("Error: ", 1)[1].startswith(f"{field}: ")
+
+
 @pytest.mark.parametrize("module", ["wavecore", "wavecore.cli"])
 def test_analytic_import_loads_no_numpy_and_no_pool(module):
     src = Path(__file__).resolve().parent.parent / "src"
@@ -381,6 +447,15 @@ def test_engine_names_resolve_lazily():
         assert getattr(wavecore, name) is not None
     with pytest.raises(AttributeError, match="no_such_name"):
         wavecore.no_such_name
+
+
+def test_all_holds_the_public_imports_and_every_engine_name():
+    import types
+
+    import wavecore
+
+    assert not [name for name in wavecore.__all__ if isinstance(getattr(wavecore, name), types.ModuleType)]
+    assert wavecore._ENGINE_NAMES <= set(wavecore.__all__)
 
 
 @pytest.mark.parametrize(
