@@ -46,38 +46,39 @@ def _model(field: str, fn, *args, **kwargs):
         raise ScenarioError(f"{field}: a result is out of float range") from None
 
 
-def parse_variant(text: str) -> ArchitectureVariant:
+def parse_variant(text: str, field: str = "variant") -> ArchitectureVariant:
     """``NAME[:k=v,...]`` to a variant; parameters are the class's fields, and
-    a ``_db`` field also takes its name without the suffix."""
+    a ``_db`` field also takes its name without the suffix. An error exits 1
+    naming ``field``."""
     name, _, params_text = text.partition(":")
     name = name.strip().lower()
     cls = VARIANTS.get("baseline3d" if name == "baseline" else name)
     if cls is None:
         raise ScenarioError(
-            f"variant: unknown name {name!r} (choose from {', '.join(sorted([*VARIANTS, 'baseline']))})"
+            f"{field}: unknown name {name!r} (choose from {', '.join(sorted([*VARIANTS, 'baseline']))})"
         )
     params = {}
-    for field in fields(cls):
-        params[field.name] = params[field.name.removesuffix("_db")] = field
+    for param in fields(cls):
+        params[param.name] = params[param.name.removesuffix("_db")] = param
     kwargs = {}
     if params_text:
         for item in params_text.split(","):
             key, sep, value = item.partition("=")
             if not sep:
-                raise ScenarioError(f"variant: malformed parameter {item!r} (expected k=v)")
+                raise ScenarioError(f"{field}: malformed parameter {item!r} (expected k=v)")
             key = key.strip()
-            field = params.get(key)
-            if field is None:
+            param = params.get(key)
+            if param is None:
                 accepted = ", ".join(sorted(params)) or "none"
-                raise ScenarioError(f"variant: {cls.label} has no parameter {key!r} (accepts: {accepted})")
-            if field.name in kwargs:
-                raise ScenarioError(f"variant: {cls.label} parameter {field.name!r} given twice ({key!r} repeats it)")
-            caster = int if field.type.startswith("int") else float  # annotations are strings here
+                raise ScenarioError(f"{field}: {cls.label} has no parameter {key!r} (accepts: {accepted})")
+            if param.name in kwargs:
+                raise ScenarioError(f"{field}: {cls.label} parameter {param.name!r} given twice ({key!r} repeats it)")
+            caster = int if param.type.startswith("int") else float  # annotations are strings here
             try:
-                kwargs[field.name] = caster(value)
+                kwargs[param.name] = caster(value)
             except ValueError:
-                raise ScenarioError(f"variant: cannot parse {item!r}") from None
-    return _model("variant", cls, **kwargs)
+                raise ScenarioError(f"{field}: cannot parse {item!r}") from None
+    return _model(field, cls, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -284,12 +285,7 @@ def ablate(variants_text: str, **kwargs) -> None:
     names = [v.strip() for v in variants_text.split(",") if v.strip()]
     if not names:
         raise ScenarioError("variants: empty list")
-    variants = []
-    for i, name in enumerate(names):
-        try:
-            variants.append(parse_variant(name))
-        except ScenarioError as exc:
-            raise ScenarioError(f"variants[{i}]: {exc.message}") from None
+    variants = [parse_variant(name, f"variants[{i}]") for i, name in enumerate(names)]
     reports = [_model(f"variants[{i}]", _power, scenario, scenario.geometry, variant)
                for i, variant in enumerate(variants)]
     header = ("variant", "il_db", "total_w", "top_contributor", "fraction", "feasible")
@@ -338,20 +334,26 @@ def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_
     import numpy as np
 
     from .engine import NoiseSpec
-    from .synth import simulate_accuracy
+    from .synth import DATA_SEED, make_dataset, run_tinycnn
 
     if model != "tinycnn":
         raise ScenarioError(f"model: unknown model {model!r} (bundled: tinycnn)")
     geom = _model("core", CoreGeometry.parse, core_text)
     noise = _model("noise", NoiseSpec, sigma_in=sigma_in, sigma_w=sigma_w, sigma_out=sigma_out, seed=seed)
     _model("samples", check_number, "sample count", samples, integer=True, ge=1)
+    too_many = f"samples: {samples} samples do not fit in memory"
+    try:
+        images, labels = make_dataset(samples, seed=DATA_SEED)
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses to shape, or cannot hold, this many images
+        raise ScenarioError(f"{too_many} ({exc})") from None
     # Overflow to inf/NaN is reported below as an exit 1, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            accuracy, _, _, stats = simulate_accuracy(geom, noise, n_samples=samples)
-        except (ValueError, MemoryError) as exc:
-            # core and noise are checked above; numpy refuses or cannot hold this many images
-            raise ScenarioError(f"samples: {samples} samples do not fit in memory ({exc})") from None
+            preds, stats = run_tinycnn(images, geom, noise)
+        except MemoryError as exc:
+            raise ScenarioError(f"{too_many} ({exc})") from None
+    accuracy = float((preds == labels).mean())
     if not all(math.isfinite(v) for s in stats for v in (s.mean, s.std, s.min, s.max)):
         raise ScenarioError(
             f"noise: sigma_in, sigma_w, sigma_out of {sigma_in}, {sigma_w}, {sigma_out} "

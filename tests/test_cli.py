@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -369,6 +370,24 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--model", "resnet"])
         assert result.exit_code == 1
 
+    def test_program_fault_is_not_blamed_on_samples(self, runner, monkeypatch):
+        def fault(*args, **kwargs):
+            raise ValueError("Buffer size, 72, is not a multiple of 16")
+
+        monkeypatch.setattr("wavecore.synth.run_tinycnn", fault)
+        result = runner.invoke(main, ["simulate", "--samples", "4"])
+        assert isinstance(result.exception, ValueError)
+        assert "samples:" not in result.output
+
+    def test_out_of_memory_while_simulating_names_samples(self, runner, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr("wavecore.synth.run_tinycnn", exhausted)
+        result = runner.invoke(main, ["simulate", "--samples", "4"])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: samples: 4 samples do not fit in memory")
+
     @pytest.mark.parametrize(
         "args, field",
         [
@@ -417,6 +436,11 @@ class TestSimulate:
         (["simulate", "--samples", "0"], "samples"),
         # numpy refuses this many images before it allocates anything
         (["simulate", "--samples", "1" + "0" * 30], "samples"),
+        # every variant error in a list names the list entry, not also "variant"
+        (["ablate", "--variants", "kcl,planar2d:bogus=1"], "variants[1]"),
+        (["ablate", "--variants", "planar2d:crossing_count"], "variants[0]"),
+        (["ablate", "--variants", "kcl,planar2d:crossing_count=x"], "variants[1]"),
+        (["ablate", "--variants", "kcl,soa,planar2d:crossing_count=-5"], "variants[2]"),
     ],
 )
 def test_exit_1_message_starts_with_the_field(runner, monkeypatch, args, field):
@@ -424,7 +448,10 @@ def test_exit_1_message_starts_with_the_field(runner, monkeypatch, args, field):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert result.output.split("Error: ", 1)[1].startswith(f"{field}: ")
+    message = result.output.split("Error: ", 1)[1]
+    assert message.startswith(f"{field}: ")
+    # the field is named once: no second "name: " prefix follows it
+    assert not re.match(r"[a-z_]+(\[\d+\])?: ", message.removeprefix(f"{field}: ")), message
 
 
 @pytest.mark.parametrize("module", ["wavecore", "wavecore.cli"])

@@ -250,6 +250,22 @@ class TestDetectorSums:
         t = AccumulationTree(*tree)
         assert_same_bits(detector_sums(x, w, t), reference_detector_sums(x, w, t))
 
+    @pytest.mark.parametrize("tree", [(9, 16), (3, 2)])
+    @pytest.mark.parametrize("cols_inner", [False, True])
+    @pytest.mark.parametrize("width", [15, 16, 17, 63, 64, 2047, 2048, 4095, 4096, 4097])
+    def test_inner_widths_around_the_buffer_sizes(self, width, cols_inner, tree):
+        # widths below and above the unbuffered threshold and numpy's half
+        # buffer; three items share a block at the narrow widths
+        batch, rows, outer = 3, 40, 5
+        cols, positions = (width, outer) if cols_inner else (outer, width)
+        items = [spread_operands(width + b, rows, cols, positions, True, 2) for b in range(batch)]
+        x = np.stack([item[0] for item in items])
+        w = np.stack([item[1] for item in items])
+        t = AccumulationTree(*tree)
+        got = _detector_sums(x, w, t)
+        for b in range(batch):
+            assert_same_bits(got[b], reference_detector_sums(x[b], w[b], t))
+
     def test_scratch_fits_in_cache(self):
         rng = np.random.default_rng(0)
         x = rng.random((144, 4096))
@@ -275,6 +291,44 @@ class TestDetectorSums:
             tracemalloc.stop()
         # the R x C x P product tensor alone would be 144*256*4096*8 B = 1.2 GB
         assert peak < 64 * 2**20
+
+
+# a narrow tile, then tiles with the cols and the positions innermost and wide
+BUFSIZE_SHAPES = [((20, 3, 36), False), ((20, 256, 64), True), ((20, 3, 4096), True)]
+
+
+class TestUfuncBufferSize:
+    """The kernel sets numpy's ufunc buffer size only while it runs."""
+
+    @pytest.mark.parametrize("rows, cols, positions", [shape for shape, _ in BUFSIZE_SHAPES])
+    @pytest.mark.parametrize("caller", [None, 4096])
+    def test_caller_buffer_size_is_restored(self, rows, cols, positions, caller):
+        x, w = spread_operands(0, rows, cols, positions)
+        old = np.setbufsize(caller) if caller else np.getbufsize()
+        try:
+            before = np.getbufsize()
+            _detector_sums(x[None], w[None], AccumulationTree())
+            assert np.getbufsize() == before
+            noisy_mvm(x, w, QuantSpec(bits=6), QuantSpec(bits=7), noise=NoiseSpec())
+            assert np.getbufsize() == before
+        finally:
+            np.setbufsize(old)
+
+    @pytest.mark.parametrize("rows, cols, positions, unbuffered", [(*shape, wide) for shape, wide in BUFSIZE_SHAPES])
+    def test_wide_tiles_multiply_unbuffered_and_restore_on_error(self, monkeypatch, rows, cols, positions, unbuffered):
+        x, w = spread_operands(0, rows, cols, positions)
+        seen = []
+
+        def failing_multiply(*args, **kwargs):
+            seen.append(np.getbufsize())
+            raise FloatingPointError("stop")
+
+        before = np.getbufsize()
+        monkeypatch.setattr(np, "multiply", failing_multiply)
+        with pytest.raises(FloatingPointError):
+            _detector_sums(x[None], w[None], AccumulationTree())
+        assert seen == [16 if unbuffered else before]
+        assert np.getbufsize() == before
 
 
 class TestBatchedKernel:

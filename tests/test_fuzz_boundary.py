@@ -1,8 +1,10 @@
-"""Boundary fuzz: drawn catalog fields, workload entries, variant parameters
-and raw input file bytes through the CLI, in process.
+"""Boundary fuzz: drawn catalog fields, workload entries, variant parameters,
+core sizes, clocks, ``simulate`` options and raw input file bytes through the
+CLI, in process.
 
 Every draw must end in exit 0, 1 or 2 without a traceback; JSON stdout must
-parse without NaN or Infinity; and an exit 1 must name what it rejects.
+parse without NaN or Infinity; and an exit 1 must name what it rejects (as
+must click's exit 2 for option text that is not a number at all).
 The examples are derandomized, so every run checks the same ones; for a
 longer search, raise ``max_examples`` and drop ``derandomize``.
 """
@@ -46,13 +48,43 @@ values = st.one_of(wrong_types, non_finite, negatives, huge_integers, large_floa
 
 # Every exit 1 is one "Error: <field>: ..." line; these are the fields a
 # drawn input can be rejected under.
-ERROR_LINE = re.compile(r"^Error: (catalog|workload|variant|power|perf|link_budget): ", re.M)
+ERROR_LINE = re.compile(
+    r"^Error: (catalog|workload|variant|power|perf|link_budget|core|freq|noise|samples): ", re.M
+)
+USAGE_LINE = re.compile(r"^Error: Invalid value for '--[a-z-]+': ", re.M)
+
+# option text: drawn values as the CLI sees them, and a few hand-picked forms
+option_text = st.one_of(values.map(str), st.sampled_from(["", " ", "nan", "-inf", "1e400", "0x10", "1_0", " 3 "]))
+junk = st.sampled_from(["", " ", "abc", "0x10", "1_0", "None", "[1]", "1.5"])    # click rejects most
+# numbers as text, now and then text that is not a number
+float_text = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr), st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e400", "-1e400", "1e-320"]), junk,
+)
+integer_text = st.one_of(st.integers(-10**6, 10**6).map(str), huge_integers.map(str), junk)
+core_text = st.one_of(
+    st.builds("{}x{}".format, st.one_of(st.integers(0, 600), option_text), st.one_of(st.integers(0, 600), option_text)),
+    option_text,
+    st.sampled_from(["9x8", "9X8", "x8", "9x", "9x8x2", " 9x8 ", "-9x8", "9x-8", "1e3x8"]),
+)
+# sample counts 0-64, negatives, non-integers and one count that numpy refuses
+# before it allocates: never a count large enough to fill memory
+sample_text = st.one_of(
+    st.integers(0, 64).map(str),
+    st.integers(-10**6, -1).map(str),
+    st.one_of(st.floats(-64.0, 64.0).map(repr), st.sampled_from(["", "abc", "1e3", "nan"])),
+    st.just("1" + "0" * 30),
+)
 
 
 def invoke(argv, fmt):
     result = CliRunner().invoke(main, [*argv, "--format", fmt])
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    if result.exit_code == 2 and not result.stdout:
+        # click rejected an option's text before the command ran (not a number, say)
+        assert USAGE_LINE.search(result.output), result.output
+        return None, result.output
     if fmt == "json" and result.exit_code != 1:
         json.loads(result.stdout, parse_constant=lambda token: pytest.fail(f"{token} in JSON output"))
     if result.exit_code == 1:
@@ -140,3 +172,41 @@ def test_file_bytes(workdir, content, option, fmt):
     path.write_bytes(content)
     field, _ = invoke(["evaluate", option, str(path)], fmt)
     assert field in (None, option.removeprefix("--"))
+
+
+@FUZZ
+@given(core=core_text, command=st.sampled_from(["linkbudget", "evaluate", "ablate", "simulate"]),
+       fmt=st.sampled_from(FORMATS))
+def test_core(core, command, fmt):
+    argv = [command, "--core", core] + (["--samples", "2"] if command == "simulate" else [])
+    field, output = invoke(argv, fmt)
+    if field == "core":
+        assert repr(core) in output, output
+
+
+@FUZZ
+@given(freq=float_text, command=st.sampled_from(["linkbudget", "evaluate", "ablate"]), fmt=st.sampled_from(FORMATS))
+def test_freq(freq, command, fmt):
+    field, output = invoke([command, "--core", "18x16", "--freq", freq], fmt)
+    if field == "freq":
+        assert "clock" in output, output
+
+
+# each draw gives one simulate option a wild value and the rest ordinary ones
+SIMULATE_WILD = {"--sigma-in": float_text, "--sigma-w": float_text, "--sigma-out": float_text,
+                 "--seed": integer_text, "--samples": sample_text}
+
+
+@settings(FUZZ, max_examples=100)
+@given(data=st.data(), wild=st.sampled_from(sorted(SIMULATE_WILD)), fmt=st.sampled_from(FORMATS))
+def test_simulate_options(data, wild, fmt):
+    options = {
+        **{name: data.draw(st.floats(0.0, 0.1).map(repr)) for name in ("--sigma-in", "--sigma-w", "--sigma-out")},
+        "--seed": data.draw(st.integers(0, 10**6).map(str)),
+        "--samples": data.draw(st.integers(1, 16).map(str)),
+    }
+    options[wild] = value = data.draw(SIMULATE_WILD[wild])
+    field, output = invoke(["simulate", "--core", "9x8", *(text for item in options.items() for text in item)], fmt)
+    if field is not None:
+        assert field == ("samples" if wild == "--samples" else "noise"), output
+        assert (value if wild == "--samples" else wild.removeprefix("--").replace("-", "_")) in output, output
