@@ -334,7 +334,7 @@ def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_
     import numpy as np
 
     from .engine import NoiseSpec
-    from .synth import DATA_SEED, make_dataset, run_tinycnn
+    from .synth import DATA_SEED, make_dataset, tinycnn_accuracy
 
     if model != "tinycnn":
         raise ScenarioError(f"model: unknown model {model!r} (bundled: tinycnn)")
@@ -350,10 +350,9 @@ def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_
     # Overflow to inf/NaN is reported below as an exit 1, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            preds, stats = run_tinycnn(images, geom, noise)
+            accuracy, _, stats = tinycnn_accuracy(images, labels, geom, noise)
         except MemoryError as exc:
             raise ScenarioError(f"{too_many} ({exc})") from None
-    accuracy = float((preds == labels).mean())
     if not all(math.isfinite(v) for s in stats for v in (s.mean, s.std, s.min, s.max)):
         raise ScenarioError(
             f"noise: sigma_in, sigma_w, sigma_out of {sigma_in}, {sigma_w}, {sigma_out} "

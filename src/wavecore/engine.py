@@ -24,8 +24,8 @@ B separate calls. In the kernel the batch is the outermost block axis: small
 tiles share a block while one bus's products fit in 2^13 elements, so the
 scratch does not grow with the batch.
 
-The kernel turns numpy's ufunc buffering off for tiles whose inner axis is
-at least 64 elements long, and restores the caller's buffer size on return.
+The kernel turns numpy's ufunc buffering off (a buffer size of 16, the
+smallest numpy accepts) and restores the caller's buffer size on return.
 Buffered, numpy copies each broadcast operand of the per-bus multiply into
 8192-element buffers whenever the inner axis is shorter than about 4096,
 which triples the cost of a product; the copy changes no bits. Per product
@@ -37,8 +37,10 @@ on one 144 x 256 tile (2-vCPU x86 KVM guest, numpy 2.4, median of 9):
           256    256 positions    1.64 ns      1.07 ns
            64    256 cols         1.89 ns      1.19 ns
 
-Narrower inner axes, such as the 36 positions of the tinycnn tile, keep the
-buffer: there the copy into long loops is the faster way.
+Only numpy 2.4 has been measured. The buffer size holds for the whole block
+loop, so the reductions run under it too; numpy before 2.3 does not grow a
+buffered reduction's inner loop past the buffer size, and there they may run
+in 16-element chunks.
 """
 
 from __future__ import annotations
@@ -205,11 +207,9 @@ def inject_noise(q_value, sigma: float, rng):
 # numpy's per-call overhead costs little.
 _BLOCK = 1 << 13
 
-# Tiles with an inner axis at least this long multiply with ufunc buffering
-# off (see the module docstring): numpy buffers a broadcast operand only when
-# the inner axis is shorter than about half the buffer size, which must be a
-# multiple of 16.
-_UNBUFFERED_WIDTH = 64
+# The kernel's ufunc buffer size (see the module docstring): numpy buffers a
+# broadcast operand only when the inner axis is shorter than about half of
+# it, and it must be a multiple of 16.
 _UNBUFFERED_BUFSIZE = 16
 
 
@@ -235,10 +235,10 @@ def _detector_sums(x: np.ndarray, w: np.ndarray, tree: AccumulationTree) -> np.n
     product tensor would give, signed zeros included; that tensor is never
     built.
 
-    Tiles whose inner axis is at least ``_UNBUFFERED_WIDTH`` long run with
-    ufunc buffering off, and the caller's ``np.getbufsize()`` is restored on
-    return. Buffering decides only how numpy chunks the broadcast operands,
-    not which additions run or in what order, so the bits are the same.
+    The loop runs with ufunc buffering off, and the caller's
+    ``np.getbufsize()`` is restored on return. Buffering decides only how
+    numpy chunks the operands, not which additions run or in what order, so
+    the bits are the same (checked on numpy 2.4).
     """
     batch, rows, cols = w.shape
     positions = x.shape[2]
@@ -275,7 +275,7 @@ def _detector_sums(x: np.ndarray, w: np.ndarray, tree: AccumulationTree) -> np.n
 
     # set and restored by hand: numpy 1.x's errstate does not restore it
     caller_bufsize = np.getbufsize()
-    np.setbufsize(_UNBUFFERED_BUFSIZE if inner_width >= _UNBUFFERED_WIDTH else caller_bufsize)
+    np.setbufsize(_UNBUFFERED_BUFSIZE)
     try:
         for b0, b1 in batch_spans:
             for o0, o1 in outer_spans:

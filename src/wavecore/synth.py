@@ -94,6 +94,12 @@ def run_tinycnn(
     return preds, stats
 
 
+def tinycnn_accuracy(images: np.ndarray, labels: np.ndarray, geom: CoreGeometry, noise: NoiseSpec):
+    """(accuracy, predictions, layer statistics) of the bundled model on ``images``."""
+    preds, stats = run_tinycnn(images, geom, noise)
+    return float((preds == labels).mean()), preds, stats
+
+
 def simulate_accuracy(
     geom: CoreGeometry,
     noise: NoiseSpec,
@@ -102,6 +108,5 @@ def simulate_accuracy(
 ):
     """Accuracy of the bundled model on a fresh synthetic draw."""
     images, labels = make_dataset(n_samples, seed=data_seed)
-    preds, stats = run_tinycnn(images, geom, noise)
-    accuracy = float((preds == labels).mean())
+    accuracy, preds, stats = tinycnn_accuracy(images, labels, geom, noise)
     return accuracy, preds, labels, stats
