@@ -9,17 +9,21 @@ default file reproduces the reference 144x256 design point.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping
 
 SCHEMA_VERSION = 1
+
+# The shipped calibration: the one source of every field's default value.
+_SHIPPED_PATH = Path(__file__).parent / "data" / "default_catalog.json"
 
 _Q_ELECTRON = 1.602176634e-19  # C
 
@@ -133,9 +137,9 @@ class ComponentSpec:
 class LaserSpec:
     """Comb source: per-channel launch power and wall-plug efficiency."""
 
-    channel_power_dbm: float = 10.0
-    channels_per_comb: int = 9
-    wpe: float = 0.2
+    channel_power_dbm: float
+    channels_per_comb: int
+    wpe: float
 
     def __post_init__(self) -> None:
         check_number("laser.channel_power_dbm", self.channel_power_dbm)
@@ -147,11 +151,11 @@ class LaserSpec:
 class PdSpec:
     """Multi-port waveguide photodetector used for optical accumulation."""
 
-    responsivity_a_per_w: float = 0.82
-    dark_current_a: float = 43e-9
-    bandwidth_hz: float = 11.8e9
-    sensitivity_dbm: float = -25.0
-    max_ports: int = 16
+    responsivity_a_per_w: float
+    dark_current_a: float
+    bandwidth_hz: float
+    sensitivity_dbm: float
+    max_ports: int
 
     def __post_init__(self) -> None:
         check_number("pd.responsivity_a_per_w", self.responsivity_a_per_w, gt=0.0, le=1.2)
@@ -169,12 +173,10 @@ class ModulatorSpec:
     power model picks the entry matching the configured input precision.
     """
 
-    insertion_loss_db: float = 3.0
-    extinction_ratio_db: float = 1.17
-    energy_per_switch_fj: Mapping[int, float] = field(
-        default_factory=lambda: MappingProxyType({4: 131.6, 6: 119.8, 8: 117.1})
-    )
-    max_rate_hz: float = 1e9
+    insertion_loss_db: float
+    extinction_ratio_db: float
+    energy_per_switch_fj: Mapping[int, float]
+    max_rate_hz: float
 
     def __post_init__(self) -> None:
         check_number("sl_mzm.insertion_loss_db", self.insertion_loss_db, ge=0.0)
@@ -204,14 +206,14 @@ class PcmSpec:
     rewritten (1 us cycle = 1 MHz ceiling with the shipped defaults).
     """
 
-    program_energy_pj: float = 135.0
-    erase_energy_pj: float = 680.0
-    program_time_ns: float = 50.0
-    stabilize_program_ns: float = 200.0
-    erase_time_ns: float = 250.0
-    stabilize_erase_ns: float = 500.0
-    levels_bits: int = 7
-    program_std: float = 0.01
+    program_energy_pj: float
+    erase_energy_pj: float
+    program_time_ns: float
+    stabilize_program_ns: float
+    erase_time_ns: float
+    stabilize_erase_ns: float
+    levels_bits: int
+    program_std: float
 
     def __post_init__(self) -> None:
         check_number("pcm.program_energy_pj", self.program_energy_pj, ge=0.0)
@@ -234,9 +236,9 @@ class PcmSpec:
 class SoaSpec:
     """On-chip optical amplifier used by the amplified-fanout variant."""
 
-    facet_loss_db: float = 1.0
-    gain_db: float = 24.7
-    drive_power_mw: float = 410.0
+    facet_loss_db: float
+    gain_db: float
+    drive_power_mw: float
 
     def __post_init__(self) -> None:
         check_number("soa.facet_loss_db", self.facet_loss_db, ge=0.0)
@@ -246,7 +248,11 @@ class SoaSpec:
 
 @dataclass(frozen=True)
 class ConverterCoeffs:
-    """Technology coefficients for the converter resolution-rate scaling law."""
+    """Technology coefficients for the converter resolution-rate scaling law.
+
+    The shipped values are calibrated so that the reference 144x256 core at
+    the calibrated clock totals 14.4 W.
+    """
 
     p0_dac_ws: float
     p0_adc_ws: float
@@ -260,7 +266,7 @@ class ConverterCoeffs:
 class VcselSpec:
     """Programming emitter: electrical-to-optical conversion efficiency."""
 
-    efficiency: float = 0.548
+    efficiency: float
 
     def __post_init__(self) -> None:
         check_number("vcsel.efficiency", self.efficiency, gt=0.0, le=1.0)
@@ -270,36 +276,13 @@ class VcselSpec:
 class ThermalSpec:
     """Per-weight hold power for volatile thermo-optic weighting (calibration)."""
 
-    heater_hold_mw_per_weight: float = 6.55
+    heater_hold_mw_per_weight: float
 
     def __post_init__(self) -> None:
         check_number("thermo.heater_hold_mw_per_weight", self.heater_hold_mw_per_weight, ge=0.0)
 
 
-# Passive components every catalog must resolve (shipped defaults fill gaps).
-_DEFAULT_COMPONENTS: dict[str, ComponentSpec] = {
-    "awg": ComponentSpec("awg", 1.5, (600.0, 1800.0), notes="9-channel demux, crosstalk -24 dB"),
-    "escalator": ComponentSpec(
-        "escalator", 0.1, notes="per interlayer transition; derived default, not separately tabulated"
-    ),
-    "mmi_1x8": ComponentSpec("mmi_1x8", 0.14, (27.8, 11.3)),
-    "splitter_1x2": ComponentSpec("splitter_1x2", 0.02, (80.0, 10.0), notes="excess loss per stage"),
-    "wsc": ComponentSpec("wsc", 0.25, (100.0, 10.0), notes="crosstalk -20 dB"),
-    "voa": ComponentSpec(
-        "voa", 0.18, (116.0, 20.0), static_power_mw=70.0 / 6.0,
-        notes="trim bias calibrated at 1 dB average equalization (11.67 mW/dB slope)",
-    ),
-    "pcm_cell": ComponentSpec(
-        "pcm_cell", 0.675, (2.5, 3.0), notes="amorphous on-path loss: 2.5 um x 0.27 dB/um (derived)"
-    ),
-    "crossing": ComponentSpec("crossing", 0.23, (8.0, 8.0)),
-    "y_branch": ComponentSpec("y_branch", 0.1, notes="excess loss per stage; calibration default"),
-    "grating_coupler": ComponentSpec("grating_coupler", 1.43, (8.0, 8.0), notes="vertical programming port"),
-    "pd_block": ComponentSpec("pd_block", 0.0, (40.0, 100.0), notes="16-port detector footprint"),
-    "tia": ComponentSpec("tia", 0.0, static_power_mw=3.0, notes="per-column readout amplifier (calibration)"),
-}
-
-_SUBSYSTEM_FIELDS = {
+_SUBSYSTEMS = {
     "laser": LaserSpec,
     "pd": PdSpec,
     "sl_mzm": ModulatorSpec,
@@ -310,9 +293,18 @@ _SUBSYSTEM_FIELDS = {
     "thermo": ThermalSpec,
 }
 
-# Converter coefficients are calibrated so that the reference 144x256 core at
-# the calibrated clock totals 14.4 W (see shipped catalog notes).
-_DEFAULT_CONVERTERS = ConverterCoeffs(p0_dac_ws=1.3767e-13, p0_adc_ws=1.3767e-13)
+# The fields a catalog entry may set, per entry class; a component's name is its key.
+_ENTRY_FIELDS = {
+    cls: frozenset(f.name for f in fields(cls)) - {"name"} for cls in (ComponentSpec, *_SUBSYSTEMS.values())
+}
+
+
+@functools.cache
+def _shipped() -> dict[str, dict[str, Any]]:
+    """The shipped file's entries by name. Every catalog has exactly these
+    entries; an entry or field a catalog leaves out takes the value here."""
+    data = json.loads(_SHIPPED_PATH.read_bytes())
+    return {name: entry for name, entry in data.items() if name != "schema_version"}
 
 
 @dataclass(frozen=True)
@@ -320,8 +312,8 @@ class DeviceCatalog:
     """Immutable component parameter set shared by all models.
 
     Safe to share across concurrent evaluations after load. ``defaulted``
-    lists the fields that were absent from the source file and filled from
-    shipped defaults.
+    lists the entries that were absent from the source file and taken whole
+    from the shipped file.
     """
 
     components: Mapping[str, ComponentSpec]
@@ -339,15 +331,12 @@ class DeviceCatalog:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
-        missing = sorted(set(_DEFAULT_COMPONENTS) - set(self.components))
+        missing = sorted(_shipped().keys() - _SUBSYSTEMS.keys() - self.components.keys())
         if missing:
             raise CatalogError(f"catalog is missing required components: {', '.join(missing)}")
 
     def loss_db(self, name: str) -> float:
-        try:
-            return self.components[name].insertion_loss_db
-        except KeyError:
-            raise CatalogError(f"unknown component {name!r}") from None
+        return self.component(name).insertion_loss_db
 
     def component(self, name: str) -> ComponentSpec:
         try:
@@ -361,20 +350,6 @@ class DeviceCatalog:
         for name, value in loss_db.items():
             comps[name] = replace(self.component(name), insertion_loss_db=value)
         return replace(self, components=comps)
-
-
-def _build_component(name: str, raw: Mapping[str, Any]) -> ComponentSpec:
-    unknown = set(raw) - {"insertion_loss_db", "area_um", "static_power_mw", "notes"}
-    if unknown:
-        raise CatalogError(f"{name}: unknown fields {sorted(unknown)}")
-    base = _DEFAULT_COMPONENTS[name]
-    return ComponentSpec(
-        name=name,
-        insertion_loss_db=raw.get("insertion_loss_db", base.insertion_loss_db),
-        area_um=raw.get("area_um", base.area_um),
-        static_power_mw=raw.get("static_power_mw", base.static_power_mw),
-        notes=str(raw.get("notes", base.notes)),
-    )
 
 
 def _energy_table(raw: Any) -> dict[int, Any]:
@@ -391,25 +366,27 @@ def _energy_table(raw: Any) -> dict[int, Any]:
     return table
 
 
-def _build_subsystem(name: str, cls: type, raw: Mapping[str, Any]) -> Any:
-    unknown = set(raw) - {f.name for f in fields(cls)}
+def _build_entry(name: str, raw: Mapping[str, Any]) -> Any:
+    """The entry ``name``: its shipped fields with those of ``raw`` laid over them."""
+    cls = _SUBSYSTEMS.get(name, ComponentSpec)
+    unknown = raw.keys() - _ENTRY_FIELDS[cls]
     if unknown:
         raise CatalogError(f"{name}: unknown fields {sorted(unknown)}")
-    kwargs = dict(raw)
-    if name == "sl_mzm" and "energy_per_switch_fj" in kwargs:
+    kwargs = {**_shipped()[name], **raw}
+    if cls is ComponentSpec:
+        kwargs.update(name=name, notes=str(kwargs.get("notes", "")))
+    elif name == "sl_mzm":
         kwargs["energy_per_switch_fj"] = _energy_table(kwargs["energy_per_switch_fj"])
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise CatalogError(f"{name}: {exc}") from None
+    return cls(**kwargs)
 
 
 def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
     """Load and validate a catalog JSON file.
 
-    Missing optional entries are filled from shipped defaults and recorded in
-    ``DeviceCatalog.defaulted``. Unknown component names are rejected so that
-    typos cannot silently drop a loss term.
+    An entry the file leaves out is the shipped file's, and is recorded in
+    ``DeviceCatalog.defaulted``; a field an entry leaves out is the shipped
+    entry's. Unknown component names are rejected so that typos cannot
+    silently drop a loss term.
     """
     path = Path(path)
     try:
@@ -427,43 +404,33 @@ def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
     if version != SCHEMA_VERSION:
         raise CatalogError(f"unsupported catalog schema_version {version!r} (expected {SCHEMA_VERSION})")
 
-    components: dict[str, ComponentSpec] = {}
-    subsystems: dict[str, Any] = {}
-    defaulted: list[str] = []
+    shipped = _shipped()
+    entries: dict[str, Any] = {}
     for name, raw in data.items():
         if name == "schema_version":
             continue
         if not isinstance(raw, dict):
             raise CatalogError(f"{name}: entry must be a JSON object")
+        if name not in shipped:
+            raise CatalogError(f"unknown component name {name!r}")
         try:
-            if name in _DEFAULT_COMPONENTS:
-                components[name] = _build_component(name, raw)
-            elif name in _SUBSYSTEM_FIELDS:
-                subsystems[name] = _build_subsystem(name, _SUBSYSTEM_FIELDS[name], raw)
-            else:
-                raise CatalogError(f"unknown component name {name!r}")
+            entries[name] = _build_entry(name, raw)
         except ValueError as exc:                              # the specs' checks name component.field
             raise CatalogError(str(exc)) from None
-
-    for name, spec in _DEFAULT_COMPONENTS.items():
-        if name not in components:
-            components[name] = spec
-            defaulted.append(name)
-    for name, cls in _SUBSYSTEM_FIELDS.items():
-        if name not in subsystems:
-            subsystems[name] = _DEFAULT_CONVERTERS if name == "converters" else cls()
-            defaulted.append(name)
+    defaulted = [name for name in shipped if name not in entries]
+    for name in defaulted:
+        entries[name] = _build_entry(name, {})
 
     return DeviceCatalog(
-        components=components,
-        laser=subsystems["laser"],
-        pd=subsystems["pd"],
-        modulator=subsystems["sl_mzm"],
-        pcm=subsystems["pcm"],
-        soa=subsystems["soa"],
-        converters=subsystems["converters"],
-        vcsel=subsystems["vcsel"],
-        thermo=subsystems["thermo"],
+        components={name: spec for name, spec in entries.items() if name not in _SUBSYSTEMS},
+        laser=entries["laser"],
+        pd=entries["pd"],
+        modulator=entries["sl_mzm"],
+        pcm=entries["pcm"],
+        soa=entries["soa"],
+        converters=entries["converters"],
+        vcsel=entries["vcsel"],
+        thermo=entries["thermo"],
         defaulted=tuple(sorted(defaulted)),
         source_sha256=hashlib.sha256(raw_bytes).hexdigest(),
     )
@@ -473,7 +440,7 @@ def default_catalog_path() -> Path:
     env = os.environ.get("WAVECORE_CATALOG")
     if env:
         return Path(env)
-    return Path(__file__).parent / "data" / "default_catalog.json"
+    return _SHIPPED_PATH
 
 
 def default_catalog() -> DeviceCatalog:

@@ -1,10 +1,11 @@
 """Command-line surface: reproducible evaluations, ablations, and sweeps.
 
 Exit codes: 0 for a feasible design point, 1 for configuration/validation
-errors (with field-level diagnostics on stderr), 2 for a design point the
-models flag as infeasible. All evaluations are pure functions of their
-inputs; ablation variants and sweep points run one after another, in the
-order given. Only ``simulate`` loads the numpy simulator, on first use.
+errors, click's usage errors included (with field-level diagnostics on
+stderr), 2 only for a design point the models flag as infeasible. All
+evaluations are pure functions of their inputs; ablation variants and
+sweep points run one after another, in the order given. Only ``simulate``
+loads the numpy simulator, on first use.
 """
 
 from __future__ import annotations
@@ -194,7 +195,22 @@ def _perf(scenario: Scenario, geom: CoreGeometry, layers, power: PowerReport) ->
     return estimate_perf(sched, power, scenario.f_hz, scenario.catalog, allow_overclock=scenario.allow_overclock)
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group. A usage error in a command's options (text that is
+    not a number or a choice, an unknown option) exits 1 naming the option,
+    as any other input error does, so that exit 2 means only infeasible."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except click.BadParameter as exc:
+            raise ScenarioError(f"{exc.param.opts[0]}: {exc.message}") from None
+        except click.UsageError as exc:
+            option = getattr(exc, "option_name", None) or "command"
+            raise ScenarioError(f"{option}: {exc.format_message()}") from None
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="wavecore")
 def main() -> None:
     """Design-space exploration for WDM photonic in-memory tensor cores."""
@@ -321,12 +337,17 @@ def sweep(cores_text: str, **kwargs) -> None:
 
 @main.command()
 @click.option("--model", default="tinycnn", show_default=True, help="Bundled model name.")
-@click.option("--core", "core_text", default="144x256", show_default=True)
-@click.option("--sigma-in", type=float, default=0.0031, show_default=True)
-@click.option("--sigma-w", type=float, default=0.01, show_default=True)
-@click.option("--sigma-out", type=float, default=0.01, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=60, show_default=True)
+@click.option("--core", "core_text", default="144x256", show_default=True,
+              help="Geometry HxW; sets how the model's layers are tiled.")
+@click.option("--sigma-in", type=float, default=0.0031, show_default=True,
+              help="Input modulation noise: std relative to each input.")
+@click.option("--sigma-w", type=float, default=0.01, show_default=True,
+              help="PCM weight programming noise: std relative to each weight.")
+@click.option("--sigma-out", type=float, default=0.01, show_default=True,
+              help="Detector readout noise: std relative to each reading.")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Noise seed; image i draws from seed + i. The dataset is fixed.")
+@click.option("--samples", type=int, default=60, show_default=True, help="Number of synthetic images to classify.")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table", show_default=True)
 def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_out: float,
              seed: int, samples: int, fmt: str) -> None:

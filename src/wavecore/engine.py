@@ -37,10 +37,8 @@ on one 144 x 256 tile (2-vCPU x86 KVM guest, numpy 2.4, median of 9):
           256    256 positions    1.64 ns      1.07 ns
            64    256 cols         1.89 ns      1.19 ns
 
-Only numpy 2.4 has been measured. The buffer size holds for the whole block
-loop, so the reductions run under it too; numpy before 2.3 does not grow a
-buffered reduction's inner loop past the buffer size, and there they may run
-in 16-element chunks.
+The buffer size holds for the whole block loop, so the reductions run under
+it too. Only numpy 2.4, the floor in pyproject.toml, has been measured.
 """
 
 from __future__ import annotations
@@ -273,10 +271,9 @@ def _detector_sums(x: np.ndarray, w: np.ndarray, tree: AccumulationTree) -> np.n
     sum_buf = np.empty(block)
     bus_buf = np.empty(block)
 
-    # set and restored by hand: numpy 1.x's errstate does not restore it
-    caller_bufsize = np.getbufsize()
-    np.setbufsize(_UNBUFFERED_BUFSIZE)
-    try:
+    # errstate restores the caller's buffer size on exit, also on an error
+    with np.errstate():
+        np.setbufsize(_UNBUFFERED_BUFSIZE)
         for b0, b1 in batch_spans:
             for o0, o1 in outer_spans:
                 for i0, i1 in inner_spans:
@@ -298,8 +295,6 @@ def _detector_sums(x: np.ndarray, w: np.ndarray, tree: AccumulationTree) -> np.n
                                 np.add.reduce(products, axis=0, out=bus)
                                 level += bus
                         out[b0:b1, d, o0:o1, i0:i1] = level
-    finally:
-        np.setbufsize(caller_bufsize)
     return level2
 
 

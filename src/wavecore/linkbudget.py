@@ -271,8 +271,7 @@ class FeasibilityVerdict:
 
 def fanout_loss(w: int) -> float:
     """Ideal power-division loss of a 1-to-w broadcast: 10log10(w)."""
-    if not w >= 1:
-        raise ValueError(f"fanout width must be >= 1, got {w}")
+    check_number("fanout width", w, ge=1)
     return 10.0 * math.log10(w)
 
 

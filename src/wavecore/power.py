@@ -34,15 +34,14 @@ _TOL_FRACTION = 1e-9
 
 @dataclass(frozen=True)
 class PrecisionSpec:
-    """Datapath bit widths: modulator input, stored weight, readout output."""
+    """Datapath bit widths: modulator input and readout output. The stored
+    weight's resolution is the catalog's ``pcm.levels_bits``."""
 
     b_in: int = 6
-    b_w: int = 7
     b_out: int = 8
 
     def __post_init__(self) -> None:
         check_number("b_in", self.b_in, integer=True, ge=1, le=16)
-        check_number("b_w", self.b_w, integer=True, ge=1, le=16)
         check_number("b_out", self.b_out, integer=True, ge=1, le=16)
 
 
@@ -128,10 +127,8 @@ def laser_power(
     output code range, corrected for the usable modulation depth of a finite
     extinction ratio, divided by the wall-plug efficiency.
     """
-    if not er_db > 0.0:
-        raise ValueError(f"extinction ratio must be > 0 dB, got {er_db!r} (modulator unusable)")
-    if not 0.0 < wpe <= 1.0:
-        raise ValueError(f"wpe must be in (0, 1], got {wpe!r}")
+    check_number("extinction ratio in dB", er_db, gt=0.0)
+    check_number("wpe", wpe, gt=0.0, le=1.0)
     launched_mw = 10.0 ** ((sensitivity_dbm + il_db) / 10.0)
     depth = 1.0 - 10.0 ** (-er_db / 10.0)
     return launched_mw * (2.0 ** b_out) / wpe / depth * 1e-3
@@ -139,10 +136,8 @@ def laser_power(
 
 def dac_power(bits: int, f_hz: float, p0_ws: float) -> float:
     """Converter power (W) under the resolution-rate scaling law p0 * 2^b/(b+1) * f."""
-    if not bits >= 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
-    if not f_hz > 0.0:
-        raise ValueError(f"f_hz must be > 0, got {f_hz!r}")
+    check_number("bits", bits, ge=1)
+    check_number("f_hz", f_hz, gt=0.0)
     return p0_ws * (2.0 ** bits) / (bits + 1) * f_hz
 
 
@@ -152,10 +147,8 @@ def vcsel_program_energy(e_opt_pj: float, gc_loss_db: float, eta_vcsel: float) -
     Backs the optical write/erase energy out through the vertical coupler loss
     and the emitter wall-plug efficiency.
     """
-    if not 0.0 < eta_vcsel <= 1.0:
-        raise ValueError(f"eta_vcsel must be in (0, 1], got {eta_vcsel!r}")
-    if not e_opt_pj >= 0.0:
-        raise ValueError(f"optical energy must be >= 0, got {e_opt_pj!r}")
+    check_number("eta_vcsel", eta_vcsel, gt=0.0, le=1.0)
+    check_number("e_opt_pj", e_opt_pj, ge=0.0)
     return e_opt_pj * 10.0 ** (gc_loss_db / 10.0) / eta_vcsel
 
 
@@ -180,8 +173,7 @@ def total_power(
     ``1.0`` reports at the optical launch budget level (the variant-comparison
     convention).
     """
-    if not f_hz > 0.0:
-        raise ValueError(f"f_hz must be > 0, got {f_hz!r}")
+    check_number("f_hz", f_hz, gt=0.0)
     effective_wpe = cat.laser.wpe if wpe is None else wpe
 
     link = critical_path_il(geom, cat, variant)

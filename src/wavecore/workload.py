@@ -197,8 +197,7 @@ def schedule(
 
 def peak_tops(geom: CoreGeometry, f_hz: float) -> float:
     """Peak throughput in TOPS: 2 ops (multiply + add) per cell per cycle."""
-    if not f_hz > 0.0:
-        raise ValueError(f"f_hz must be > 0, got {f_hz!r}")
+    check_number("f_hz", f_hz, gt=0.0)
     return 2.0 * geom.cells * f_hz / 1e12
 
 
@@ -281,8 +280,7 @@ def estimate_perf(
     cell converts the optical program/erase pulses to electrical emitter
     energy through the vertical coupler loss and emitter efficiency.
     """
-    if not f_hz > 0.0:
-        raise ValueError(f"f_hz must be > 0, got {f_hz!r}")
+    check_number("f_hz", f_hz, gt=0.0)
     if not sched.entries:
         raise ValueError("schedule is empty")
     if f_hz > cat.modulator.max_rate_hz and not allow_overclock:

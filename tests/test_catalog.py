@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from wavecore import (
     CatalogError,
-    PdSpec,
     db_to_linear,
     dbm_to_mw,
     linear_to_db,
@@ -17,9 +16,24 @@ from wavecore import (
     pd_min_power,
     snr_required,
 )
-from wavecore.catalog import default_catalog_path
+from wavecore import catalog as catalog_module
+from wavecore.catalog import default_catalog, default_catalog_path
 
 Q = 1.602176634e-19
+SHIPPED = json.loads(default_catalog_path().read_text())
+ENTRY_NAMES = [name for name in SHIPPED if name != "schema_version"]
+
+
+def entry(cat, name):
+    """The spec a catalog built for the file entry ``name``."""
+    if name in cat.components:
+        return cat.components[name]
+    return getattr(cat, "modulator" if name == "sl_mzm" else name)
+
+
+def write_catalog(path, doc):
+    path.write_text(json.dumps({"schema_version": 1, **doc}))
+    return path
 
 
 class TestConversions:
@@ -177,6 +191,49 @@ class TestLoader:
         assert catalog.modulator.switch_energy_fj(12) == 117.1
 
 
+class TestShippedDefaults:
+    """The shipped file is the one source of default values."""
+
+    @pytest.fixture
+    def shipped_copy(self, tmp_path, monkeypatch):
+        """A copy of the shipped file standing in for it; edit it before the first load."""
+        path = tmp_path / "shipped.json"
+        path.write_bytes(catalog_module._SHIPPED_PATH.read_bytes())
+        monkeypatch.setattr(catalog_module, "_SHIPPED_PATH", path)
+        catalog_module._shipped.cache_clear()
+        yield path
+        catalog_module._shipped.cache_clear()
+
+    @pytest.mark.parametrize("name", ENTRY_NAMES)
+    def test_missing_entry_is_the_shipped_one(self, tmp_path, catalog, name):
+        doc = {key: value for key, value in SHIPPED.items() if key not in ("schema_version", name)}
+        cat = load_catalog(write_catalog(tmp_path / "cat.json", doc))
+        assert entry(cat, name) == entry(catalog, name)
+        assert cat.defaulted == (name,)
+
+    def test_missing_fields_are_the_shipped_ones(self, tmp_path, catalog):
+        cat = load_catalog(write_catalog(tmp_path / "cat.json", {"pcm": {"program_std": 0.02}}))
+        assert cat.pcm == dataclasses.replace(catalog.pcm, program_std=0.02)
+        assert "pcm" not in cat.defaulted
+
+    def test_defaults_follow_the_shipped_file(self, tmp_path, shipped_copy):
+        doc = json.loads(shipped_copy.read_text())
+        doc["pcm"]["erase_energy_pj"] = 700.0
+        doc["awg"]["insertion_loss_db"] = 2.0
+        shipped_copy.write_text(json.dumps(doc))
+        cat = load_catalog(write_catalog(tmp_path / "cat.json", {"pcm": {"program_std": 0.02}}))
+        assert cat.pcm.erase_energy_pj == 700.0 and cat.pcm.program_std == 0.02
+        assert cat.loss_db("awg") == 2.0
+
+    def test_defaults_ignore_the_environment(self, tmp_path, monkeypatch, shipped_copy, catalog):
+        doc = json.loads(shipped_copy.read_text())
+        doc["pcm"]["erase_energy_pj"] = 700.0
+        monkeypatch.setenv("WAVECORE_CATALOG", str(write_catalog(tmp_path / "env.json", doc)))
+        assert default_catalog().pcm.erase_energy_pj == 700.0
+        cat = load_catalog(write_catalog(tmp_path / "cat.json", {"pcm": {"program_std": 0.02}}))
+        assert cat.pcm == dataclasses.replace(catalog.pcm, program_std=0.02)
+
+
 class TestSnr:
     def test_eight_bit(self):
         assert snr_required(8) == pytest.approx(49.92)
@@ -193,34 +250,34 @@ class TestSnr:
 
 
 class TestPdMinPower:
-    def test_closed_form_snr1_no_dark(self):
-        pd = PdSpec(responsivity_a_per_w=1.0, dark_current_a=0.0, bandwidth_hz=1e10)
+    def test_closed_form_snr1_no_dark(self, catalog):
+        pd = dataclasses.replace(catalog.pd, responsivity_a_per_w=1.0, dark_current_a=0.0, bandwidth_hz=1e10)
         assert pd_min_power(pd, 0.0) == pytest.approx(2 * Q * 1e10, rel=1e-12)
 
     def test_reference_detector_at_8bit_snr(self, catalog):
         power = pd_min_power(catalog.pd, snr_required(8))
         assert power == pytest.approx(4.5275e-4, rel=1e-3)
 
-    def test_bandwidth_linearity_at_snr1(self):
-        pd1 = PdSpec(responsivity_a_per_w=0.8, dark_current_a=0.0, bandwidth_hz=1e10)
-        pd2 = PdSpec(responsivity_a_per_w=0.8, dark_current_a=0.0, bandwidth_hz=2e10)
+    def test_bandwidth_linearity_at_snr1(self, catalog):
+        pd1 = dataclasses.replace(catalog.pd, responsivity_a_per_w=0.8, dark_current_a=0.0, bandwidth_hz=1e10)
+        pd2 = dataclasses.replace(pd1, bandwidth_hz=2e10)
         assert pd_min_power(pd2, 0.0) == pytest.approx(2 * pd_min_power(pd1, 0.0), rel=1e-12)
 
     @given(
         snr=st.floats(min_value=0.0, max_value=60.0),
         delta=st.floats(min_value=0.1, max_value=10.0),
     )
-    def test_monotone_in_snr(self, snr, delta):
-        pd = PdSpec()
+    def test_monotone_in_snr(self, catalog, snr, delta):
+        pd = catalog.pd
         assert pd_min_power(pd, snr + delta) > pd_min_power(pd, snr)
 
     @given(dark=st.floats(min_value=0.0, max_value=1e-6), extra=st.floats(min_value=1e-9, max_value=1e-6))
-    def test_monotone_in_dark_current(self, dark, extra):
-        low = PdSpec(dark_current_a=dark)
-        high = PdSpec(dark_current_a=dark + extra)
+    def test_monotone_in_dark_current(self, catalog, dark, extra):
+        low = dataclasses.replace(catalog.pd, dark_current_a=dark)
+        high = dataclasses.replace(catalog.pd, dark_current_a=dark + extra)
         assert pd_min_power(high, 30.0) > pd_min_power(low, 30.0)
 
-    def test_monotone_in_bandwidth(self):
-        low = PdSpec(bandwidth_hz=1e9)
-        high = PdSpec(bandwidth_hz=2e9)
+    def test_monotone_in_bandwidth(self, catalog):
+        low = dataclasses.replace(catalog.pd, bandwidth_hz=1e9)
+        high = dataclasses.replace(catalog.pd, bandwidth_hz=2e9)
         assert pd_min_power(high, 40.0) > pd_min_power(low, 40.0)

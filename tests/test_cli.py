@@ -441,6 +441,11 @@ class TestSimulate:
         (["ablate", "--variants", "planar2d:crossing_count"], "variants[0]"),
         (["ablate", "--variants", "kcl,planar2d:crossing_count=x"], "variants[1]"),
         (["ablate", "--variants", "kcl,soa,planar2d:crossing_count=-5"], "variants[2]"),
+        # click's usage errors name the option
+        (["linkbudget", "--freq", "None"], "--freq"),
+        (["simulate", "--seed", "1.5"], "--seed"),
+        (["linkbudget", "--nope"], "--nope"),
+        (["evaluate", "--format", "xml"], "--format"),
     ],
 )
 def test_exit_1_message_starts_with_the_field(runner, monkeypatch, args, field):

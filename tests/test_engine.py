@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -18,7 +19,6 @@ from wavecore import (
     pcm_program,
     quantize,
 )
-from wavecore.catalog import PcmSpec
 from wavecore.engine import DIFFERENTIAL_PAIR, ZERO_NOISE, _detector_sums, unit_step_out_quant
 from wavecore.rng import keyed_rng, keyed_streams
 
@@ -554,7 +554,7 @@ def assert_regression_fixture(name):
 
 class TestPcmProgramming:
     def test_zero_std_levels_exact(self, catalog):
-        pcm = PcmSpec(program_std=0.0)
+        pcm = dataclasses.replace(catalog.pcm, program_std=0.0)
         w = np.linspace(0, 1, 8).reshape(2, 4)
         levels, values, _ = pcm_program(w, pcm)
         grid = QuantSpec(bits=7, lo=0.0, hi=1.0)
@@ -584,7 +584,7 @@ class TestPcmProgramming:
         assert bank.total_program_pj == pytest.approx(2 * 16 * 135.0)
 
     def test_programming_noise_is_relative(self, catalog):
-        pcm = PcmSpec(program_std=0.01)
+        pcm = dataclasses.replace(catalog.pcm, program_std=0.01)
         w = np.full((200, 200), 0.5)
         _, values, _ = pcm_program(w, pcm, seed=3)
         grid_value = quantize(0.5, QuantSpec(bits=7, lo=0.0, hi=1.0))[1]

@@ -3,8 +3,9 @@ core sizes, clocks, ``simulate`` options and raw input file bytes through the
 CLI, in process.
 
 Every draw must end in exit 0, 1 or 2 without a traceback; JSON stdout must
-parse without NaN or Infinity; and an exit 1 must name what it rejects (as
-must click's exit 2 for option text that is not a number at all).
+parse without NaN or Infinity; an exit 1 must name what it rejects (option
+text that is not a number at all is rejected naming the option); and an exit
+2 must report an infeasible design point.
 The examples are derandomized, so every run checks the same ones; for a
 longer search, raise ``max_examples`` and drop ``derandomize``.
 """
@@ -47,11 +48,10 @@ ordinary = st.one_of(st.integers(0, 300), st.floats(0.0, 100.0))
 values = st.one_of(wrong_types, non_finite, negatives, huge_integers, large_floats, empty, ordinary)
 
 # Every exit 1 is one "Error: <field>: ..." line; these are the fields a
-# drawn input can be rejected under.
+# drawn input can be rejected under, and the options whose text click rejects.
 ERROR_LINE = re.compile(
-    r"^Error: (catalog|workload|variant|power|perf|link_budget|core|freq|noise|samples): ", re.M
+    r"^Error: (catalog|workload|variant|power|perf|link_budget|core|freq|noise|samples|--[a-z-]+): ", re.M
 )
-USAGE_LINE = re.compile(r"^Error: Invalid value for '--[a-z-]+': ", re.M)
 
 # option text: drawn values as the CLI sees them, and a few hand-picked forms
 option_text = st.one_of(values.map(str), st.sampled_from(["", " ", "nan", "-inf", "1e400", "0x10", "1_0", " 3 "]))
@@ -81,12 +81,11 @@ def invoke(argv, fmt):
     result = CliRunner().invoke(main, [*argv, "--format", fmt])
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
-    if result.exit_code == 2 and not result.stdout:
-        # click rejected an option's text before the command ran (not a number, say)
-        assert USAGE_LINE.search(result.output), result.output
-        return None, result.output
     if fmt == "json" and result.exit_code != 1:
-        json.loads(result.stdout, parse_constant=lambda token: pytest.fail(f"{token} in JSON output"))
+        doc = json.loads(result.stdout, parse_constant=lambda token: pytest.fail(f"{token} in JSON output"))
+    if result.exit_code == 2:                   # only an infeasible design point
+        infeasible = doc.get("feasible") is False if fmt == "json" else "INFEASIBLE: " in result.stdout
+        assert infeasible, result.output
     if result.exit_code == 1:
         match = ERROR_LINE.search(result.output)
         assert match, result.output
@@ -207,6 +206,8 @@ def test_simulate_options(data, wild, fmt):
     }
     options[wild] = value = data.draw(SIMULATE_WILD[wild])
     field, output = invoke(["simulate", "--core", "9x8", *(text for item in options.items() for text in item)], fmt)
-    if field is not None:
+    if field is not None and field.startswith("--"):
+        assert field == wild, output            # click rejected the text before the command ran
+    elif field is not None:
         assert field == ("samples" if wild == "--samples" else "noise"), output
         assert (value if wild == "--samples" else wild.removeprefix("--").replace("-", "_")) in output, output

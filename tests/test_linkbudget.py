@@ -18,7 +18,6 @@ from wavecore import (
     fanout_loss,
     variant_feasibility,
 )
-from wavecore.catalog import LaserSpec, PdSpec
 from wavecore.linkbudget import VARIANTS
 
 PASSIVE_NAMES = ("awg", "escalator", "mmi_1x8", "splitter_1x2", "wsc", "pcm_cell", "voa")
@@ -194,9 +193,9 @@ class TestFeasibility:
         assert verdict.feasible
         assert verdict.margin_db == pytest.approx(10 - report.total_db + 25, abs=1e-12)
 
-    def test_boundary_zero_margin_is_feasible(self):
-        laser = LaserSpec(channel_power_dbm=10.0)
-        pd = PdSpec(sensitivity_dbm=-25.0)
+    def test_boundary_zero_margin_is_feasible(self, catalog):
+        laser = dataclasses.replace(catalog.laser, channel_power_dbm=10.0)
+        pd = dataclasses.replace(catalog.pd, sensitivity_dbm=-25.0)
         report = critical_path_il(CoreGeometry(144, 256), _catalog_with_total(35.0), Baseline3D())
         verdict = variant_feasibility(report, laser, pd)
         assert verdict.margin_db == pytest.approx(0.0, abs=1e-9)

@@ -1,6 +1,6 @@
 """Every numeric field of every spec is checked by ``catalog.check_number``:
 finite, an integer (never a bool) where the field is one, and in range.
-The roll-up functions' own argument checks fail on NaN."""
+The roll-up functions' own argument checks fail on NaN and infinity."""
 
 import dataclasses
 import math
@@ -8,44 +8,35 @@ import math
 import numpy as np
 import pytest
 
-from wavecore.catalog import (
-    ComponentSpec,
-    ConverterCoeffs,
-    LaserSpec,
-    ModulatorSpec,
-    PcmSpec,
-    PdSpec,
-    SoaSpec,
-    ThermalSpec,
-    VcselSpec,
-    check_number,
-)
+from wavecore.catalog import ComponentSpec, check_number, default_catalog
 from wavecore.engine import AccumulationTree, NoiseSpec, QuantSpec
 from wavecore.linkbudget import CoherentCombining, CoreGeometry, MrrAccumulation, Planar2D, SoaAssisted, fanout_loss
 from wavecore.power import PrecisionSpec, dac_power, laser_power, total_power, vcsel_program_energy
 from wavecore.workload import ConvLayerSpec, estimate_perf, peak_tops, resnet50_workload, schedule
 
-# Each class with the arguments it needs beyond its defaults.
+CATALOG = default_catalog()
+# One valid instance of each class; the tests vary one field at a time with
+# dataclasses.replace. The catalog's specs come from the shipped file.
 SPECS = [
-    (ComponentSpec, {"name": "wsc", "insertion_loss_db": 0.25, "area_um": (100.0, 10.0), "static_power_mw": 1.0}),
-    (LaserSpec, {}),
-    (PdSpec, {}),
-    (ModulatorSpec, {}),
-    (PcmSpec, {}),
-    (SoaSpec, {}),
-    (ConverterCoeffs, {"p0_dac_ws": 1e-13, "p0_adc_ws": 1e-13}),
-    (VcselSpec, {}),
-    (ThermalSpec, {}),
-    (CoreGeometry, {"rows": 9, "cols": 8}),
-    (SoaAssisted, {}),
-    (Planar2D, {"crossing_count": 3, "ybranch_count": 2}),
-    (MrrAccumulation, {}),
-    (CoherentCombining, {}),
-    (PrecisionSpec, {}),
-    (QuantSpec, {"bits": 6}),
-    (NoiseSpec, {}),
-    (AccumulationTree, {}),
-    (ConvLayerSpec, {"name": "l"}),
+    CATALOG.component("voa"),                   # every optional field set
+    CATALOG.laser,
+    CATALOG.pd,
+    CATALOG.modulator,
+    CATALOG.pcm,
+    CATALOG.soa,
+    CATALOG.converters,
+    CATALOG.vcsel,
+    CATALOG.thermo,
+    CoreGeometry(rows=9, cols=8),
+    SoaAssisted(),
+    Planar2D(crossing_count=3, ybranch_count=2),
+    MrrAccumulation(),
+    CoherentCombining(),
+    PrecisionSpec(),
+    QuantSpec(bits=6),
+    NoiseSpec(),
+    AccumulationTree(),
+    ConvLayerSpec(name="l"),
 ]
 NUMERIC_TYPES = {"float": False, "float | None": False, "int": True, "int | None": True}
 NOT_NUMBERS = [math.nan, math.inf, -math.inf, True, "1", None, 10**400]
@@ -56,24 +47,25 @@ def value_id(value):
 
 
 def numeric_fields():
-    for cls, base in SPECS:
-        for field in dataclasses.fields(cls):
+    for spec in SPECS:
+        for field in dataclasses.fields(spec):
             if field.type in NUMERIC_TYPES:
-                yield pytest.param(cls, base, field.name, NUMERIC_TYPES[field.type], id=f"{cls.__name__}.{field.name}")
+                yield pytest.param(spec, field.name, NUMERIC_TYPES[field.type],
+                                   id=f"{type(spec).__name__}.{field.name}")
 
 
-@pytest.mark.parametrize("cls, base", SPECS, ids=[cls.__name__ for cls, _ in SPECS])
-def test_defaults_construct(cls, base):
-    cls(**base)
+@pytest.mark.parametrize("spec", SPECS, ids=[type(spec).__name__ for spec in SPECS])
+def test_defaults_construct(spec):
+    dataclasses.replace(spec)
 
 
-@pytest.mark.parametrize("cls, base, name, integer", numeric_fields())
-def test_field_rejects_non_numbers_naming_it(cls, base, name, integer):
-    optional = {f.name: f.type for f in dataclasses.fields(cls)}[name].endswith("None")
+@pytest.mark.parametrize("spec, name, integer", numeric_fields())
+def test_field_rejects_non_numbers_naming_it(spec, name, integer):
+    optional = {f.name: f.type for f in dataclasses.fields(spec)}[name].endswith("None")
     bad = [v for v in NOT_NUMBERS if not (optional and v is None)] + ([2.5, 3.0] if integer else [])
     for value in bad:
         with pytest.raises(ValueError, match=name):
-            cls(**{**base, name: value})
+            dataclasses.replace(spec, **{name: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, True, "1", 10**400, 0.0, -1.0], ids=value_id)
@@ -85,7 +77,7 @@ def test_component_area_elements_are_checked(value):
 @pytest.mark.parametrize("value", [math.nan, math.inf, True, "1", 10**400, -1.0], ids=value_id)
 def test_modulator_energy_entries_are_checked(value):
     with pytest.raises(ValueError, match=r"sl_mzm\.energy_per_switch_fj\[6\]"):
-        ModulatorSpec(energy_per_switch_fj={4: 131.6, 6: value})
+        dataclasses.replace(CATALOG.modulator, energy_per_switch_fj={4: 131.6, 6: value})
 
 
 def test_component_loss_and_area_are_stored_as_floats():
@@ -144,16 +136,16 @@ def design_point(catalog):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda cat, geom, power, sched: peak_tops(geom, math.nan),
-        lambda cat, geom, power, sched: dac_power(8, math.nan, 1e-13),
-        lambda cat, geom, power, sched: dac_power(math.nan, 1e9, 1e-13),
-        lambda cat, geom, power, sched: total_power(geom, cat, f_hz=math.nan),
-        lambda cat, geom, power, sched: laser_power(-25.0, 30.0, 8, math.nan, 1.0),
-        lambda cat, geom, power, sched: laser_power(-25.0, 30.0, 8, 1.17, math.nan),
-        lambda cat, geom, power, sched: vcsel_program_energy(math.nan, 1.43, 0.548),
-        lambda cat, geom, power, sched: vcsel_program_energy(135.0, 1.43, math.nan),
-        lambda cat, geom, power, sched: fanout_loss(math.nan),
-        lambda cat, geom, power, sched: estimate_perf(sched, power, math.nan, cat, allow_overclock=True),
+        lambda cat, geom, power, sched, x: peak_tops(geom, x),
+        lambda cat, geom, power, sched, x: dac_power(8, x, 1e-13),
+        lambda cat, geom, power, sched, x: dac_power(x, 1e9, 1e-13),
+        lambda cat, geom, power, sched, x: total_power(geom, cat, f_hz=x),
+        lambda cat, geom, power, sched, x: laser_power(-25.0, 30.0, 8, x, 1.0),
+        lambda cat, geom, power, sched, x: laser_power(-25.0, 30.0, 8, 1.17, x),
+        lambda cat, geom, power, sched, x: vcsel_program_energy(x, 1.43, 0.548),
+        lambda cat, geom, power, sched, x: vcsel_program_energy(135.0, 1.43, x),
+        lambda cat, geom, power, sched, x: fanout_loss(x),
+        lambda cat, geom, power, sched, x: estimate_perf(sched, power, x, cat, allow_overclock=True),
     ],
     ids=["peak_tops.f_hz", "dac_power.f_hz", "dac_power.bits", "total_power.f_hz", "laser_power.er_db",
          "laser_power.wpe", "vcsel_program_energy.e_opt_pj", "vcsel_program_energy.eta_vcsel", "fanout_loss.w",
@@ -161,5 +153,6 @@ def design_point(catalog):
 )
 def test_roll_up_arguments_reject_nan(catalog, design_point, call):
     geom, power, sched = design_point
-    with pytest.raises(ValueError):
-        call(catalog, geom, power, sched)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            call(catalog, geom, power, sched, value)
