@@ -195,19 +195,35 @@ def _perf(scenario: Scenario, geom: CoreGeometry, layers, power: PowerReport) ->
     return estimate_perf(sched, power, scenario.f_hz, scenario.catalog, allow_overclock=scenario.allow_overclock)
 
 
+def _input_error(exc: click.UsageError) -> ScenarioError:
+    """A click usage error as an exit 1 naming the option at fault."""
+    if isinstance(exc, click.BadParameter):
+        return ScenarioError(f"{exc.param.opts[0]}: {exc.message}")
+    option = getattr(exc, "option_name", None) or "command"
+    return ScenarioError(f"{option}: {exc.format_message()}")
+
+
 class _Commands(click.Group):
-    """The command group. A usage error in a command's options (text that is
-    not a number or a choice, an unknown option) exits 1 naming the option,
-    as any other input error does, so that exit 2 means only infeasible."""
+    """The command group. A usage error in the group's options or a command's
+    (text that is not a number or a choice, an unknown option) exits 1 naming
+    the option, as any other input error does, so that exit 2 means only
+    infeasible. A bare ``wavecore`` prints the help and exits 1: a missing
+    command is an input error too."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        try:
+            return super().parse_args(ctx, args)
+        except click.exceptions.NoArgsIsHelpError as exc:
+            exc.exit_code = EXIT_CONFIG
+            raise
+        except click.UsageError as exc:
+            raise _input_error(exc) from None
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except click.BadParameter as exc:
-            raise ScenarioError(f"{exc.param.opts[0]}: {exc.message}") from None
         except click.UsageError as exc:
-            option = getattr(exc, "option_name", None) or "command"
-            raise ScenarioError(f"{option}: {exc.format_message()}") from None
+            raise _input_error(exc) from None
 
 
 @click.group(cls=_Commands)

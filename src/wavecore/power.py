@@ -127,6 +127,8 @@ def laser_power(
     output code range, corrected for the usable modulation depth of a finite
     extinction ratio, divided by the wall-plug efficiency.
     """
+    check_number("sensitivity_dbm", sensitivity_dbm)
+    check_number("il_db", il_db)
     check_number("extinction ratio in dB", er_db, gt=0.0)
     check_number("wpe", wpe, gt=0.0, le=1.0)
     launched_mw = 10.0 ** ((sensitivity_dbm + il_db) / 10.0)
@@ -138,6 +140,7 @@ def dac_power(bits: int, f_hz: float, p0_ws: float) -> float:
     """Converter power (W) under the resolution-rate scaling law p0 * 2^b/(b+1) * f."""
     check_number("bits", bits, ge=1)
     check_number("f_hz", f_hz, gt=0.0)
+    check_number("p0_ws", p0_ws, ge=0.0)
     return p0_ws * (2.0 ** bits) / (bits + 1) * f_hz
 
 
@@ -149,6 +152,7 @@ def vcsel_program_energy(e_opt_pj: float, gc_loss_db: float, eta_vcsel: float) -
     """
     check_number("eta_vcsel", eta_vcsel, gt=0.0, le=1.0)
     check_number("e_opt_pj", e_opt_pj, ge=0.0)
+    check_number("gc_loss_db", gc_loss_db)
     return e_opt_pj * 10.0 ** (gc_loss_db / 10.0) / eta_vcsel
 
 

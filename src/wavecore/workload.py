@@ -83,6 +83,15 @@ class LoweredDims:
     utilization: float
 
 
+def _tiles(layer: ConvLayerSpec, geom: CoreGeometry, pack_pointwise: bool) -> tuple[int, int, int]:
+    """(channels per pass, row tiles, column tiles) of one conv layer on ``geom``."""
+    if layer.kernel == 1 and pack_pointwise:
+        channels_per_pass = geom.groups * geom.wavelengths_per_group
+    else:
+        channels_per_pass = geom.groups
+    return channels_per_pass, -(-layer.c_in // channels_per_pass), -(-layer.c_out // geom.cols)
+
+
 def lower_conv(layer: ConvLayerSpec, geom: CoreGeometry, *, pack_pointwise: bool = False) -> LoweredDims:
     """Lowered dimensions and row-tiling for one conv layer.
 
@@ -95,12 +104,7 @@ def lower_conv(layer: ConvLayerSpec, geom: CoreGeometry, *, pack_pointwise: bool
     if layer.kind != "conv":
         raise ValueError(f"{layer.name}: only conv layers lower to the array")
     taps = layer.kernel * layer.kernel
-    if layer.kernel == 1 and pack_pointwise:
-        channels_per_pass = geom.groups * geom.wavelengths_per_group
-    else:
-        channels_per_pass = geom.groups
-    tiles_row = -(-layer.c_in // channels_per_pass)
-    tiles_col = -(-layer.c_out // geom.cols)
+    channels_per_pass, tiles_row, tiles_col = _tiles(layer, geom, pack_pointwise)
     rows = taps * layer.c_in
     active_rows_last = (layer.c_in - (tiles_row - 1) * channels_per_pass) * taps
     used = (tiles_row - 1) * channels_per_pass * taps + active_rows_last
@@ -131,31 +135,43 @@ class LayerSchedule:
 
 @dataclass(frozen=True)
 class TileSchedule:
-    """Per-layer tile walk for one inference pass of a workload."""
+    """Per-layer tile walk for one inference pass of a workload.
+
+    ``tile_loads``, ``stream_cycles`` and ``programmed_cells`` are columns:
+    one integer per layer of ``workload``, in its order, 0 for a flagged
+    (non-conv) layer. Each ``total_*`` field is the sum of its column, and
+    ``macs`` is the sum of programmed cells times output positions; all are
+    computed once, by :func:`schedule`. ``entries`` builds the per-layer
+    :class:`LayerSchedule` records from the columns each time it is read.
+    """
 
     geometry: CoreGeometry
-    entries: tuple[LayerSchedule, ...]
+    workload: tuple[ConvLayerSpec, ...]
     pack_pointwise: bool
+    tile_loads: tuple[int, ...]
+    stream_cycles: tuple[int, ...]
+    programmed_cells: tuple[int, ...]
+    total_tile_loads: int
+    total_stream_cycles: int
+    total_programmed_cells: int
+    macs: int
+    flagged_ops: tuple[str, ...]
 
     @property
-    def total_tile_loads(self) -> int:
-        return sum(e.tile_loads for e in self.entries)
-
-    @property
-    def total_stream_cycles(self) -> int:
-        return sum(e.stream_cycles for e in self.entries)
-
-    @property
-    def total_programmed_cells(self) -> int:
-        return sum(e.programmed_cells for e in self.entries)
-
-    @property
-    def flagged_ops(self) -> tuple[str, ...]:
-        return tuple(e.layer.name for e in self.entries if e.flagged)
-
-    @property
-    def macs(self) -> int:
-        return sum(e.programmed_cells * e.layer.positions for e in self.entries if not e.flagged)
+    def entries(self) -> tuple[LayerSchedule, ...]:
+        return tuple(
+            LayerSchedule(
+                layer=layer,
+                lowered=lower_conv(layer, self.geometry, pack_pointwise=self.pack_pointwise)
+                if layer.kind == "conv" else None,
+                tile_loads=loads,
+                stream_cycles=cycles,
+                programmed_cells=cells,
+            )
+            for layer, loads, cycles, cells in zip(
+                self.workload, self.tile_loads, self.stream_cycles, self.programmed_cells
+            )
+        )
 
 
 def schedule(
@@ -168,31 +184,43 @@ def schedule(
     """Weight-stationary tile walk: each tile is written once, then streams
     all of its layer's output positions.
 
-    Every (row-tile, column-tile) block takes one full write cycle
-    (``pcm.cycle_time_ns``), writing exactly the block's weights; stream time
-    is positions x tiles at the symbol clock. Pointwise packing defaults on
-    here because the bundled network profiles are scheduled packed; pass
+    Each (row-tile, column-tile) block is one tile load, writing exactly the
+    block's weights; its stream is the layer's output positions at the
+    symbol clock. The schedule counts loads, cycles and cells only:
+    :func:`estimate_perf` charges each load one full write cycle
+    (``pcm.cycle_time_ns``). ``pcm`` is not read here; the parameter is kept
+    because existing callers pass it. Pointwise packing defaults on here
+    because the bundled network profiles are scheduled packed; pass
     ``pack_pointwise=False`` for the one-tap-per-group mapping.
     """
     if not workload:
         raise ValueError("workload is empty")
-    entries = []
+    tile_loads, stream_cycles, programmed_cells, flagged = [], [], [], []
+    macs = 0
     for layer in workload:
-        if layer.kind != "conv":
-            entries.append(LayerSchedule(layer, None, 0, 0, 0))
-            continue
-        dims = lower_conv(layer, geom, pack_pointwise=pack_pointwise)
-        loads = dims.tiles_row * dims.tiles_col
-        entries.append(
-            LayerSchedule(
-                layer=layer,
-                lowered=dims,
-                tile_loads=loads,
-                stream_cycles=loads * dims.positions,
-                programmed_cells=layer.weight_count,
-            )
-        )
-    return TileSchedule(geometry=geom, entries=tuple(entries), pack_pointwise=pack_pointwise)
+        if layer.kind == "conv":
+            _, tiles_row, tiles_col = _tiles(layer, geom, pack_pointwise)
+            loads, positions, cells = tiles_row * tiles_col, layer.positions, layer.weight_count
+        else:
+            loads = positions = cells = 0
+            flagged.append(layer.name)
+        tile_loads.append(loads)
+        stream_cycles.append(loads * positions)
+        programmed_cells.append(cells)
+        macs += cells * positions
+    return TileSchedule(
+        geometry=geom,
+        workload=tuple(workload),
+        pack_pointwise=pack_pointwise,
+        tile_loads=tuple(tile_loads),
+        stream_cycles=tuple(stream_cycles),
+        programmed_cells=tuple(programmed_cells),
+        total_tile_loads=sum(tile_loads),
+        total_stream_cycles=sum(stream_cycles),
+        total_programmed_cells=sum(programmed_cells),
+        macs=macs,
+        flagged_ops=tuple(flagged),
+    )
 
 
 def peak_tops(geom: CoreGeometry, f_hz: float) -> float:
@@ -281,7 +309,7 @@ def estimate_perf(
     energy through the vertical coupler loss and emitter efficiency.
     """
     check_number("f_hz", f_hz, gt=0.0)
-    if not sched.entries:
+    if not sched.workload:
         raise ValueError("schedule is empty")
     if f_hz > cat.modulator.max_rate_hz and not allow_overclock:
         raise ValueError(

@@ -295,6 +295,33 @@ def test_evaluate_and_sweep_outputs_match_golden(runner, monkeypatch, run):
     assert result.stdout_bytes == run["stdout"].encode()
 
 
+@pytest.mark.parametrize("run", GOLDEN_CLI, ids=lambda run: " ".join(run["argv"]))
+def test_evaluate_and_sweep_build_no_per_layer_records(runner, monkeypatch, run):
+    # the roll-up reads the schedule's count columns and totals only
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-layer record was built")
+
+    for name in ("LayerSchedule", "LoweredDims", "lower_conv"):
+        monkeypatch.setattr(f"wavecore.workload.{name}", refuse)
+    monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    monkeypatch.chdir(REPO_ROOT)
+    result = runner.invoke(main, run["argv"])
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exit_code == run["exit_code"]
+    assert result.stdout_bytes == run["stdout"].encode()
+
+
+@pytest.mark.parametrize("args, stderr_start", [([], "Usage: "), (["--nope"], "Error: --nope: ")])
+def test_group_usage_errors_exit_1(args, stderr_start):
+    # the group's own options and a missing command are input errors, not "infeasible"
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(stderr_start)
+    if not args:
+        assert "Commands:" in result.stderr
+
+
 class TestLinkbudget:
     def test_table_lists_terms(self, runner):
         result = runner.invoke(main, ["linkbudget"])

@@ -91,6 +91,65 @@ class TestSchedule:
             schedule((), core_144x256, catalog.pcm)
 
 
+def _layers():
+    conv = st.builds(
+        ConvLayerSpec,
+        name=st.text("abc", min_size=1, max_size=4),
+        c_in=st.integers(1, 2048),
+        c_out=st.integers(1, 2048),
+        kernel=st.sampled_from([1, 3]),
+        h_out=st.integers(1, 128),
+        w_out=st.integers(1, 128),
+    )
+    other = st.builds(ConvLayerSpec, name=st.text("xyz", min_size=1, max_size=4), kind=st.just("other"))
+    return st.lists(st.one_of(conv, other), min_size=1, max_size=12)
+
+
+def _geometries():
+    cols = st.one_of(st.integers(1, 7), st.integers(1, 64).map(lambda n: 8 * n))
+    return st.builds(CoreGeometry, rows=st.integers(1, 32).map(lambda g: 9 * g), cols=cols)
+
+
+class TestScheduleColumns:
+    @given(layers=_layers(), geom=_geometries(), pack=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_columns_sum_to_totals_and_match_lowering(self, catalog, layers, geom, pack):
+        sched = schedule(layers, geom, catalog.pcm, pack_pointwise=pack)
+        assert sched.workload == tuple(layers)
+        for column in (sched.tile_loads, sched.stream_cycles, sched.programmed_cells):
+            assert len(column) == len(layers)
+        assert sched.total_tile_loads == sum(sched.tile_loads)
+        assert sched.total_stream_cycles == sum(sched.stream_cycles)
+        assert sched.total_programmed_cells == sum(sched.programmed_cells)
+
+        # the seed's walk: one LoweredDims per conv layer, totals summed from it
+        loads = cycles = cells = macs = 0
+        flagged = []
+        for layer, entry in zip(layers, sched.entries):
+            assert entry.layer is layer
+            if layer.kind != "conv":
+                assert entry.lowered is None and entry.flagged
+                assert (entry.tile_loads, entry.stream_cycles, entry.programmed_cells) == (0, 0, 0)
+                flagged.append(layer.name)
+                continue
+            dims = lower_conv(layer, geom, pack_pointwise=pack)
+            assert entry.lowered == dims
+            per_pass = dims.channels_per_pass
+            assert dims.tiles_row * per_pass >= layer.c_in > (dims.tiles_row - 1) * per_pass
+            assert dims.tiles_col * geom.cols >= layer.c_out > (dims.tiles_col - 1) * geom.cols
+            assert entry.tile_loads == dims.tiles_row * dims.tiles_col
+            assert entry.stream_cycles == entry.tile_loads * dims.positions
+            assert entry.programmed_cells == layer.weight_count
+            loads += dims.tiles_row * dims.tiles_col
+            cycles += dims.tiles_row * dims.tiles_col * dims.positions
+            cells += layer.weight_count
+            macs += layer.weight_count * layer.positions
+        totals = (sched.total_tile_loads, sched.total_stream_cycles, sched.total_programmed_cells)
+        assert totals == (loads, cycles, cells)
+        assert sched.macs == macs
+        assert sched.flagged_ops == tuple(flagged)
+
+
 class TestPeakTops:
     def test_reference_point(self, core_144x256):
         assert peak_tops(core_144x256, PARETO_CLOCK_HZ) == pytest.approx(342.1, rel=1e-9)
