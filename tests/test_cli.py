@@ -312,9 +312,9 @@ def test_evaluate_and_sweep_build_no_per_layer_records(runner, monkeypatch, run)
 
 
 @pytest.mark.parametrize("args, stderr_start", [([], "Usage: "), (["--nope"], "Error: --nope: ")])
-def test_group_usage_errors_exit_1(args, stderr_start):
+def test_group_usage_errors_exit_1(runner, args, stderr_start):
     # the group's own options and a missing command are input errors, not "infeasible"
-    result = CliRunner().invoke(main, args)
+    result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr.startswith(stderr_start)
