@@ -53,6 +53,7 @@ from .workload import (
     peak_tops,
     resnet50_workload,
     schedule,
+    schedule_cores,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,16 @@ from .catalog import DeviceCatalog, check_number, default_catalog_path, load_cat
 from .linkbudget import VARIANTS, ArchitectureVariant, CoreGeometry, critical_path_il
 from .power import PowerReport, PrecisionSpec, total_power
 from .report import canonical_json, render_csv, render_table
-from .workload import DEFAULT_CLOCK_HZ, PARETO_CLOCK_HZ, PerfReport, estimate_perf, load_workload, schedule
+from .workload import (
+    DEFAULT_CLOCK_HZ,
+    PARETO_CLOCK_HZ,
+    PerfReport,
+    TileSchedule,
+    estimate_perf,
+    load_workload,
+    schedule,
+    schedule_cores,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -190,8 +199,7 @@ def _power(scenario: Scenario, geom: CoreGeometry, variant: ArchitectureVariant)
     return total_power(geom, scenario.catalog, variant, scenario.precision, scenario.f_hz, wpe=scenario.wpe)
 
 
-def _perf(scenario: Scenario, geom: CoreGeometry, layers, power: PowerReport) -> PerfReport:
-    sched = schedule(layers, geom, scenario.catalog.pcm, pack_pointwise=scenario.pack_pointwise)
+def _perf(scenario: Scenario, sched: TileSchedule, power: PowerReport) -> PerfReport:
     return estimate_perf(sched, power, scenario.f_hz, scenario.catalog, allow_overclock=scenario.allow_overclock)
 
 
@@ -254,7 +262,8 @@ def evaluate(area_only: bool, **kwargs) -> None:
     perf = None
     if scenario.workload:
         layers = _model("workload", load_workload, scenario.workload)
-        perf = _model("perf", _perf, scenario, scenario.geometry, layers, power).to_jsonable()
+        sched = schedule(layers, scenario.geometry, scenario.catalog.pcm, pack_pointwise=scenario.pack_pointwise)
+        perf = _model("perf", _perf, scenario, sched, power).to_jsonable()
     area_rows = [
         ("crossbar", f"{area['crossbar_w_mm']:.3f} x {area['crossbar_h_mm']:.3f} mm"),
         ("total", f"{area['total_area_mm2']:.2f} mm^2"),
@@ -341,8 +350,10 @@ def sweep(cores_text: str, **kwargs) -> None:
         raise ScenarioError("cores: empty list")
     geometries = [_model(f"cores[{i}]", CoreGeometry.parse, text) for i, text in enumerate(core_texts)]
     layers = _model("workload", load_workload, scenario.workload)
+    # one walk of the workload for every core; each core still runs power, then perf
+    scheds = schedule_cores(layers, geometries, scenario.catalog.pcm, pack_pointwise=scenario.pack_pointwise)
     perfs = _model("sweep", lambda: [
-        _perf(scenario, geom, layers, _power(scenario, geom, scenario.variant)) for geom in geometries
+        _perf(scenario, sched, _power(scenario, sched.geometry, scenario.variant)) for sched in scheds
     ])
     header = ("core", "fps", "mj_per_inference", "total_w")
     rows = [(geom.label, perf.fps, perf.energy_per_inference_j * 1e3, perf.total_power_w)

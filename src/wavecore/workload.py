@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,6 +50,8 @@ class ConvLayerSpec:
     kind: str = "conv"
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"name must be a non-empty string, got {self.name!r:.40}")
         check_number("c_in", self.c_in, integer=True, ge=1)
         check_number("c_out", self.c_out, integer=True, ge=1)
         check_number("kernel", self.kernel, integer=True, ge=1)
@@ -83,13 +85,11 @@ class LoweredDims:
     utilization: float
 
 
-def _tiles(layer: ConvLayerSpec, geom: CoreGeometry, pack_pointwise: bool) -> tuple[int, int, int]:
-    """(channels per pass, row tiles, column tiles) of one conv layer on ``geom``."""
-    if layer.kernel == 1 and pack_pointwise:
-        channels_per_pass = geom.groups * geom.wavelengths_per_group
-    else:
-        channels_per_pass = geom.groups
-    return channels_per_pass, -(-layer.c_in // channels_per_pass), -(-layer.c_out // geom.cols)
+def _channels_per_pass(kernel: int, geom: CoreGeometry, pack_pointwise: bool) -> int:
+    """Input channels one row pass of ``geom`` covers for a ``kernel`` x ``kernel`` layer."""
+    if kernel == 1 and pack_pointwise:
+        return geom.groups * geom.wavelengths_per_group
+    return geom.groups
 
 
 def lower_conv(layer: ConvLayerSpec, geom: CoreGeometry, *, pack_pointwise: bool = False) -> LoweredDims:
@@ -104,7 +104,9 @@ def lower_conv(layer: ConvLayerSpec, geom: CoreGeometry, *, pack_pointwise: bool
     if layer.kind != "conv":
         raise ValueError(f"{layer.name}: only conv layers lower to the array")
     taps = layer.kernel * layer.kernel
-    channels_per_pass, tiles_row, tiles_col = _tiles(layer, geom, pack_pointwise)
+    channels_per_pass = _channels_per_pass(layer.kernel, geom, pack_pointwise)
+    tiles_row = -(-layer.c_in // channels_per_pass)
+    tiles_col = -(-layer.c_out // geom.cols)
     rows = taps * layer.c_in
     active_rows_last = (layer.c_in - (tiles_row - 1) * channels_per_pass) * taps
     used = (tiles_row - 1) * channels_per_pass * taps + active_rows_last
@@ -135,22 +137,21 @@ class LayerSchedule:
 
 @dataclass(frozen=True)
 class TileSchedule:
-    """Per-layer tile walk for one inference pass of a workload.
+    """Tile walk totals for one inference pass of a workload on one core.
 
-    ``tile_loads``, ``stream_cycles`` and ``programmed_cells`` are columns:
-    one integer per layer of ``workload``, in its order, 0 for a flagged
-    (non-conv) layer. Each ``total_*`` field is the sum of its column, and
-    ``macs`` is the sum of programmed cells times output positions; all are
-    computed once, by :func:`schedule`. ``entries`` builds the per-layer
-    :class:`LayerSchedule` records from the columns each time it is read.
+    ``total_tile_loads`` and ``total_stream_cycles`` come from the shape
+    table of :func:`schedule_cores`; ``total_programmed_cells``, ``macs`` (the
+    sum of programmed cells times output positions) and ``flagged_ops`` do
+    not depend on the core. The per-layer columns ``tile_loads``,
+    ``stream_cycles`` and ``programmed_cells`` (one integer per layer of
+    ``workload``, in its order, 0 for a flagged non-conv layer) and the
+    :class:`LayerSchedule` records of ``entries`` are built from
+    :func:`lower_conv` each time they are read; each column sums to its total.
     """
 
     geometry: CoreGeometry
     workload: tuple[ConvLayerSpec, ...]
     pack_pointwise: bool
-    tile_loads: tuple[int, ...]
-    stream_cycles: tuple[int, ...]
-    programmed_cells: tuple[int, ...]
     total_tile_loads: int
     total_stream_cycles: int
     total_programmed_cells: int
@@ -159,19 +160,88 @@ class TileSchedule:
 
     @property
     def entries(self) -> tuple[LayerSchedule, ...]:
-        return tuple(
-            LayerSchedule(
-                layer=layer,
-                lowered=lower_conv(layer, self.geometry, pack_pointwise=self.pack_pointwise)
-                if layer.kind == "conv" else None,
-                tile_loads=loads,
-                stream_cycles=cycles,
-                programmed_cells=cells,
-            )
-            for layer, loads, cycles, cells in zip(
-                self.workload, self.tile_loads, self.stream_cycles, self.programmed_cells
-            )
-        )
+        records = []
+        for layer in self.workload:
+            if layer.kind != "conv":
+                records.append(LayerSchedule(layer, None, 0, 0, 0))
+                continue
+            dims = lower_conv(layer, self.geometry, pack_pointwise=self.pack_pointwise)
+            loads = dims.tiles_row * dims.tiles_col
+            records.append(LayerSchedule(layer, dims, loads, loads * dims.positions, layer.weight_count))
+        return tuple(records)
+
+    @property
+    def tile_loads(self) -> tuple[int, ...]:
+        return tuple(entry.tile_loads for entry in self.entries)
+
+    @property
+    def stream_cycles(self) -> tuple[int, ...]:
+        return tuple(entry.stream_cycles for entry in self.entries)
+
+    @property
+    def programmed_cells(self) -> tuple[int, ...]:
+        return tuple(entry.programmed_cells for entry in self.entries)
+
+
+def schedule_cores(
+    workload: Sequence[ConvLayerSpec],
+    geometries: Iterable[CoreGeometry],
+    pcm: PcmSpec,
+    *,
+    pack_pointwise: bool = True,
+) -> tuple[TileSchedule, ...]:
+    """:func:`schedule` of ``workload`` on each of ``geometries``, in order.
+
+    One pass over the layers builds a table of the conv layers' tile shapes,
+    (kernel, c_in, c_out), each with its layer count and summed output
+    positions, and sums the programmed cells and MACs, which do not depend on
+    the core. Each core's totals then come from the table: a shape costs
+    ``ceil(c_in / channels_per_pass) * ceil(c_out / cols)`` loads per layer,
+    and each load streams the shape's positions. The table lives for this
+    call only. As in :func:`schedule`, ``pcm`` is not read.
+    """
+    if not workload:
+        raise ValueError("workload is empty")
+    layers = tuple(workload)
+    shapes: dict[tuple[int, int, int], list[int]] = {}   # shape -> [layer count, summed positions]
+    cells = macs = 0
+    flagged = []
+    for layer in layers:
+        if layer.kind != "conv":
+            flagged.append(layer.name)
+            continue
+        weights, positions = layer.weight_count, layer.positions
+        cells += weights
+        macs += weights * positions
+        shape = (layer.kernel, layer.c_in, layer.c_out)
+        group = shapes.get(shape)
+        if group is None:
+            shapes[shape] = [1, positions]
+        else:
+            group[0] += 1
+            group[1] += positions
+    flagged_ops = tuple(flagged)
+
+    scheds = []
+    for geom in geometries:
+        per_pass = {kernel: _channels_per_pass(kernel, geom, pack_pointwise) for kernel in (1, 3)}
+        cols = geom.cols
+        loads = cycles = 0
+        for (kernel, c_in, c_out), (count, positions) in shapes.items():
+            shape_loads = -(-c_in // per_pass[kernel]) * -(-c_out // cols)
+            loads += count * shape_loads
+            cycles += shape_loads * positions
+        scheds.append(TileSchedule(
+            geometry=geom,
+            workload=layers,
+            pack_pointwise=pack_pointwise,
+            total_tile_loads=loads,
+            total_stream_cycles=cycles,
+            total_programmed_cells=cells,
+            macs=macs,
+            flagged_ops=flagged_ops,
+        ))
+    return tuple(scheds)
 
 
 def schedule(
@@ -192,35 +262,12 @@ def schedule(
     because existing callers pass it. Pointwise packing defaults on here
     because the bundled network profiles are scheduled packed; pass
     ``pack_pointwise=False`` for the one-tap-per-group mapping.
+
+    This is :func:`schedule_cores` on the one core ``geom``: the totals come
+    from its shape table, and the per-layer columns and ``entries`` are
+    built on demand.
     """
-    if not workload:
-        raise ValueError("workload is empty")
-    tile_loads, stream_cycles, programmed_cells, flagged = [], [], [], []
-    macs = 0
-    for layer in workload:
-        if layer.kind == "conv":
-            _, tiles_row, tiles_col = _tiles(layer, geom, pack_pointwise)
-            loads, positions, cells = tiles_row * tiles_col, layer.positions, layer.weight_count
-        else:
-            loads = positions = cells = 0
-            flagged.append(layer.name)
-        tile_loads.append(loads)
-        stream_cycles.append(loads * positions)
-        programmed_cells.append(cells)
-        macs += cells * positions
-    return TileSchedule(
-        geometry=geom,
-        workload=tuple(workload),
-        pack_pointwise=pack_pointwise,
-        tile_loads=tuple(tile_loads),
-        stream_cycles=tuple(stream_cycles),
-        programmed_cells=tuple(programmed_cells),
-        total_tile_loads=sum(tile_loads),
-        total_stream_cycles=sum(stream_cycles),
-        total_programmed_cells=sum(programmed_cells),
-        macs=macs,
-        flagged_ops=tuple(flagged),
-    )
+    return schedule_cores(workload, (geom,), pcm, pack_pointwise=pack_pointwise)[0]
 
 
 def peak_tops(geom: CoreGeometry, f_hz: float) -> float:
@@ -397,6 +444,7 @@ def resnet50_workload(input_hw: int = 256) -> tuple[ConvLayerSpec, ...]:
 
 
 _BUNDLED_WORKLOADS = {"resnet50": lambda: resnet50_workload(256)}
+_LAYER_FIELDS = frozenset(field.name for field in fields(ConvLayerSpec))
 
 
 def workload_to_jsonable(layers: Iterable[ConvLayerSpec]) -> list[dict]:
@@ -433,8 +481,13 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
     for i, raw in enumerate(data):
         if not isinstance(raw, dict) or "name" not in raw:
             raise ValueError(f"workload entry {i} must be an object with a 'name'")
+        name = raw["name"]
+        where = f"workload entry {i} ({name!r})" if isinstance(name, str) and name else f"workload entry {i}"
+        unknown = raw.keys() - _LAYER_FIELDS
+        if unknown:
+            raise ValueError(f"{where}: unknown fields {sorted(unknown)}")
         try:
             layers.append(ConvLayerSpec(**raw))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"workload entry {i} ({raw['name']!r}): {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return tuple(layers)

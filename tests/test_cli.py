@@ -74,6 +74,26 @@ class TestEvaluate:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "conv_a" in result.output and "c_in" in result.output
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([{"name": 5, "kind": "other"}, {"name": "b", "c_in": 3}],
+             "workload entry 0: name must be a non-empty string, got 5"),
+            ([{"name": ["x"], "c_in": 3}], "workload entry 0: name must be a non-empty string, got ['x']"),
+            ([{"name": "a", "kind": "other"}, {"name": ""}], "workload entry 1: name must be a non-empty string, got ''"),
+            ([{"name": "b", "c_in": 3, "extra": 1}], "workload entry 0 ('b'): unknown fields ['extra']"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_bad_workload_entry_exits_1_naming_it(self, runner, tmp_path, entries, message, fmt):
+        path = tmp_path / "wl.json"
+        path.write_text(json.dumps(entries))
+        result = runner.invoke(main, ["evaluate", "--workload", str(path), "--format", fmt])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert f"Error: workload: {message}\n" in result.output
+
     def test_bad_core_exit_one(self, runner):
         result = runner.invoke(main, ["evaluate", "--core", "10x10"])
         assert result.exit_code == 1
@@ -308,6 +328,27 @@ def test_evaluate_and_sweep_build_no_per_layer_records(runner, monkeypatch, run)
     result = runner.invoke(main, run["argv"])
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.exit_code == run["exit_code"]
+    assert result.stdout_bytes == run["stdout"].encode()
+
+
+@pytest.mark.parametrize("run", [run for run in GOLDEN_CLI if run["argv"][0] == "sweep"],
+                         ids=lambda run: " ".join(run["argv"]))
+def test_sweep_schedules_all_its_cores_in_one_call(runner, monkeypatch, run):
+    # one walk of the workload for the whole sweep, not one per core
+    import wavecore.cli
+
+    schedule_cores = wavecore.cli.schedule_cores
+    calls = []
+
+    def counted(workload, geometries, *args, **kwargs):
+        calls.append(len(geometries))
+        return schedule_cores(workload, geometries, *args, **kwargs)
+
+    monkeypatch.setattr("wavecore.cli.schedule_cores", counted)
+    monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    result = runner.invoke(main, run["argv"])
+    assert result.exit_code == run["exit_code"]
+    assert calls == [6]
     assert result.stdout_bytes == run["stdout"].encode()
 
 

@@ -12,6 +12,7 @@ from wavecore import (
     peak_tops,
     resnet50_workload,
     schedule,
+    schedule_cores,
     total_power,
 )
 from wavecore.workload import PARETO_CLOCK_HZ, workload_to_jsonable
@@ -52,6 +53,11 @@ class TestLowering:
     def test_unsupported_kernel(self):
         with pytest.raises(ValueError, match="kernel"):
             ConvLayerSpec("l", 3, 64, 7, 8, 8)
+
+    @pytest.mark.parametrize("name", [5, ["x"], "", None])
+    def test_name_must_be_a_non_empty_string(self, name):
+        with pytest.raises(ValueError, match="^name must be a non-empty string"):
+            ConvLayerSpec(name, kind="other")
 
 
 class TestSchedule:
@@ -148,6 +154,68 @@ class TestScheduleColumns:
         assert totals == (loads, cycles, cells)
         assert sched.macs == macs
         assert sched.flagged_ops == tuple(flagged)
+
+
+@st.composite
+def _repeated_shape_workloads(draw):
+    # a few (kernel, c_in, c_out) shapes, each repeated at drawn output sizes,
+    # with non-conv layers between them
+    shapes = draw(st.lists(
+        st.tuples(st.sampled_from([1, 3]), st.integers(1, 2048), st.integers(1, 2048)), min_size=1, max_size=4
+    ))
+    picks = draw(st.lists(st.one_of(st.none(), st.sampled_from(range(len(shapes)))), min_size=1, max_size=16))
+    layers = []
+    for i, pick in enumerate(picks):
+        if pick is None:
+            layers.append(ConvLayerSpec(f"other{i}", kind="other"))
+        else:
+            kernel, c_in, c_out = shapes[pick]
+            h_out, w_out = draw(st.integers(1, 128)), draw(st.integers(1, 128))
+            layers.append(ConvLayerSpec(f"conv{i}", c_in, c_out, kernel, h_out, w_out))
+    return tuple(layers)
+
+
+@st.composite
+def _core_lists(draw):
+    # 0-6 cores drawn from a pool of at most three, so repeats are common
+    pool = draw(st.lists(_geometries(), min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), max_size=6))
+
+
+class TestScheduleCores:
+    @given(layers=_repeated_shape_workloads(), geoms=_core_lists(), pack=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_each_core_matches_its_own_schedule_and_the_lowering(self, catalog, layers, geoms, pack):
+        scheds = schedule_cores(layers, geoms, catalog.pcm, pack_pointwise=pack)
+        assert len(scheds) == len(geoms)
+        for geom, sched in zip(geoms, scheds):
+            assert sched == schedule(layers, geom, catalog.pcm, pack_pointwise=pack)
+            assert sched.geometry is geom
+            assert sched.total_tile_loads == sum(sched.tile_loads)
+            assert sched.total_stream_cycles == sum(sched.stream_cycles)
+            assert sched.total_programmed_cells == sum(sched.programmed_cells)
+
+            # reference: one lower_conv per conv layer, summed in layer order
+            loads = cycles = cells = macs = 0
+            for layer in layers:
+                if layer.kind != "conv":
+                    continue
+                dims = lower_conv(layer, geom, pack_pointwise=pack)
+                loads += dims.tiles_row * dims.tiles_col
+                cycles += dims.tiles_row * dims.tiles_col * dims.positions
+                cells += layer.weight_count
+                macs += layer.weight_count * layer.positions
+            totals = (sched.total_tile_loads, sched.total_stream_cycles, sched.total_programmed_cells)
+            assert totals == (loads, cycles, cells)
+            assert sched.macs == macs
+            assert sched.flagged_ops == tuple(layer.name for layer in layers if layer.kind != "conv")
+
+    def test_no_cores_give_no_schedules(self, catalog, resnet):
+        assert schedule_cores(resnet, [], catalog.pcm) == ()
+
+    def test_empty_workload_rejected_without_cores(self, catalog):
+        with pytest.raises(ValueError, match="empty"):
+            schedule_cores((), [], catalog.pcm)
 
 
 class TestPeakTops:
