@@ -18,11 +18,9 @@ from .catalog import (
     PcmSpec,
     PdSpec,
     db_to_linear,
-    dbm_to_mw,
     default_catalog,
     linear_to_db,
     load_catalog,
-    mw_to_dbm,
     pd_min_power,
     snr_required,
 )
@@ -42,7 +40,7 @@ from .linkbudget import (
     variant_feasibility,
 )
 from .power import PowerReport, PrecisionSpec, dac_power, laser_power, total_power, vcsel_program_energy
-from .area import AreaParams, AreaReport, crossbar_area, reticle_check
+from .area import AreaParams, AreaReport, crossbar_area
 from .workload import (
     ConvLayerSpec,
     PerfReport,
@@ -68,7 +66,6 @@ _ENGINE_NAMES = frozenset({
     "QuantSpec",
     "inject_noise",
     "noisy_mvm",
-    "pcm_program",
     "quantize",
 })
 

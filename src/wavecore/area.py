@@ -9,7 +9,7 @@ Everything here is closed-form, there is no placement or routing model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .linkbudget import CoreGeometry
 
@@ -109,17 +109,3 @@ def crossbar_area(geom: CoreGeometry, params: AreaParams = AreaParams()) -> Area
         shortfall_mm=shortfall,
     )
 
-
-def reticle_check(report: AreaReport, reticle_mm: tuple[float, float] = (26.0, 33.0)) -> AreaReport:
-    """Re-evaluate an existing footprint against a different reticle size."""
-    params = AreaParams(reticle_w_mm=reticle_mm[0], reticle_h_mm=reticle_mm[1])
-    fits, shortfall = _reticle_fit(report.crossbar_w_mm, report.crossbar_h_mm, params)
-    residual = reticle_mm[0] * reticle_mm[1] - report.total_area_mm2 if fits else None
-    return replace(
-        report,
-        reticle_w_mm=reticle_mm[0],
-        reticle_h_mm=reticle_mm[1],
-        residual_mm2=residual,
-        fits_reticle=fits,
-        shortfall_mm=shortfall,
-    )

@@ -88,17 +88,6 @@ def linear_to_db(ratio: float) -> float:
     return 10.0 * math.log10(ratio)
 
 
-def dbm_to_mw(x_dbm: float) -> float:
-    """Absolute power in mW for a dBm value."""
-    check_number("dBm value", x_dbm)
-    return 10.0 ** (x_dbm / 10.0)
-
-
-def mw_to_dbm(p_mw: float) -> float:
-    check_number("power in mW", p_mw, gt=0.0)
-    return 10.0 * math.log10(p_mw)
-
-
 # ---------------------------------------------------------------------------
 # Component specs
 # ---------------------------------------------------------------------------

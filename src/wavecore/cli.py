@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import click
 
@@ -182,17 +182,20 @@ def _stamp(scenario: Scenario) -> str:
     return f"wavecore {__version__} catalog sha256:{scenario.catalog.source_sha256}"
 
 
-def _emit(scenario: Scenario, doc: dict, header, rows, title: str) -> None:
+def _emit(scenario: Scenario, doc: dict, *tables) -> None:
     """One report in the scenario's format: ``doc`` under the JSON header, or
-    the stamp and ``rows`` as CSV (lower-case column names) or a titled table."""
+    the stamp and the ``(header, rows, title)`` tables, as titled text tables
+    or, for exactly one table, as CSV with lower-case column names."""
     if scenario.fmt == "json":
         click.echo(canonical_json({"header": _header(scenario), **doc}), nl=False)
     elif scenario.fmt == "csv":
+        ((header, rows, _),) = tables
         click.echo(f"# {_stamp(scenario)}")
         click.echo(render_csv([name.lower() for name in header], rows), nl=False)
     else:
         click.echo(_stamp(scenario))
-        click.echo(render_table(header, rows, title=title), nl=False)
+        for header, rows, title in tables:
+            click.echo(render_table(header, rows, title=title), nl=False)
 
 
 def _power(scenario: Scenario, geom: CoreGeometry, variant: ArchitectureVariant) -> PowerReport:
@@ -246,9 +249,9 @@ def linkbudget(**kwargs) -> None:
     """Critical-path insertion loss breakdown for one design point."""
     scenario = _build_scenario(**kwargs)
     report = _model("link_budget", critical_path_il, scenario.geometry, scenario.catalog, scenario.variant)
-    _emit(scenario, {"link_budget": report.to_jsonable()}, ("term", "dB"),
-          [*report.terms, ("total", report.total_db)],
-          f"critical path, {scenario.geometry.label} {report.variant_label}")
+    _emit(scenario, {"link_budget": report.to_jsonable()},
+          (("term", "dB"), [*report.terms, ("total", report.total_db)],
+           f"critical path, {scenario.geometry.label} {report.variant_label}"))
 
 
 @main.command()
@@ -264,15 +267,16 @@ def evaluate(area_only: bool, **kwargs) -> None:
         layers = _model("workload", load_workload, scenario.workload)
         sched = schedule(layers, scenario.geometry, scenario.catalog.pcm, pack_pointwise=scenario.pack_pointwise)
         perf = _model("perf", _perf, scenario, sched, power).to_jsonable()
-    area_rows = [
+    area_table = (("area", "value"), [
         ("crossbar", f"{area['crossbar_w_mm']:.3f} x {area['crossbar_h_mm']:.3f} mm"),
         ("total", f"{area['total_area_mm2']:.2f} mm^2"),
         ("fits_reticle", str(area["fits_reticle"])),
         ("residual", "n/a" if area["residual_mm2"] is None else f"{area['residual_mm2']:.1f} mm^2"),
-    ]
-    # csv prints the same text tables as table: evaluate has no one-table csv form
-    if scenario.fmt == "json":
-        doc = {"area": area} if area_only else {
+    ], "area")
+    if area_only:
+        doc, tables = {"area": area}, [area_table]
+    else:
+        doc = {
             "scenario": {
                 "core": scenario.geometry.label,
                 "variant": scenario.variant.label,
@@ -288,19 +292,13 @@ def evaluate(area_only: bool, **kwargs) -> None:
             "perf": perf,
             "feasible": power.feasible,
         }
-        click.echo(canonical_json({"header": _header(scenario), **doc}), nl=False)
-    elif area_only:
-        click.echo(_stamp(scenario))
-        click.echo(render_table(("area", "value"), area_rows, title="area"), nl=False)
-    else:
-        click.echo(_stamp(scenario))
-        link_rows = [*power.link.terms, ("total", power.link.total_db)]
-        click.echo(render_table(("term", "dB"), link_rows, title="link budget"), nl=False)
-        power_rows = [*power.entries, ("total", power.total_w, 1.0)]
-        click.echo(render_table(("subsystem", "W", "fraction"), power_rows, title="power"), nl=False)
-        click.echo(render_table(("area", "value"), area_rows, title="area"), nl=False)
+        tables = [
+            (("term", "dB"), [*power.link.terms, ("total", power.link.total_db)], "link budget"),
+            (("subsystem", "W", "fraction"), [*power.entries, ("total", power.total_w, 1.0)], "power"),
+            area_table,
+        ]
         if perf is not None:
-            perf_rows = [
+            tables.append((("metric", "value"), [
                 ("fps", perf["fps"]),
                 ("latency_ms", perf["latency_s"] * 1e3),
                 ("peak_tops", perf["peak_tops"]),
@@ -308,11 +306,12 @@ def evaluate(area_only: bool, **kwargs) -> None:
                 ("fps_per_w", perf["fps_per_w"]),
                 ("energy_mj", perf["energy_per_inference_mj"]),
                 ("energy_with_erase_mj", perf["energy_with_erase_mj"]),
-            ]
-            click.echo(render_table(("metric", "value"), perf_rows, title="performance"), nl=False)
-        if not power.feasible:
-            click.echo(f"INFEASIBLE: {power.infeasible_reason}")
+            ], "performance"))
+    # csv prints the text tables: evaluate has no one-table csv form yet (ROADMAP item 5)
+    _emit(replace(scenario, fmt="table") if scenario.fmt == "csv" else scenario, doc, *tables)
     if not power.feasible:
+        if scenario.fmt != "json" and not area_only:
+            click.echo(f"INFEASIBLE: {power.infeasible_reason}")
         sys.exit(EXIT_INFEASIBLE)
 
 
@@ -332,8 +331,8 @@ def ablate(variants_text: str, **kwargs) -> None:
     header = ("variant", "il_db", "total_w", "top_contributor", "fraction", "feasible")
     rows = [(rep.variant_label, rep.link.total_db, rep.total_w, *rep.top_contributor, rep.feasible)
             for rep in reports]
-    _emit(scenario, {"rows": [dict(zip(header, row)) for row in rows]}, header, rows,
-          f"ablation @ {scenario.geometry.label}")
+    _emit(scenario, {"rows": [dict(zip(header, row)) for row in rows]},
+          (header, rows, f"ablation @ {scenario.geometry.label}"))
 
 
 @main.command()
@@ -351,15 +350,15 @@ def sweep(cores_text: str, **kwargs) -> None:
     geometries = [_model(f"cores[{i}]", CoreGeometry.parse, text) for i, text in enumerate(core_texts)]
     layers = _model("workload", load_workload, scenario.workload)
     # one walk of the workload for every core; each core still runs power, then perf
-    scheds = schedule_cores(layers, geometries, scenario.catalog.pcm, pack_pointwise=scenario.pack_pointwise)
+    scheds = schedule_cores(layers, geometries, pack_pointwise=scenario.pack_pointwise)
     perfs = _model("sweep", lambda: [
         _perf(scenario, sched, _power(scenario, sched.geometry, scenario.variant)) for sched in scheds
     ])
     header = ("core", "fps", "mj_per_inference", "total_w")
     rows = [(geom.label, perf.fps, perf.energy_per_inference_j * 1e3, perf.total_power_w)
             for geom, perf in zip(geometries, perfs)]
-    _emit(scenario, {"rows": [dict(zip(header, row)) for row in rows]}, header, rows,
-          f"core sweep ({scenario.workload})")
+    _emit(scenario, {"rows": [dict(zip(header, row)) for row in rows]},
+          (header, rows, f"core sweep ({scenario.workload})"))
 
 
 @main.command()

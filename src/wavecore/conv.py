@@ -17,7 +17,6 @@ from .engine import (
     NoiseSpec,
     QuantSpec,
     ZERO_NOISE,
-    max_abs_output,
     noisy_mvm,
     unit_step_out_quant,
 )
@@ -142,5 +141,12 @@ def run_conv(
 
 
 def integer_out_quant(in_quant: QuantSpec, w_quant: QuantSpec, rows: int) -> QuantSpec:
-    """Unit-step output quantizer wide enough for any integer-grid partial sum."""
-    return unit_step_out_quant(max_abs_output(in_quant, w_quant, rows))
+    """Unit-step output quantizer wide enough for any integer-grid partial sum.
+
+    It sizes for the largest |y| a ``rows``-row dot product can reach:
+    ``rows * max|x| * max|w|``, with each maximum taken over its quantizer's
+    ``lo`` and ``hi``.
+    """
+    x_max = max(abs(in_quant.lo), abs(in_quant.hi))
+    w_max = max(abs(w_quant.lo), abs(w_quant.hi))
+    return unit_step_out_quant(rows * x_max * w_max)

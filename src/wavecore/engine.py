@@ -475,20 +475,6 @@ class PcmProgrammer:
         return sum(e.erase_pj for e in self.events)
 
 
-def pcm_program(weights, pcm: PcmSpec, seed: int = 0):
-    """One-shot array write: returns (levels, programmed values, event log)."""
-    programmer = PcmProgrammer(pcm=pcm, seed=seed)
-    levels, values = programmer.program(weights)
-    return levels, values, programmer.events
-
-
-def max_abs_output(in_quant: QuantSpec, w_quant: QuantSpec, rows: int) -> float:
-    """Largest |y| the datapath can produce, for sizing output quantizer ranges."""
-    x_max = max(abs(in_quant.lo), abs(in_quant.hi))
-    w_max = max(abs(w_quant.lo), abs(w_quant.hi))
-    return rows * x_max * w_max
-
-
 def unit_step_out_quant(max_value: float) -> QuantSpec:
     """Output quantizer whose grid step is exactly 1, lossless on integers.
 

@@ -58,11 +58,6 @@ class CoreGeometry:
         return max(1, -(-self.cols // self.cols_per_mmi))
 
     @property
-    def splitter_stages_excess(self) -> int:
-        """Excess 1x2 stages on the critical path expanding one row to all bundles."""
-        return self.mmi_bundles - 1
-
-    @property
     def cells(self) -> int:
         return self.rows * self.cols
 
@@ -264,9 +259,6 @@ class LinkBudgetReport:
 class FeasibilityVerdict:
     feasible: bool
     margin_db: float
-
-    def to_jsonable(self) -> dict:
-        return {"feasible": self.feasible, "margin_db": self.margin_db}
 
 
 def fanout_loss(w: int) -> float:

@@ -18,7 +18,6 @@ from .engine import DIFFERENTIAL_PAIR, AccumulationTree, NoiseSpec, QuantSpec
 from .linkbudget import CoreGeometry
 from .rng import keyed_rng
 
-CLASS_NAMES = ("vertical", "horizontal", "checker")
 # the dataset seed of simulate_accuracy and the ``simulate`` command
 DATA_SEED = 1
 

@@ -142,11 +142,10 @@ class TileSchedule:
     ``total_tile_loads`` and ``total_stream_cycles`` come from the shape
     table of :func:`schedule_cores`; ``total_programmed_cells``, ``macs`` (the
     sum of programmed cells times output positions) and ``flagged_ops`` do
-    not depend on the core. The per-layer columns ``tile_loads``,
-    ``stream_cycles`` and ``programmed_cells`` (one integer per layer of
-    ``workload``, in its order, 0 for a flagged non-conv layer) and the
-    :class:`LayerSchedule` records of ``entries`` are built from
-    :func:`lower_conv` each time they are read; each column sums to its total.
+    not depend on the core. The per-layer view is ``entries``: one
+    :class:`LayerSchedule` per layer of ``workload``, in its order, with
+    zero counts for a flagged non-conv layer, built from :func:`lower_conv`
+    each time it is read. Each count summed over ``entries`` is its total.
     """
 
     geometry: CoreGeometry
@@ -170,23 +169,10 @@ class TileSchedule:
             records.append(LayerSchedule(layer, dims, loads, loads * dims.positions, layer.weight_count))
         return tuple(records)
 
-    @property
-    def tile_loads(self) -> tuple[int, ...]:
-        return tuple(entry.tile_loads for entry in self.entries)
-
-    @property
-    def stream_cycles(self) -> tuple[int, ...]:
-        return tuple(entry.stream_cycles for entry in self.entries)
-
-    @property
-    def programmed_cells(self) -> tuple[int, ...]:
-        return tuple(entry.programmed_cells for entry in self.entries)
-
 
 def schedule_cores(
     workload: Sequence[ConvLayerSpec],
     geometries: Iterable[CoreGeometry],
-    pcm: PcmSpec,
     *,
     pack_pointwise: bool = True,
 ) -> tuple[TileSchedule, ...]:
@@ -198,7 +184,7 @@ def schedule_cores(
     the core. Each core's totals then come from the table: a shape costs
     ``ceil(c_in / channels_per_pass) * ceil(c_out / cols)`` loads per layer,
     and each load streams the shape's positions. The table lives for this
-    call only. As in :func:`schedule`, ``pcm`` is not read.
+    call only. It takes no ``pcm``: nothing in a schedule depends on the cell.
     """
     if not workload:
         raise ValueError("workload is empty")
@@ -258,16 +244,15 @@ def schedule(
     block's weights; its stream is the layer's output positions at the
     symbol clock. The schedule counts loads, cycles and cells only:
     :func:`estimate_perf` charges each load one full write cycle
-    (``pcm.cycle_time_ns``). ``pcm`` is not read here; the parameter is kept
-    because existing callers pass it. Pointwise packing defaults on here
-    because the bundled network profiles are scheduled packed; pass
-    ``pack_pointwise=False`` for the one-tap-per-group mapping.
+    (``pcm.cycle_time_ns``). ``pcm`` is not read; it is kept only so that
+    existing callers, which pass it, keep working. Pointwise packing
+    defaults on here because the bundled network profiles are scheduled
+    packed; pass ``pack_pointwise=False`` for the one-tap-per-group mapping.
 
     This is :func:`schedule_cores` on the one core ``geom``: the totals come
-    from its shape table, and the per-layer columns and ``entries`` are
-    built on demand.
+    from its shape table, and ``entries`` is built on demand.
     """
-    return schedule_cores(workload, (geom,), pcm, pack_pointwise=pack_pointwise)[0]
+    return schedule_cores(workload, (geom,), pack_pointwise=pack_pointwise)[0]
 
 
 def peak_tops(geom: CoreGeometry, f_hz: float) -> float:
@@ -464,7 +449,8 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
     """Resolve a workload reference: a bundled name or a JSON file path.
 
     The file format is a JSON list of layer objects with the
-    :class:`ConvLayerSpec` fields (``kind`` defaults to ``conv``).
+    :class:`ConvLayerSpec` fields (``kind`` defaults to ``conv``); no two
+    layers may share a name.
     """
     if ref in _BUNDLED_WORKLOADS:
         return _BUNDLED_WORKLOADS[ref]()
@@ -478,6 +464,7 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
     if not (isinstance(data, list) and data):
         raise ValueError("workload file must contain a non-empty JSON list of layers")
     layers = []
+    first_use: dict[str, int] = {}
     for i, raw in enumerate(data):
         if not isinstance(raw, dict) or "name" not in raw:
             raise ValueError(f"workload entry {i} must be an object with a 'name'")
@@ -487,7 +474,11 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
         if unknown:
             raise ValueError(f"{where}: unknown fields {sorted(unknown)}")
         try:
-            layers.append(ConvLayerSpec(**raw))
+            layer = ConvLayerSpec(**raw)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        if layer.name in first_use:
+            raise ValueError(f"{where}: name repeats entry {first_use[layer.name]}")
+        first_use[layer.name] = i
+        layers.append(layer)
     return tuple(layers)

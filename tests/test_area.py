@@ -1,6 +1,6 @@
 import pytest
 
-from wavecore import CoreGeometry, crossbar_area, reticle_check
+from wavecore import CoreGeometry, crossbar_area
 from wavecore.area import AreaParams
 
 
@@ -51,13 +51,15 @@ class TestReticle:
         assert report.residual_mm2 == pytest.approx(26 * 33 - 24.3 * 28.9, rel=1e-12)
 
     def test_orientation_swap(self):
-        report = crossbar_area(CoreGeometry(144, 256))
-        swapped = reticle_check(report, (10.0, 27.0))
+        geom = CoreGeometry(144, 256)
+        swapped = crossbar_area(geom, AreaParams(reticle_w_mm=10.0, reticle_h_mm=27.0))
         # 24.3 x 28.9 cannot mount either way in 10 x 27
         assert not swapped.fits_reticle
-        tall = reticle_check(report, (29.0, 25.0))
+        assert swapped.residual_mm2 is None
+        tall = crossbar_area(geom, AreaParams(reticle_w_mm=29.0, reticle_h_mm=25.0))
         # swap allowed: 24.3 <= 25 and 28.9 <= 29
         assert tall.fits_reticle
+        assert tall.residual_mm2 == pytest.approx(29.0 * 25.0 - 24.3 * 28.9, rel=1e-12)
 
     def test_oversized_core_reports_shortfall(self):
         report = crossbar_area(CoreGeometry(297, 512))

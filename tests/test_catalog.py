@@ -9,10 +9,8 @@ from hypothesis import given, strategies as st
 from wavecore import (
     CatalogError,
     db_to_linear,
-    dbm_to_mw,
     linear_to_db,
     load_catalog,
-    mw_to_dbm,
     pd_min_power,
     snr_required,
 )
@@ -40,23 +38,17 @@ class TestConversions:
     def test_db_identity(self):
         assert db_to_linear(0.0) == 1.0
 
-    def test_dbm_definition(self):
-        assert dbm_to_mw(10.0) == pytest.approx(10.0, rel=1e-12)
-
     def test_db_to_linear_minus_25(self):
         assert db_to_linear(-25.0) == pytest.approx(0.0031622776601684, rel=1e-10)
 
     @given(st.floats(min_value=-300.0, max_value=300.0, allow_nan=False))
     def test_round_trip(self, x):
         assert linear_to_db(db_to_linear(x)) == pytest.approx(x, abs=1e-12 * max(1.0, abs(x)))
-        assert mw_to_dbm(dbm_to_mw(x)) == pytest.approx(x, abs=1e-12 * max(1.0, abs(x)))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
             db_to_linear(bad)
-        with pytest.raises(ValueError):
-            dbm_to_mw(bad)
 
 
 class TestLoader:

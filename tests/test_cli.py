@@ -82,6 +82,8 @@ class TestEvaluate:
             ([{"name": ["x"], "c_in": 3}], "workload entry 0: name must be a non-empty string, got ['x']"),
             ([{"name": "a", "kind": "other"}, {"name": ""}], "workload entry 1: name must be a non-empty string, got ''"),
             ([{"name": "b", "c_in": 3, "extra": 1}], "workload entry 0 ('b'): unknown fields ['extra']"),
+            ([{"name": "a", "c_in": 3}, {"name": "a", "c_in": 3}, {"name": "m", "kind": "other"},
+              {"name": "m", "kind": "other"}], "workload entry 1 ('a'): name repeats entry 0"),
         ],
     )
     @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -328,6 +330,31 @@ def test_evaluate_and_sweep_build_no_per_layer_records(runner, monkeypatch, run)
     result = runner.invoke(main, run["argv"])
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.exit_code == run["exit_code"]
+    assert result.stdout_bytes == run["stdout"].encode()
+
+
+@pytest.mark.parametrize("run", [
+    *(pytest.param(run, id=" ".join(run["argv"])) for run in GOLDEN_CLI),
+    *(pytest.param(run, id=_golden_id(run)) for run in GOLDEN_VARIANTS),
+])
+def test_every_analytic_report_goes_through_emit(runner, monkeypatch, run):
+    # _emit is the one output-format dispatcher: one call per command, same bytes
+    import wavecore.cli
+
+    emit = wavecore.cli._emit
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return emit(*args, **kwargs)
+
+    monkeypatch.setattr("wavecore.cli._emit", counted)
+    monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    monkeypatch.chdir(REPO_ROOT)
+    result = runner.invoke(main, run["argv"])
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exit_code == run.get("exit_code", 0)
+    assert len(calls) == 1
     assert result.stdout_bytes == run["stdout"].encode()
 
 

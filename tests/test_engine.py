@@ -16,7 +16,6 @@ from wavecore import (
     QuantSpec,
     inject_noise,
     noisy_mvm,
-    pcm_program,
     quantize,
 )
 from wavecore.engine import DIFFERENTIAL_PAIR, ZERO_NOISE, _detector_sums, unit_step_out_quant
@@ -556,7 +555,7 @@ class TestPcmProgramming:
     def test_zero_std_levels_exact(self, catalog):
         pcm = dataclasses.replace(catalog.pcm, program_std=0.0)
         w = np.linspace(0, 1, 8).reshape(2, 4)
-        levels, values, _ = pcm_program(w, pcm)
+        levels, values = PcmProgrammer(pcm).program(w)
         grid = QuantSpec(bits=7, lo=0.0, hi=1.0)
         expected_levels, expected_values = quantize(w, grid)
         assert np.array_equal(levels, expected_levels)
@@ -564,7 +563,9 @@ class TestPcmProgramming:
 
     def test_event_log_totals(self, catalog):
         w = np.zeros((144, 256))
-        _, _, events = pcm_program(w, catalog.pcm)
+        bank = PcmProgrammer(catalog.pcm)
+        bank.program(w)
+        events = bank.events
         assert sum(e.cells for e in events) == 36864
         assert sum(e.program_pj for e in events) == pytest.approx(36864 * 135.0)
         assert sum(e.erase_pj for e in events) == pytest.approx(36864 * 680.0)
@@ -586,10 +587,10 @@ class TestPcmProgramming:
     def test_programming_noise_is_relative(self, catalog):
         pcm = dataclasses.replace(catalog.pcm, program_std=0.01)
         w = np.full((200, 200), 0.5)
-        _, values, _ = pcm_program(w, pcm, seed=3)
+        _, values = PcmProgrammer(pcm, seed=3).program(w)
         grid_value = quantize(0.5, QuantSpec(bits=7, lo=0.0, hi=1.0))[1]
         assert np.std(values) == pytest.approx(0.01 * grid_value, rel=0.05)
 
     def test_out_of_range_weights_rejected(self, catalog):
         with pytest.raises(ValueError, match="0, 1"):
-            pcm_program(np.array([[1.5]]), catalog.pcm)
+            PcmProgrammer(catalog.pcm).program(np.array([[1.5]]))

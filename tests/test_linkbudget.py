@@ -35,7 +35,7 @@ class TestGeometry:
 
     def test_groups(self, core_144x256):
         assert core_144x256.groups == 16
-        assert core_144x256.splitter_stages_excess == 31
+        assert core_144x256.mmi_bundles - 1 == 31
 
     def test_rows_must_align_to_groups(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -46,7 +46,7 @@ class TestGeometry:
             CoreGeometry(144, 100)
 
     def test_narrow_degenerate_cores_allowed(self):
-        assert CoreGeometry(9, 1).splitter_stages_excess == 0
+        assert CoreGeometry(9, 1).mmi_bundles - 1 == 0
 
     def test_parse(self):
         geom = CoreGeometry.parse("18x16")

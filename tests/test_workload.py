@@ -122,11 +122,11 @@ class TestScheduleColumns:
     def test_columns_sum_to_totals_and_match_lowering(self, catalog, layers, geom, pack):
         sched = schedule(layers, geom, catalog.pcm, pack_pointwise=pack)
         assert sched.workload == tuple(layers)
-        for column in (sched.tile_loads, sched.stream_cycles, sched.programmed_cells):
-            assert len(column) == len(layers)
-        assert sched.total_tile_loads == sum(sched.tile_loads)
-        assert sched.total_stream_cycles == sum(sched.stream_cycles)
-        assert sched.total_programmed_cells == sum(sched.programmed_cells)
+        entries = sched.entries
+        assert len(entries) == len(layers)
+        assert sched.total_tile_loads == sum(entry.tile_loads for entry in entries)
+        assert sched.total_stream_cycles == sum(entry.stream_cycles for entry in entries)
+        assert sched.total_programmed_cells == sum(entry.programmed_cells for entry in entries)
 
         # the seed's walk: one LoweredDims per conv layer, totals summed from it
         loads = cycles = cells = macs = 0
@@ -186,14 +186,15 @@ class TestScheduleCores:
     @given(layers=_repeated_shape_workloads(), geoms=_core_lists(), pack=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_each_core_matches_its_own_schedule_and_the_lowering(self, catalog, layers, geoms, pack):
-        scheds = schedule_cores(layers, geoms, catalog.pcm, pack_pointwise=pack)
+        scheds = schedule_cores(layers, geoms, pack_pointwise=pack)
         assert len(scheds) == len(geoms)
         for geom, sched in zip(geoms, scheds):
             assert sched == schedule(layers, geom, catalog.pcm, pack_pointwise=pack)
             assert sched.geometry is geom
-            assert sched.total_tile_loads == sum(sched.tile_loads)
-            assert sched.total_stream_cycles == sum(sched.stream_cycles)
-            assert sched.total_programmed_cells == sum(sched.programmed_cells)
+            entries = sched.entries
+            assert sched.total_tile_loads == sum(entry.tile_loads for entry in entries)
+            assert sched.total_stream_cycles == sum(entry.stream_cycles for entry in entries)
+            assert sched.total_programmed_cells == sum(entry.programmed_cells for entry in entries)
 
             # reference: one lower_conv per conv layer, summed in layer order
             loads = cycles = cells = macs = 0
@@ -210,12 +211,12 @@ class TestScheduleCores:
             assert sched.macs == macs
             assert sched.flagged_ops == tuple(layer.name for layer in layers if layer.kind != "conv")
 
-    def test_no_cores_give_no_schedules(self, catalog, resnet):
-        assert schedule_cores(resnet, [], catalog.pcm) == ()
+    def test_no_cores_give_no_schedules(self, resnet):
+        assert schedule_cores(resnet, []) == ()
 
-    def test_empty_workload_rejected_without_cores(self, catalog):
+    def test_empty_workload_rejected_without_cores(self):
         with pytest.raises(ValueError, match="empty"):
-            schedule_cores((), [], catalog.pcm)
+            schedule_cores((), [])
 
 
 class TestPeakTops:
