@@ -381,7 +381,7 @@ def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_
     import numpy as np
 
     from .engine import NoiseSpec
-    from .synth import DATA_SEED, make_dataset, tinycnn_accuracy
+    from .synth import DATA_SEED, make_dataset, run_tinycnn
 
     if model != "tinycnn":
         raise ScenarioError(f"model: unknown model {model!r} (bundled: tinycnn)")
@@ -397,7 +397,7 @@ def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_
     # Overflow to inf/NaN is reported below as an exit 1, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            accuracy, _, stats = tinycnn_accuracy(images, labels, geom, noise)
+            accuracy, _, stats = run_tinycnn(images, labels, geom, noise)
         except MemoryError as exc:
             raise ScenarioError(f"{too_many} ({exc})") from None
     if not all(math.isfinite(v) for s in stats for v in (s.mean, s.std, s.min, s.max)):

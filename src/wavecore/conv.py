@@ -12,14 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import (
-    AccumulationTree,
-    NoiseSpec,
-    QuantSpec,
-    ZERO_NOISE,
-    noisy_mvm,
-    unit_step_out_quant,
-)
+from .engine import NoiseSpec, QuantSpec, ZERO_NOISE, noisy_mvm, unit_step_out_quant
 from .linkbudget import CoreGeometry
 from .workload import ConvLayerSpec, lower_conv
 
@@ -86,7 +79,6 @@ def run_conv(
     w_quant: QuantSpec,
     out_quant: QuantSpec | None = None,
     noise: NoiseSpec = ZERO_NOISE,
-    tree: AccumulationTree = AccumulationTree(),
     *,
     stride: int = 1,
     pack_pointwise: bool = False,
@@ -98,9 +90,10 @@ def run_conv(
     result is (c_out, h_out, w_out) or (B, c_out, h_out, w_out). Row tiles
     honor the geometry's per-pass channel capacity; partial sums accumulate
     digitally across row tiles, and column tiles are evaluated independently
-    (the engine handles each tile's columns in one call). Each tile is one
-    engine call for the whole batch, and image ``b`` draws the noise of seed
-    ``noise.seed + b``, so it equals a call on that image alone with that seed.
+    (the engine handles each tile's columns in one call, on its default
+    ``AccumulationTree``). Each tile is one engine call for the whole batch,
+    and image ``b`` draws the noise of seed ``noise.seed + b``, so it equals a
+    call on that image alone with that seed.
     """
     batched = activations.ndim == 4
     images = activations if batched else activations[None]
@@ -131,7 +124,6 @@ def run_conv(
                 w_quant,
                 out_quant,
                 noise,
-                tree,
                 layer=layer_index,
                 tile=tile,
             )

@@ -16,9 +16,10 @@ detector's first bus reduced into the block's running sum and every later bus
 added to it. With 9-row buses the scratch is about 0.7 MiB on top of the
 detectors x cols x positions output.
 
-The datapath takes a leading batch axis (inputs B x rows x positions), and a
-single tile is a batch of one. Shared weights and the batch's inputs are
-quantized once per call; only the noise is drawn per item, item ``b`` from
+Every operation takes a batch: ``noisy_mvm``'s inputs are B x rows x
+positions (a single tile is a batch of one), and ``inject_noise`` draws each
+item of an array's leading axis from its own generator. Shared weights and
+the batch's inputs are quantized once per call; only the noise is drawn per item, item ``b`` from
 the streams of seed ``noise.seed + b``. A batch is therefore bit-identical to
 B separate calls. In the kernel the batch is the outermost block axis: small
 tiles share a block while one bus's products fit in 2^13 elements, so the
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import PcmSpec, check_number
-from .rng import keyed_rng, keyed_streams
+from .rng import keyed_streams
 
 NON_NEGATIVE = "non_negative"
 DIFFERENTIAL_PAIR = "differential_pair"
@@ -134,11 +135,11 @@ class AccumulationTree:
 
 
 def quantize(x, q: QuantSpec):
-    """Quantize to the nearest grid level. Returns (level indices, dequantized values).
+    """Quantize an array to the nearest grid level.
 
-    Scalars in, scalars out; arrays in, arrays out.
+    Returns (level indices, dequantized values), two arrays of ``x``'s shape.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("quantize requires finite inputs")
     # In place where possible, so a batch holds two full-size temporaries:
@@ -159,20 +160,18 @@ def quantize(x, q: QuantSpec):
     value = idx                                                # lo + level * step, in place
     value *= q.step
     value += q.lo
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return int(levels[0]), float(value[0])
     return levels, value
 
 
-def inject_noise(q_value, sigma: float, rng):
-    """Add zero-mean Gaussian noise with standard deviation sigma*|value|.
+def inject_noise(q_value, sigma: float, streams):
+    """Add zero-mean Gaussian noise with standard deviation sigma*|value| to a batch.
 
-    ``rng`` is one generator, or any iterable of generators, one per item of
-    the leading axis; each item's noise is then drawn from its own generator,
-    exactly as a call on that item alone would draw it. Items are drawn in
-    order and each generator is used before the next is taken, so an
-    iterable may hand out one generator re-keyed per item, and at sigma zero
-    it is not iterated at all.
+    ``q_value`` is an array of items along its leading axis (at least 2-D),
+    and ``streams`` an iterable of generators, one per item: item ``i``'s
+    noise is ``standard_normal`` of the item's shape from the ``i``-th
+    generator. Items are drawn in order and each generator is used before the
+    next is taken, so ``streams`` may hand out one generator re-keyed per item
+    (``rng.keyed_streams``), and at sigma zero it is not iterated at all.
 
     Exactly the identity when sigma is zero (no RNG draw is consumed), and
     exactly zero-preserving since the noise scale is proportional to the
@@ -180,22 +179,18 @@ def inject_noise(q_value, sigma: float, rng):
     """
     check_number("sigma", sigma, ge=0.0)
     arr = np.asarray(q_value, dtype=np.float64)
+    if arr.ndim < 2:
+        raise ValueError(f"inject_noise needs a leading item axis (items, ...), got shape {arr.shape}")
     if sigma == 0.0:
-        out = arr
-    else:
-        # arr + standard_normal * (sigma * |arr|), in two full-size buffers
-        if isinstance(rng, np.random.Generator):
-            out = rng.standard_normal(arr.shape)
-        else:
-            out = np.empty(arr.shape)
-            for item, item_rng in zip(out, rng, strict=True):
-                item_rng.standard_normal(out=item)
-        scale = np.abs(arr)
-        scale *= sigma
-        out *= scale
-        out += arr
-    if np.isscalar(q_value) or np.ndim(q_value) == 0:
-        return float(out)
+        return arr
+    # arr + standard_normal * (sigma * |arr|), in two full-size buffers
+    out = np.empty(arr.shape)
+    for item, item_rng in zip(out, streams, strict=True):
+        item_rng.standard_normal(out=item)
+    scale = np.abs(arr)
+    scale *= sigma
+    out *= scale
+    out += arr
     return out
 
 
@@ -339,33 +334,27 @@ def noisy_mvm(
 ) -> np.ndarray:
     """y = W^T x through the quantized, noisy, hierarchically-accumulated datapath.
 
-    ``x`` is a length-R vector, an R x P matrix of positions evaluated
-    together, or a B x R x P batch of such matrices; ``weights`` is R x C and
-    the result is C, C x P or B x C x P. Inputs and weights are quantized on
-    their grids, perturbed by signal-proportional noise, multiplied per cell,
-    summed per wavelength group, then per detector; each detector reading
-    picks up readout noise and, when ``out_quant`` is given, is digitized
-    before the final digital sum. Results are a deterministic function of
-    (seed, layer, tile, operands). Batch item ``b`` draws its noise from the
-    streams of seed ``noise.seed + b``, so it equals, bit for bit, a call on
-    ``x[b]`` alone with that seed.
+    ``x`` is a B x R x P batch of R x P input matrices (P positions evaluated
+    together; one tile is a batch of one), ``weights`` is R x C and the result
+    is B x C x P. Inputs and weights are quantized on their grids, perturbed
+    by signal-proportional noise, multiplied per cell, summed per wavelength
+    group, then per detector; each detector reading picks up readout noise
+    and, when ``out_quant`` is given, is digitized before the final digital
+    sum. Results are a deterministic function of (seed, layer, tile,
+    operands). Batch item ``b`` draws its noise from the streams of seed
+    ``noise.seed + b``, so it equals, bit for bit, a call on ``x[b:b+1]``
+    alone with that seed.
 
     In ``differential_pair`` weight mode, signed weights are carried by a
     positive/negative column pair on the magnitude grid and subtracted after
     readout, matching a two-column physical encoding.
     """
-    x_arr = np.asarray(x, dtype=np.float64)
+    x_batch = np.asarray(x, dtype=np.float64)
     w_arr = np.asarray(weights, dtype=np.float64)
     if w_arr.ndim != 2:
         raise ValueError(f"weights must be 2-D (rows x cols), got shape {w_arr.shape}")
-    if x_arr.ndim == 1:
-        x_batch = x_arr[None, :, None]                         # one position of one item
-    elif x_arr.ndim == 2:
-        x_batch = x_arr[None]                                  # one item
-    else:
-        x_batch = x_arr
     if x_batch.ndim != 3 or x_batch.shape[1] != w_arr.shape[0]:
-        raise ValueError(f"operand shapes do not agree: x {x_arr.shape}, weights {w_arr.shape}")
+        raise ValueError(f"operand shapes do not agree: x {x_batch.shape} (B x R x P), weights {w_arr.shape} (R x C)")
     if in_quant.lo < 0.0:
         raise ValueError("input intensities are non-negative; in_quant range must start at >= 0")
 
@@ -381,16 +370,11 @@ def noisy_mvm(
         _, w_neg = quantize(np.maximum(-w_arr, 0.0), leg_quant)
         y_pos = _mvm_non_negative(x_eq, w_pos, out_quant, noise, tree, layer, tile, "w+")
         y_neg = _mvm_non_negative(x_eq, w_neg, out_quant, noise, tree, layer, tile, "w-")
-        y = y_pos - y_neg
-    else:
-        if w_quant.lo < 0.0:
-            raise ValueError("non_negative weight mode cannot represent a negative range")
-        _, w_values = quantize(w_arr, w_quant)
-        y = _mvm_non_negative(x_eq, w_values, out_quant, noise, tree, layer, tile, "w")
-
-    if x_arr.ndim == 1:
-        return y[0, :, 0]
-    return y[0] if x_arr.ndim == 2 else y
+        return y_pos - y_neg
+    if w_quant.lo < 0.0:
+        raise ValueError("non_negative weight mode cannot represent a negative range")
+    _, w_values = quantize(w_arr, w_quant)
+    return _mvm_non_negative(x_eq, w_values, out_quant, noise, tree, layer, tile, "w")
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +438,7 @@ class PcmProgrammer:
 
         spec = QuantSpec(bits=self.pcm.levels_bits, lo=0.0, hi=1.0)
         levels, values = quantize(w, spec)
-        values = inject_noise(values, self.pcm.program_std, keyed_rng(self.seed, "pcm", layer, tile))
+        values = inject_noise(values[None], self.pcm.program_std, keyed_streams((self.seed,), "pcm", layer, tile))[0]
 
         self.events.append(
             ProgramEvent(

@@ -12,10 +12,12 @@ A stream's key is the first 16 bytes of one SHA-256 over the seed and the
 labels, encoded once by ``_encode_labels``. A Philox stream is built from its
 128-bit key alone: ``Philox(key=...)`` would first build a ``SeedSequence``
 from OS entropy and then discard it, so the key is handed to ``Philox`` as a
-fixed-key seed sequence instead. ``keyed_streams`` serves a batch: it builds
-one Philox for its first seed and re-keys it for every later one by assigning
-its state (key, zero counter, empty buffer), lazily, so an unused role derives
-no key. Every stream (key, counter and buffer) is the same either way.
+fixed-key seed sequence instead. ``keyed_streams`` is the one path from
+digest to generator, and it serves a batch: it builds one Philox for its
+first seed and re-keys it for every later one by assigning its state (key,
+zero counter, empty buffer), lazily, so an unused role derives no key. Every
+stream (key, counter and buffer) is the same either way. ``keyed_rng`` is its
+first stream.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-_WORD = (1 << 64) - 1
 # a 128-bit key as Philox's two little-endian 64-bit key words
 _KEY_WORDS = struct.Struct("<2Q")
 
@@ -72,10 +73,10 @@ def stream_key(seed: int, *parts: int | str) -> int:
 def keyed_rng(seed: int, *parts: int | str) -> np.random.Generator:
     """Counter-based generator for the stream identified by (seed, *parts).
 
-    Equal, state and draws, to ``Generator(Philox(key=stream_key(seed, *parts)))``.
+    It is the first stream of ``keyed_streams((seed,), *parts)``, and equal,
+    state and draws, to ``Generator(Philox(key=stream_key(seed, *parts)))``.
     """
-    key = stream_key(seed, *parts)
-    return np.random.Generator(np.random.Philox(_FixedKey((key & _WORD, key >> 64))))
+    return next(keyed_streams((seed,), *parts))
 
 
 def keyed_streams(seeds: Iterable[int], *parts: int | str) -> Iterator[np.random.Generator]:

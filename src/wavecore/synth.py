@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import run_conv
-from .engine import DIFFERENTIAL_PAIR, AccumulationTree, NoiseSpec, QuantSpec
+from .engine import DIFFERENTIAL_PAIR, NoiseSpec, QuantSpec
 from .linkbudget import CoreGeometry
 from .rng import keyed_rng
 
@@ -63,22 +63,17 @@ class LayerStats:
     max: float
 
 
-def run_tinycnn(
-    images: np.ndarray,
-    geom: CoreGeometry,
-    noise: NoiseSpec,
-    tree: AccumulationTree = AccumulationTree(),
-):
-    """Classify patches through the analog conv layer.
+def run_tinycnn(images: np.ndarray, labels: np.ndarray, geom: CoreGeometry, noise: NoiseSpec):
+    """Classify patches through the analog conv layer and score them against ``labels``.
 
-    Returns (predictions, layer statistics). Scores are rectified mean conv
-    responses per orientation filter; the conv itself runs on the engine with
-    6-bit inputs and 7-bit differential weights, all images in one batch, so
-    image ``i`` sees the noise of seed ``noise.seed + i``.
+    Returns (accuracy, predictions, layer statistics). Scores are rectified
+    mean conv responses per orientation filter; the conv itself runs on the
+    engine with 6-bit inputs and 7-bit differential weights, all images in one
+    batch, so image ``i`` sees the noise of seed ``noise.seed + i``.
     """
     in_quant = QuantSpec(bits=6, lo=0.0, hi=1.0)
     w_quant = QuantSpec(bits=7, lo=-4.0, hi=4.0, signed_mode=DIFFERENTIAL_PAIR)
-    y = run_conv(images, _FILTERS, geom, in_quant, w_quant, out_quant=None, noise=noise, tree=tree)
+    y = run_conv(images, _FILTERS, geom, in_quant, w_quant, out_quant=None, noise=noise)
     scores = np.abs(y).mean(axis=(2, 3))
     preds = np.argmax(scores, axis=1)
     stats = [
@@ -90,22 +85,14 @@ def run_tinycnn(
             max=float(y.max()),
         )
     ]
-    return preds, stats
-
-
-def tinycnn_accuracy(images: np.ndarray, labels: np.ndarray, geom: CoreGeometry, noise: NoiseSpec):
-    """(accuracy, predictions, layer statistics) of the bundled model on ``images``."""
-    preds, stats = run_tinycnn(images, geom, noise)
     return float((preds == labels).mean()), preds, stats
 
 
-def simulate_accuracy(
-    geom: CoreGeometry,
-    noise: NoiseSpec,
-    n_samples: int = 60,
-    data_seed: int = DATA_SEED,
-):
-    """Accuracy of the bundled model on a fresh synthetic draw."""
-    images, labels = make_dataset(n_samples, seed=data_seed)
-    accuracy, preds, stats = tinycnn_accuracy(images, labels, geom, noise)
+def simulate_accuracy(geom: CoreGeometry, noise: NoiseSpec, n_samples: int = 60):
+    """(accuracy, predictions, labels, layer statistics) of the bundled model.
+
+    The images are ``make_dataset(n_samples, seed=DATA_SEED)``, the fixed draw ``simulate`` classifies.
+    """
+    images, labels = make_dataset(n_samples, seed=DATA_SEED)
+    accuracy, preds, stats = run_tinycnn(images, labels, geom, noise)
     return accuracy, preds, labels, stats

@@ -236,22 +236,22 @@ def test_criterion_7_functional_correctness():
     x = rng.integers(0, 16, size=36).astype(float)
     wmat = rng.integers(0, 16, size=(36, 6)).astype(float)
     out_q = unit_step_out_quant(36 * 225)
-    baseline_y = noisy_mvm(x, wmat, in_q, w_q, out_q, ZERO_NOISE, AccumulationTree(9, 16))
+    baseline_y = noisy_mvm(x[None, :, None], wmat, in_q, w_q, out_q, ZERO_NOISE, AccumulationTree(9, 16))
     for tree in (AccumulationTree(9, 2), AccumulationTree(3, 4), AccumulationTree(1, 1), AccumulationTree(36, 1)):
-        assert np.array_equal(noisy_mvm(x, wmat, in_q, w_q, out_q, ZERO_NOISE, tree), baseline_y)
+        assert np.array_equal(noisy_mvm(x[None, :, None], wmat, in_q, w_q, out_q, ZERO_NOISE, tree), baseline_y)
 
     # Monte-Carlo: relative noise std within 2 percent at 1e5 samples
     for sigma in (0.0031, 0.01):
-        value = quantize(0.625, QuantSpec(bits=6, lo=0.0, hi=1.0))[1]
-        samples = inject_noise(np.full(100_000, value), sigma, keyed_rng(11, "accept-mc", str(sigma)))
+        value = quantize(np.array([0.625]), QuantSpec(bits=6, lo=0.0, hi=1.0))[1][0]
+        samples = inject_noise(np.full((1, 100_000), value), sigma, [keyed_rng(11, "accept-mc", str(sigma))])
         assert np.std(samples) == pytest.approx(sigma * value, rel=0.02)
 
     # fixed-seed bit-identical reruns
     noise = NoiseSpec(seed=42)
     inst_x = rng.integers(0, 16, size=(18, 7)).astype(float)
     inst_w = rng.integers(0, 16, size=(18, 4)).astype(float)
-    y1 = noisy_mvm(inst_x, inst_w, in_q, w_q, noise=noise, layer=1, tile=2)
-    y2 = noisy_mvm(inst_x, inst_w, in_q, w_q, noise=noise, layer=1, tile=2)
+    y1 = noisy_mvm(inst_x[None], inst_w, in_q, w_q, noise=noise, layer=1, tile=2)
+    y2 = noisy_mvm(inst_x[None], inst_w, in_q, w_q, noise=noise, layer=1, tile=2)
     assert np.array_equal(y1, y2)
 
     elapsed = time.perf_counter() - start

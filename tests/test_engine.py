@@ -28,25 +28,25 @@ DATA = Path(__file__).parent / "data"
 
 class TestQuantize:
     def test_low_boundary(self):
-        level, value = quantize(0.0, QuantSpec(bits=6, lo=0.0, hi=1.0))
+        (level,), (value,) = quantize(np.array([0.0]), QuantSpec(bits=6, lo=0.0, hi=1.0))
         assert level == 0 and value == 0.0
 
     def test_midpoint_ties_away_from_zero(self):
-        level, value = quantize(0.5, QuantSpec(bits=6, lo=0.0, hi=1.0))
+        (level,), (value,) = quantize(np.array([0.5]), QuantSpec(bits=6, lo=0.0, hi=1.0))
         assert level == 32
         assert value == pytest.approx(32 / 63)
 
     def test_clamps_above_range(self):
-        level, value = quantize(2.5, QuantSpec(bits=6, lo=0.0, hi=1.0))
+        (level,), (value,) = quantize(np.array([2.5]), QuantSpec(bits=6, lo=0.0, hi=1.0))
         assert level == 63 and value == 1.0
 
     def test_clamps_below_range(self):
-        level, _ = quantize(-1.0, QuantSpec(bits=6, lo=0.0, hi=1.0))
+        (level,), _ = quantize(np.array([-1.0]), QuantSpec(bits=6, lo=0.0, hi=1.0))
         assert level == 0
 
     def test_negative_tie_rounds_down(self):
         # unit-step grid on [-63, 0]: -31.5 is an exact midpoint, away from zero is -32
-        level, value = quantize(-31.5, QuantSpec(bits=6, lo=-63.0, hi=0.0))
+        (level,), (value,) = quantize(np.array([-31.5]), QuantSpec(bits=6, lo=-63.0, hi=0.0))
         assert value == -32.0
 
     def test_array_form(self):
@@ -57,34 +57,34 @@ class TestQuantize:
     @given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
     def test_always_lands_on_grid(self, x):
         q = QuantSpec(bits=5, lo=-2.0, hi=2.0)
-        level, value = quantize(x, q)
+        (level,), (value,) = quantize(np.array([x]), q)
         assert 0 <= level < q.levels
         assert value == pytest.approx(q.lo + level * q.step, abs=1e-12)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            quantize(float("nan"), QuantSpec(bits=4))
+            quantize(np.array([float("nan")]), QuantSpec(bits=4))
 
 
 class TestInjectNoise:
     def test_zero_sigma_identity(self):
         rng = keyed_rng(0, "t")
-        assert inject_noise(0.73, 0.0, rng) == 0.73
+        assert inject_noise(np.array([[0.73]]), 0.0, [rng]) == 0.73
 
     def test_zero_signal_stays_zero(self):
         rng = keyed_rng(0, "t")
-        assert inject_noise(0.0, 0.5, rng) == 0.0
+        assert inject_noise(np.array([[0.0]]), 0.5, [rng]) == 0.0
 
     @pytest.mark.parametrize("sigma", [0.0031, 0.01])
     def test_empirical_std_matches(self, sigma):
         rng = keyed_rng(42, "mc", str(sigma))
-        samples = inject_noise(np.ones(100_000), sigma, rng)
+        samples = inject_noise(np.ones((1, 100_000)), sigma, [rng])
         assert np.std(samples) == pytest.approx(sigma, rel=0.02)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.01])
     def test_rejects_non_finite_or_negative_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
-            inject_noise(np.ones(3), sigma, keyed_rng(0, "t"))
+            inject_noise(np.ones((1, 3)), sigma, [keyed_rng(0, "t")])
 
     @pytest.mark.parametrize("sigma", [0.0031, 0.5])
     def test_matches_out_of_place_expression_bit_for_bit(self, sigma):
@@ -93,22 +93,21 @@ class TestInjectNoise:
         arr[rng.random(arr.shape) < 0.2] = 0.0
         arr[rng.random(arr.shape) < 0.1] = -0.0
         before = arr.copy()
-        got = inject_noise(arr, sigma, keyed_rng(5, "bits"))
+        got = inject_noise(arr[None], sigma, [keyed_rng(5, "bits")])[0]
         draws = keyed_rng(5, "bits").standard_normal(arr.shape)
         expected = arr + draws * (sigma * np.abs(arr))
         assert_same_bits(got, expected)
         assert_same_bits(arr, before)
 
-    def test_scalar_in_scalar_out(self):
-        got = inject_noise(-1.5, 0.01, keyed_rng(9, "s"))
-        draw = keyed_rng(9, "s").standard_normal()
-        assert type(got) is float
-        assert got == -1.5 + draw * (0.01 * 1.5)
+    @pytest.mark.parametrize("arr", [np.ones(3), np.array(1.0)], ids=["1-d", "0-d"])
+    def test_rejects_a_missing_item_axis(self, arr):
+        with pytest.raises(ValueError, match=r"leading item axis .* got shape"):
+            inject_noise(arr, 0.1, keyed_streams(range(3), "x"))
 
     def test_zero_sigma_consumes_no_draw(self):
         rng = keyed_rng(4, "z")
         arr = np.array([1.0, -2.0])
-        assert_same_bits(inject_noise(arr, 0.0, rng), arr)
+        assert_same_bits(inject_noise(arr[None], 0.0, [rng])[0], arr)
         assert rng.standard_normal() == keyed_rng(4, "z").standard_normal()
 
     def test_zero_sigma_takes_no_stream(self):
@@ -121,13 +120,13 @@ class TestInjectNoise:
         arr = np.arange(-5.0, 7.0).reshape(3, 4)
         got = inject_noise(arr, 0.01, keyed_streams(range(7, 10), "it"))
         for b in range(3):
-            assert_same_bits(got[b], inject_noise(arr[b], 0.01, keyed_rng(7 + b, "it")))
+            assert_same_bits(got[b], inject_noise(arr[b : b + 1], 0.01, [keyed_rng(7 + b, "it")])[0])
 
     def test_scales_with_magnitude(self):
         rng1 = keyed_rng(7, "a")
         rng2 = keyed_rng(7, "a")
-        small = inject_noise(np.full(50_000, 0.5), 0.01, rng1)
-        large = inject_noise(np.full(50_000, 2.0), 0.01, rng2)
+        small = inject_noise(np.full((1, 50_000), 0.5), 0.01, [rng1])
+        large = inject_noise(np.full((1, 50_000), 2.0), 0.01, [rng2])
         assert np.std(large) == pytest.approx(4 * np.std(small), rel=1e-9)
 
 
@@ -284,7 +283,7 @@ class TestDetectorSums:
         w_q = QuantSpec(bits=7, lo=-1.0, hi=1.0, signed_mode=DIFFERENTIAL_PAIR)
         tracemalloc.start()
         try:
-            noisy_mvm(x, w, QuantSpec(bits=6), w_q, noise=NoiseSpec())
+            noisy_mvm(x[None], w, QuantSpec(bits=6), w_q, noise=NoiseSpec())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -308,7 +307,7 @@ class TestUfuncBufferSize:
             before = np.getbufsize()
             _detector_sums(x[None], w[None], AccumulationTree())
             assert np.getbufsize() == before
-            noisy_mvm(x, w, QuantSpec(bits=6), QuantSpec(bits=7), noise=NoiseSpec())
+            noisy_mvm(x[None], w, QuantSpec(bits=6), QuantSpec(bits=7), noise=NoiseSpec())
             assert np.getbufsize() == before
         finally:
             np.setbufsize(old)
@@ -386,8 +385,8 @@ class TestNoisyMvm:
         x = np.zeros(9)
         x[4] = 0.5
         w = np.eye(9)
-        y = noisy_mvm(x, w, in_q, w_q, noise=ZERO_NOISE)
-        assert y[4] == pytest.approx(quantize(0.5, in_q)[1], abs=1e-15)
+        y = noisy_mvm(x[None, :, None], w, in_q, w_q, noise=ZERO_NOISE)[0, :, 0]
+        assert y[4] == pytest.approx(quantize(np.array([0.5]), in_q)[1][0], abs=1e-15)
         assert np.count_nonzero(y) == 1
 
     def test_matches_integer_oracle_zero_noise(self):
@@ -396,7 +395,8 @@ class TestNoisyMvm:
             rows = int(rng.integers(1, 33))
             cols = int(rng.integers(1, 33))
             x, w, in_q, w_q = integer_operands(rng, rows, cols)
-            y = noisy_mvm(x, w, in_q, w_q, out_quant=unit_step_out_quant(rows * 15 * 15), noise=ZERO_NOISE)
+            y = noisy_mvm(x[None, :, None], w, in_q, w_q, out_quant=unit_step_out_quant(rows * 15 * 15),
+                          noise=ZERO_NOISE)[0, :, 0]
             assert np.array_equal(y, w.T @ x)
 
     def test_grouping_invariance_zero_noise(self):
@@ -410,7 +410,8 @@ class TestNoisyMvm:
             AccumulationTree(group_size=27, pd_ports=4),
         ]
         outputs = [
-            noisy_mvm(x, w, in_q, w_q, out_quant=unit_step_out_quant(27 * 225), noise=ZERO_NOISE, tree=t)
+            noisy_mvm(x[None, :, None], w, in_q, w_q, out_quant=unit_step_out_quant(27 * 225), noise=ZERO_NOISE,
+                      tree=t)
             for t in trees
         ]
         for y in outputs[1:]:
@@ -419,23 +420,23 @@ class TestNoisyMvm:
     def test_batched_positions_match_oracle(self):
         rng = np.random.default_rng(3)
         x, w, in_q, w_q = integer_operands(rng, 18, 4, positions=10)
-        y = noisy_mvm(x, w, in_q, w_q, out_quant=unit_step_out_quant(18 * 225), noise=ZERO_NOISE)
-        assert np.array_equal(y, w.T @ x)
+        y = noisy_mvm(x[None], w, in_q, w_q, out_quant=unit_step_out_quant(18 * 225), noise=ZERO_NOISE)
+        assert np.array_equal(y[0], w.T @ x)
 
     def test_seed_determinism_bit_identical(self):
         rng = np.random.default_rng(5)
         x, w, in_q, w_q = integer_operands(rng, 18, 4)
         noise = NoiseSpec(seed=42)
-        y1 = noisy_mvm(x, w, in_q, w_q, noise=noise, layer=3, tile=7)
-        y2 = noisy_mvm(x, w, in_q, w_q, noise=noise, layer=3, tile=7)
+        y1 = noisy_mvm(x[None, :, None], w, in_q, w_q, noise=noise, layer=3, tile=7)
+        y2 = noisy_mvm(x[None, :, None], w, in_q, w_q, noise=noise, layer=3, tile=7)
         assert np.array_equal(y1, y2)
 
     def test_different_tiles_draw_different_noise(self):
         rng = np.random.default_rng(5)
         x, w, in_q, w_q = integer_operands(rng, 18, 4)
         noise = NoiseSpec(seed=42)
-        y1 = noisy_mvm(x, w, in_q, w_q, noise=noise, layer=0, tile=0)
-        y2 = noisy_mvm(x, w, in_q, w_q, noise=noise, layer=0, tile=1)
+        y1 = noisy_mvm(x[None, :, None], w, in_q, w_q, noise=noise, layer=0, tile=0)
+        y2 = noisy_mvm(x[None, :, None], w, in_q, w_q, noise=noise, layer=0, tile=1)
         assert not np.array_equal(y1, y2)
 
     def test_output_variance_monotone_in_each_sigma(self):
@@ -450,8 +451,8 @@ class TestNoisyMvm:
             for sigma in (0.0, 0.005, 0.01, 0.02):
                 base = NoiseSpec(sigma_in=0.0, sigma_w=0.0, sigma_out=0.0, seed=99)
                 noise = dataclasses.replace(base, **{role: sigma})
-                y = noisy_mvm(xs, w, in_q, w_q, noise=noise)
-                stds.append(float(np.std(y[0])))
+                y = noisy_mvm(xs[None], w, in_q, w_q, noise=noise)
+                stds.append(float(np.std(y[0, 0])))
             assert stds == sorted(stds), f"{role}: {stds}"
             assert stds[0] == 0.0 and stds[-1] > 0.0
 
@@ -461,16 +462,16 @@ class TestNoisyMvm:
         w = rng.integers(-15, 16, size=(12, 3)).astype(float)
         in_q = QuantSpec(bits=4, lo=0.0, hi=15.0)
         w_q = QuantSpec(bits=4, lo=-15.0, hi=15.0, signed_mode=DIFFERENTIAL_PAIR)
-        y = noisy_mvm(x, w, in_q, w_q, noise=ZERO_NOISE)
-        assert np.allclose(y, w.T @ x)
+        y = noisy_mvm(x[None, :, None], w, in_q, w_q, noise=ZERO_NOISE)
+        assert np.allclose(y[0, :, 0], w.T @ x)
 
     def test_non_negative_mode_rejects_signed_range(self):
         with pytest.raises(ValueError, match="negative"):
-            noisy_mvm(np.ones(4), np.ones((4, 2)), QuantSpec(bits=4), QuantSpec(bits=4, lo=-1.0, hi=1.0))
+            noisy_mvm(np.ones((1, 4, 1)), np.ones((4, 2)), QuantSpec(bits=4), QuantSpec(bits=4, lo=-1.0, hi=1.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
-            noisy_mvm(np.ones(4), np.ones((5, 2)), QuantSpec(bits=4), QuantSpec(bits=4))
+            noisy_mvm(np.ones((1, 4, 1)), np.ones((5, 2)), QuantSpec(bits=4), QuantSpec(bits=4))
 
     def test_regression_vector(self):
         assert_regression_fixture("regression_mvm.json")
@@ -518,29 +519,22 @@ class TestBatchContract:
         assert got.shape == (batch, cols, positions)
         for b in range(batch):
             alone = NoiseSpec(*sigmas, seed=seed + b)
-            assert_same_bits(got[b], noisy_mvm(x[b], w, in_q, w_q, out_q, alone, t, layer=layer, tile=tile))
+            alone_y = noisy_mvm(x[b : b + 1], w, in_q, w_q, out_q, alone, t, layer=layer, tile=tile)
+            assert_same_bits(got[b : b + 1], alone_y)
 
-    def test_vector_and_matrix_forms_are_a_batch_of_one(self):
-        rng = np.random.default_rng(19)
-        x = rng.random((30, 4))
-        w = rng.uniform(-1.0, 1.0, (30, 5))
-        in_q = QuantSpec(bits=6)
-        w_q = QuantSpec(bits=7, lo=-1.0, hi=1.0, signed_mode=DIFFERENTIAL_PAIR)
-        noise = NoiseSpec(seed=8)
-        batch = noisy_mvm(x[None], w, in_q, w_q, noise=noise)
-        assert_same_bits(noisy_mvm(x, w, in_q, w_q, noise=noise), batch[0])
-        column = noisy_mvm(x[None, :, :1], w, in_q, w_q, noise=noise)
-        assert_same_bits(noisy_mvm(x[:, 0], w, in_q, w_q, noise=noise), column[0, :, 0])
-
-    def test_batch_shape_mismatch(self):
+    # the rows disagree, or x has no batch axis: a vector or one R x P matrix is not a batch
+    @pytest.mark.parametrize("x_shape", [(2, 4, 3), (5,), (5, 3)], ids=["rows", "1-d", "2-d"])
+    def test_batch_shape_mismatch(self, x_shape):
         with pytest.raises(ValueError, match="shapes"):
-            noisy_mvm(np.ones((2, 4, 3)), np.ones((5, 2)), QuantSpec(bits=4), QuantSpec(bits=4))
+            noisy_mvm(np.ones(x_shape), np.ones((5, 2)), QuantSpec(bits=4), QuantSpec(bits=4))
 
 
 def assert_regression_fixture(name):
     vec = json.loads((DATA / name).read_text())
+    x = np.array(vec["x"])
+    expected = np.array(vec["expected"])
     y = noisy_mvm(
-        np.array(vec["x"]),
+        x.reshape(1, len(x), -1),
         np.array(vec["weights"]),
         QuantSpec(**vec["in_quant"]),
         QuantSpec(**vec["w_quant"]),
@@ -548,7 +542,7 @@ def assert_regression_fixture(name):
         layer=vec["layer"],
         tile=vec["tile"],
     )
-    assert np.array_equal(y, np.array(vec["expected"]))
+    assert np.array_equal(y.reshape(expected.shape), expected)
 
 
 class TestPcmProgramming:
@@ -588,8 +582,17 @@ class TestPcmProgramming:
         pcm = dataclasses.replace(catalog.pcm, program_std=0.01)
         w = np.full((200, 200), 0.5)
         _, values = PcmProgrammer(pcm, seed=3).program(w)
-        grid_value = quantize(0.5, QuantSpec(bits=7, lo=0.0, hi=1.0))[1]
+        grid_value = quantize(np.array([0.5]), QuantSpec(bits=7, lo=0.0, hi=1.0))[1][0]
         assert np.std(values) == pytest.approx(0.01 * grid_value, rel=0.05)
+
+    def test_programming_noise_bits(self, catalog):
+        pcm = catalog.pcm
+        w = np.linspace(0.0, 1.0, 24).reshape(4, 6)
+        _, values = PcmProgrammer(pcm, seed=3).program(w, layer=2, tile=5)
+        _, grid = quantize(w, QuantSpec(bits=pcm.levels_bits, lo=0.0, hi=1.0))
+        draws = keyed_rng(3, "pcm", 2, 5).standard_normal(w.shape)
+        assert pcm.program_std > 0.0
+        assert_same_bits(values, grid + draws * (pcm.program_std * np.abs(grid)))
 
     def test_out_of_range_weights_rejected(self, catalog):
         with pytest.raises(ValueError, match="0, 1"):

@@ -25,7 +25,8 @@ def assert_same_stream(got, expected):
 
 @pytest.mark.parametrize("key", KEYS)
 def test_stream_equals_philox_keyed_directly(key, monkeypatch):
-    monkeypatch.setattr(rng_module, "stream_key", lambda seed, *parts: key)
+    # the key is the digest's first 16 bytes, little-endian
+    monkeypatch.setattr(rng_module, "_digest", lambda seed, labels: key.to_bytes(32, "little"))
     assert_same_stream(keyed_rng(0), np.random.Generator(np.random.Philox(key=key)))
 
 

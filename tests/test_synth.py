@@ -73,8 +73,8 @@ def test_default_noise_accuracy_high():
 
 def test_layer_stats_reported():
     geom = CoreGeometry(9, 8)
-    images, _ = make_dataset(4, seed=2)
-    _, stats = run_tinycnn(images, geom, ZERO_NOISE)
+    images, labels = make_dataset(4, seed=2)
+    _, _, stats = run_tinycnn(images, labels, geom, ZERO_NOISE)
     assert stats[0].name == "conv3x3"
     assert stats[0].max >= stats[0].min
 
@@ -106,8 +106,8 @@ def test_one_engine_call_per_tile_not_per_image(core, monkeypatch):
 
     monkeypatch.setattr(conv, "noisy_mvm", counting)
     geom = CoreGeometry.parse(core)
-    images, _ = make_dataset(11, seed=4)
-    run_tinycnn(images, geom, NoiseSpec(seed=2))
+    images, labels = make_dataset(11, seed=4)
+    run_tinycnn(images, labels, geom, NoiseSpec(seed=2))
     dims = lower_conv(ConvLayerSpec("conv3x3", 1, len(_FILTERS), 3, 6, 6), geom)
     assert calls == list(range(dims.tiles_row * dims.tiles_col))
     assert len(calls) < len(images)
