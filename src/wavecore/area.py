@@ -2,7 +2,7 @@
 
 The layout is a column of input conditioning strips (comb, demux, trim,
 modulator) followed by the tiled compute array. Width grows by one group
-pitch per MMI bundle of the geometry's ``cols_per_mmi`` columns; height
+pitch per MMI bundle of ``linkbudget.COLS_PER_MMI`` columns; height
 grows by one unit-cell height per row plus a detector strip at the bottom.
 Everything here is closed-form, there is no placement or routing model.
 """

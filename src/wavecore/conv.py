@@ -10,7 +10,10 @@ image or a batch of them and makes one engine call per tile either way.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import NoiseSpec, QuantSpec, ZERO_NOISE, noisy_mvm, unit_step_out_quant
 from .linkbudget import CoreGeometry
@@ -51,24 +54,18 @@ def im2col(activations: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
     Row order is channel-major: rows [c*k*k, (c+1)*k*k) hold channel c's taps
     in (ky, kx) order, matching the per-group tap assignment of the array.
     Leading axes are kept: (B, c_in, h, w) gives (B, c_in*k*k, h_out*w_out).
+    One strided window view of the float64 input, copied by the reshape; a 1x1
+    stride-1 input needs no copy and gives a read-only view of the input.
     """
-    *lead, c_in, h, w = activations.shape
-    h_out = (h - k) // stride + 1
-    w_out = (w - k) // stride + 1
-    cols = np.empty((*lead, c_in * k * k, h_out * w_out))
-    for ic in range(c_in):
-        for ky in range(k):
-            for kx in range(k):
-                row = ic * k * k + ky * k + kx
-                patch = activations[..., ic, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
-                cols[..., row, :] = patch.reshape(*lead, -1)
-    return cols
+    arr = np.asarray(activations, dtype=np.float64)
+    windows = sliding_window_view(arr, (k, k), axis=(-2, -1))[..., ::stride, ::stride, :, :]
+    *lead, c_in, h_out, w_out, _, _ = windows.shape
+    return np.moveaxis(windows, (-2, -1), (-4, -3)).reshape(*lead, c_in * k * k, h_out * w_out)
 
 
 def lowered_weight_matrix(weights: np.ndarray) -> np.ndarray:
     """Stack kernels into the (c_in*k*k) x c_out matrix matching im2col rows."""
-    c_out, c_in, k, _ = weights.shape
-    return weights.reshape(c_out, c_in * k * k).T.copy()
+    return weights.reshape(len(weights), -1).T.copy()
 
 
 def run_conv(
@@ -86,9 +83,11 @@ def run_conv(
 ) -> np.ndarray:
     """Execute one conv layer through the lowered, tiled analog datapath.
 
-    ``activations`` is one image (c_in, h, w) or a batch (B, c_in, h, w); the
-    result is (c_out, h_out, w_out) or (B, c_out, h_out, w_out). Row tiles
-    honor the geometry's per-pass channel capacity; partial sums accumulate
+    ``activations`` is one image (c_in, h, w) or a batch (B, c_in, h, w), and
+    ``weights`` (c_out, c_in, k, k) has the image's channels and a square
+    kernel; the result is (c_out, h_out, w_out) or (B, c_out, h_out, w_out).
+    Tiles, numbered row-major, are :func:`lower_conv`'s ``channels_per_pass``
+    input channels by ``geom.cols`` output channels. Partial sums accumulate
     digitally across row tiles, and column tiles are evaluated independently
     (the engine handles each tile's columns in one call, on its default
     ``AccumulationTree``). Each tile is one engine call for the whole batch,
@@ -98,7 +97,11 @@ def run_conv(
     batched = activations.ndim == 4
     images = activations if batched else activations[None]
     batch, c_in, h, w = images.shape
-    c_out, _, k, _ = weights.shape
+    c_out, c_in_w, k, k_w = weights.shape
+    if c_in_w != c_in:
+        raise ValueError(f"channel mismatch: activations {c_in}, weights {c_in_w}")
+    if k_w != k:
+        raise ValueError(f"kernel must be square, got {k}x{k_w}")
     h_out = (h - k) // stride + 1
     w_out = (w - k) // stride + 1
     layer = ConvLayerSpec(f"layer{layer_index}", c_in, c_out, k, h_out, w_out, stride)
@@ -108,26 +111,12 @@ def run_conv(
     w_mat = lowered_weight_matrix(weights)
 
     y = np.zeros((batch, c_out, h_out * w_out))
-    taps = k * k
-    tile = 0
-    for rt in range(dims.tiles_row):
-        ch_lo = rt * dims.channels_per_pass
-        ch_hi = min(ch_lo + dims.channels_per_pass, c_in)
-        rows = slice(ch_lo * taps, ch_hi * taps)
-        for ct in range(dims.tiles_col):
-            col_lo = ct * geom.cols
-            col_hi = min(col_lo + geom.cols, c_out)
-            y[:, col_lo:col_hi] += noisy_mvm(
-                x_cols[:, rows],
-                w_mat[rows, col_lo:col_hi],
-                in_quant,
-                w_quant,
-                out_quant,
-                noise,
-                layer=layer_index,
-                tile=tile,
-            )
-            tile += 1
+    rows_per_pass = dims.channels_per_pass * k * k
+    starts = itertools.product(range(0, c_in * k * k, rows_per_pass), range(0, c_out, geom.cols))
+    for tile, (r0, c0) in enumerate(starts):
+        rows, cols = slice(r0, r0 + rows_per_pass), slice(c0, c0 + geom.cols)
+        y[:, cols] += noisy_mvm(x_cols[:, rows], w_mat[rows, cols], in_quant, w_quant, out_quant, noise,
+                                layer=layer_index, tile=tile)
     y = y.reshape(batch, c_out, h_out, w_out)
     return y if batched else y[0]
 

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import PcmSpec, check_number
+from .linkbudget import WAVELENGTHS_PER_GROUP
 from .rng import keyed_streams
 
 NON_NEGATIVE = "non_negative"
@@ -121,12 +122,13 @@ ZERO_NOISE = NoiseSpec(sigma_in=0.0, sigma_w=0.0, sigma_out=0.0, seed=0)
 class AccumulationTree:
     """Hierarchical summation shape: wavelengths per bus, buses per detector.
 
-    Level 1 sums ``group_size`` row products on a shared bus, level 2 sums up
-    to ``pd_ports`` buses in one detector's photocurrent, level 3 adds
-    detector readings digitally.
+    Level 1 sums ``group_size`` row products on a shared bus (by default one
+    wavelength group, ``WAVELENGTHS_PER_GROUP`` rows), level 2 sums up to
+    ``pd_ports`` buses in one detector's photocurrent, level 3 adds detector
+    readings digitally.
     """
 
-    group_size: int = 9
+    group_size: int = WAVELENGTHS_PER_GROUP
     pd_ports: int = 16
 
     def __post_init__(self) -> None:
@@ -140,6 +142,8 @@ def quantize(x, q: QuantSpec):
     Returns (level indices, dequantized values), two arrays of ``x``'s shape.
     """
     arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 0:
+        raise ValueError(f"quantize needs an array of at least one dimension, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("quantize requires finite inputs")
     # In place where possible, so a batch holds two full-size temporaries:

@@ -18,44 +18,39 @@ from .catalog import DeviceCatalog, LaserSpec, PdSpec, check_number
 
 _TOL_SUM_DB = 1e-9
 
+# The array's fixed structure: a 3x3 kernel's nine taps ride one comb group of
+# nine wavelengths, and each 1x8 MMI feeds a bundle of eight columns.
+WAVELENGTHS_PER_GROUP = 9
+COLS_PER_MMI = 8
+
 
 @dataclass(frozen=True)
 class CoreGeometry:
-    """Crossbar dimensions and wavelength-group structure.
-
-    Rows are organized in groups of ``wavelengths_per_group`` (one group per
-    comb source); columns are fed in bundles of ``cols_per_mmi`` by one MMI
-    each. ``cols`` below ``cols_per_mmi`` is allowed for degenerate study
-    cases; otherwise it must be a whole number of MMI bundles.
+    """Crossbar dimensions: ``rows`` in groups of ``WAVELENGTHS_PER_GROUP``
+    (one group per comb source), ``cols`` in bundles of ``COLS_PER_MMI`` (one
+    1x8 MMI each). ``cols`` below ``COLS_PER_MMI`` is allowed for degenerate
+    study cases; otherwise it must be a whole number of MMI bundles.
     """
 
     rows: int
     cols: int
-    wavelengths_per_group: int = 9
-    cols_per_mmi: int = 8
 
     def __post_init__(self) -> None:
         check_number("rows", self.rows, integer=True, ge=1)
         check_number("cols", self.cols, integer=True, ge=1)
-        check_number("wavelengths_per_group", self.wavelengths_per_group, integer=True, ge=1)
-        check_number("cols_per_mmi", self.cols_per_mmi, integer=True, ge=1)
-        if self.rows % self.wavelengths_per_group != 0:
-            raise ValueError(
-                f"rows ({self.rows}) must be divisible by the wavelength group size "
-                f"({self.wavelengths_per_group})"
-            )
-        if self.cols >= self.cols_per_mmi and self.cols % self.cols_per_mmi != 0:
-            raise ValueError(
-                f"cols ({self.cols}) must be divisible by cols_per_mmi ({self.cols_per_mmi})"
-            )
+        if self.rows % WAVELENGTHS_PER_GROUP != 0:
+            raise ValueError(f"rows ({self.rows}) must be divisible by the wavelength group size "
+                             f"({WAVELENGTHS_PER_GROUP})")
+        if self.cols >= COLS_PER_MMI and self.cols % COLS_PER_MMI != 0:
+            raise ValueError(f"cols ({self.cols}) must be divisible by cols_per_mmi ({COLS_PER_MMI})")
 
     @property
     def groups(self) -> int:
-        return self.rows // self.wavelengths_per_group
+        return self.rows // WAVELENGTHS_PER_GROUP
 
     @property
     def mmi_bundles(self) -> int:
-        return max(1, -(-self.cols // self.cols_per_mmi))
+        return max(1, -(-self.cols // COLS_PER_MMI))
 
     @property
     def cells(self) -> int:
@@ -277,8 +272,8 @@ def _baseline_terms(geom: CoreGeometry, cat: DeviceCatalog, fanout_cols: int) ->
         ("escalators", _ESCALATORS * cat.loss_db("escalator")),
         ("mmi_1x8", cat.loss_db("mmi_1x8")),
         ("sl_mzm", cat.modulator.insertion_loss_db),
-        ("splitter_stages", max(-(-fanout_cols // geom.cols_per_mmi) - 1, 0) * cat.loss_db("splitter_1x2")),
-        ("wsc_chain", (geom.wavelengths_per_group - 1) * cat.loss_db("wsc")),
+        ("splitter_stages", max(-(-fanout_cols // COLS_PER_MMI) - 1, 0) * cat.loss_db("splitter_1x2")),
+        ("wsc_chain", (WAVELENGTHS_PER_GROUP - 1) * cat.loss_db("wsc")),
         ("pcm_cell", cat.loss_db("pcm_cell")),
         ("voa", cat.loss_db("voa")),
         ("fanout", fanout_loss(fanout_cols)),
@@ -297,9 +292,9 @@ def critical_path_il(
 ) -> LinkBudgetReport:
     """End-to-end worst-case insertion loss for a geometry under a variant.
 
-    The accumulation chain crosses ``wavelengths_per_group - 1`` add couplers
-    (8 for 9-wavelength groups). Variants that abandon coupler-based optical
-    accumulation drop that term and substitute their own summation penalty.
+    The accumulation chain crosses ``WAVELENGTHS_PER_GROUP - 1`` (8) add
+    couplers. Variants that abandon coupler-based optical accumulation drop
+    that term and substitute their own summation penalty.
     """
     terms = variant.loss_terms(geom, cat)
     total = sum(db for _, db in terms)

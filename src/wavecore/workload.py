@@ -74,11 +74,9 @@ class ConvLayerSpec:
 
 @dataclass(frozen=True)
 class LoweredDims:
-    """Lowered shape of one conv layer on a given core."""
+    """How one conv layer maps onto a core: row passes of ``channels_per_pass``
+    input channels, column passes of ``geom.cols`` outputs, and the row share used."""
 
-    rows: int
-    cols: int
-    positions: int
     tiles_row: int
     tiles_col: int
     channels_per_pass: int
@@ -88,38 +86,26 @@ class LoweredDims:
 def _channels_per_pass(kernel: int, geom: CoreGeometry, pack_pointwise: bool) -> int:
     """Input channels one row pass of ``geom`` covers for a ``kernel`` x ``kernel`` layer."""
     if kernel == 1 and pack_pointwise:
-        return geom.groups * geom.wavelengths_per_group
+        return geom.rows
     return geom.groups
 
 
 def lower_conv(layer: ConvLayerSpec, geom: CoreGeometry, *, pack_pointwise: bool = False) -> LoweredDims:
-    """Lowered dimensions and row-tiling for one conv layer.
+    """Row and column tiling of one conv layer on ``geom``.
 
-    3x3 layers use all nine taps of a wavelength group, so one pass covers
-    one input channel per group. 1x1 layers occupy a single tap per group by
-    default (utilization 1/9, reported); ``pack_pointwise`` instead packs
-    nine channels onto each group's nine taps, which is how the bundled
-    network profiles are scheduled.
+    Rows come in groups of ``WAVELENGTHS_PER_GROUP`` (nine) wavelengths. 3x3
+    layers use all nine taps of a group, so one pass covers one input channel
+    per group. 1x1 layers occupy a single tap per group by default
+    (utilization 1/9, reported); ``pack_pointwise`` instead packs nine
+    channels onto each group's nine taps, which is how the bundled network
+    profiles are scheduled. Utilization is ``k*k*c_in`` over the passes' rows.
     """
     if layer.kind != "conv":
         raise ValueError(f"{layer.name}: only conv layers lower to the array")
-    taps = layer.kernel * layer.kernel
     channels_per_pass = _channels_per_pass(layer.kernel, geom, pack_pointwise)
     tiles_row = -(-layer.c_in // channels_per_pass)
-    tiles_col = -(-layer.c_out // geom.cols)
-    rows = taps * layer.c_in
-    active_rows_last = (layer.c_in - (tiles_row - 1) * channels_per_pass) * taps
-    used = (tiles_row - 1) * channels_per_pass * taps + active_rows_last
-    utilization = used / (tiles_row * geom.rows)
-    return LoweredDims(
-        rows=rows,
-        cols=layer.c_out,
-        positions=layer.positions,
-        tiles_row=tiles_row,
-        tiles_col=tiles_col,
-        channels_per_pass=channels_per_pass,
-        utilization=utilization,
-    )
+    utilization = layer.kernel * layer.kernel * layer.c_in / (tiles_row * geom.rows)
+    return LoweredDims(tiles_row, -(-layer.c_out // geom.cols), channels_per_pass, utilization)
 
 
 @dataclass(frozen=True)
@@ -166,7 +152,7 @@ class TileSchedule:
                 continue
             dims = lower_conv(layer, self.geometry, pack_pointwise=self.pack_pointwise)
             loads = dims.tiles_row * dims.tiles_col
-            records.append(LayerSchedule(layer, dims, loads, loads * dims.positions, layer.weight_count))
+            records.append(LayerSchedule(layer, dims, loads, loads * layer.positions, layer.weight_count))
         return tuple(records)
 
 

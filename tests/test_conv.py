@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import wavecore.conv
 from wavecore import CoreGeometry, NoiseSpec, QuantSpec
 from wavecore.conv import conv_oracle, im2col, integer_out_quant, lowered_weight_matrix, run_conv
 from wavecore.engine import DIFFERENTIAL_PAIR, ZERO_NOISE
@@ -41,6 +42,16 @@ class TestIm2col:
         mat = lowered_weight_matrix(weights)
         direct = conv_oracle(acts, weights, stride=2)
         assert np.array_equal((mat.T @ cols).reshape(direct.shape), direct)
+
+    @pytest.mark.parametrize("k, stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_integer_input_gives_float_columns(self, k, stride):
+        acts = np.arange(2 * 5 * 6).reshape(2, 5, 6)
+        cols = im2col(acts, k, stride)
+        assert cols.dtype == np.float64
+        assert np.array_equal(cols, im2col(acts.astype(float), k, stride))
+        ones = np.ones((1, 2, k, k))
+        direct = conv_oracle(acts.astype(float), ones, stride)
+        assert np.array_equal(lowered_weight_matrix(ones).T @ cols, direct.reshape(1, -1))
 
 
 class TestEngineConvMatchesOracle:
@@ -106,6 +117,43 @@ class TestEngineConvMatchesOracle:
         a = run_conv(acts, weights, geom, in_q, w_q, None, noise)
         b = run_conv(acts, weights, geom, in_q, w_q, None, noise)
         assert np.array_equal(a, b)
+
+
+class TestRunConvTiles:
+    def test_tile_walk_is_row_major_over_lowered_passes(self, monkeypatch):
+        # 20 channels of 3x3 on 144 rows: passes of 16 and 4 channels (144 and
+        # 36 rows); 600 outputs on 256 columns: 256, 256 and 88. The tile index
+        # keys the noise streams, so the numbering is pinned too.
+        calls = []
+        real_mvm = wavecore.conv.noisy_mvm
+
+        def recording_mvm(x, weights, *args, tile, **kwargs):
+            calls.append((tile, *weights.shape))
+            return real_mvm(x, weights, *args, tile=tile, **kwargs)
+
+        monkeypatch.setattr(wavecore.conv, "noisy_mvm", recording_mvm)
+        rng = np.random.default_rng(7)
+        acts = rng.random((20, 3, 3))
+        weights = rng.uniform(-1.0, 1.0, (600, 20, 3, 3))
+        w_q = QuantSpec(bits=7, lo=-1.0, hi=1.0, signed_mode=DIFFERENTIAL_PAIR)
+        y = run_conv(acts, weights, CoreGeometry(144, 256), QuantSpec(bits=6), w_q)
+        assert y.shape == (600, 1, 1)
+        assert calls == [(0, 144, 256), (1, 144, 256), (2, 144, 88), (3, 36, 256), (4, 36, 256), (5, 36, 88)]
+
+    @pytest.mark.parametrize(
+        "weight_shape, message",
+        [
+            ((3, 5, 3, 3), "^channel mismatch: activations 2, weights 5$"),
+            ((3, 1, 3, 3), "^channel mismatch: activations 2, weights 1$"),
+            ((3, 2, 3, 2), "^kernel must be square, got 3x2$"),
+        ],
+        ids=["extra_weight_channels", "missing_weight_channels", "non_square_kernel"],
+    )
+    def test_rejects_weights_that_do_not_fit_the_image(self, weight_shape, message):
+        acts = np.random.default_rng(0).random((2, 6, 6))
+        in_q, w_q = grids()
+        with pytest.raises(ValueError, match=message):
+            run_conv(acts, np.ones(weight_shape), CoreGeometry(9, 8), in_q, w_q)
 
 
 class TestBatchedRunConv:

@@ -65,6 +65,10 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(np.array([float("nan")]), QuantSpec(bits=4))
 
+    def test_rejects_a_0d_input_naming_its_shape(self):
+        with pytest.raises(ValueError, match=r"got shape \(\)$"):
+            quantize(np.array(0.5), QuantSpec(bits=4))
+
 
 class TestInjectNoise:
     def test_zero_sigma_identity(self):

@@ -26,14 +26,14 @@ def resnet():
 class TestLowering:
     def test_full_core_pass(self, core_144x256):
         dims = lower_conv(ConvLayerSpec("l", 16, 256, 3, 8, 8), core_144x256)
-        assert dims.rows == 144
+        assert dims.channels_per_pass * 9 == 144
         assert dims.tiles_row == 1 and dims.tiles_col == 1
         assert dims.utilization == 1.0
 
     def test_minimal_pointwise(self, core_144x256):
         dims = lower_conv(ConvLayerSpec("l", 1, 1, 1, 1, 1), core_144x256)
-        assert (dims.rows, dims.cols, dims.positions) == (1, 1, 1)
-        assert dims.tiles_row == 1
+        assert (dims.tiles_row, dims.tiles_col) == (1, 1)
+        assert dims.utilization == 1 / 144
 
     def test_row_tiling(self, core_144x256):
         dims = lower_conv(ConvLayerSpec("l", 64, 256, 3, 8, 8), core_144x256)
@@ -116,6 +116,19 @@ def _geometries():
     return st.builds(CoreGeometry, rows=st.integers(1, 32).map(lambda g: 9 * g), cols=cols)
 
 
+class TestLoweringProperties:
+    @given(kernel=st.sampled_from([1, 3]), c_in=st.integers(1, 2048), geom=_geometries(), pack=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_passes_fit_the_rows(self, kernel, c_in, geom, pack):
+        # a pass's weight rows fit the array, and utilization is the layer's rows
+        # over the rows of all its passes
+        taps = kernel * kernel
+        dims = lower_conv(ConvLayerSpec("l", c_in, 1, kernel), geom, pack_pointwise=pack)
+        assert dims.channels_per_pass * taps <= geom.rows
+        assert 0 < dims.utilization <= 1
+        assert dims.utilization == taps * c_in / (dims.tiles_row * geom.rows)
+
+
 class TestScheduleColumns:
     @given(layers=_layers(), geom=_geometries(), pack=st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -144,10 +157,10 @@ class TestScheduleColumns:
             assert dims.tiles_row * per_pass >= layer.c_in > (dims.tiles_row - 1) * per_pass
             assert dims.tiles_col * geom.cols >= layer.c_out > (dims.tiles_col - 1) * geom.cols
             assert entry.tile_loads == dims.tiles_row * dims.tiles_col
-            assert entry.stream_cycles == entry.tile_loads * dims.positions
+            assert entry.stream_cycles == entry.tile_loads * layer.positions
             assert entry.programmed_cells == layer.weight_count
             loads += dims.tiles_row * dims.tiles_col
-            cycles += dims.tiles_row * dims.tiles_col * dims.positions
+            cycles += dims.tiles_row * dims.tiles_col * layer.positions
             cells += layer.weight_count
             macs += layer.weight_count * layer.positions
         totals = (sched.total_tile_loads, sched.total_stream_cycles, sched.total_programmed_cells)
@@ -203,7 +216,7 @@ class TestScheduleCores:
                     continue
                 dims = lower_conv(layer, geom, pack_pointwise=pack)
                 loads += dims.tiles_row * dims.tiles_col
-                cycles += dims.tiles_row * dims.tiles_col * dims.positions
+                cycles += dims.tiles_row * dims.tiles_col * layer.positions
                 cells += layer.weight_count
                 macs += layer.weight_count * layer.positions
             totals = (sched.total_tile_loads, sched.total_stream_cycles, sched.total_programmed_cells)
