@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .catalog import check_number
 from .engine import NoiseSpec, QuantSpec, ZERO_NOISE, noisy_mvm, unit_step_out_quant
 from .linkbudget import CoreGeometry
 from .workload import ConvLayerSpec, lower_conv
@@ -94,6 +95,11 @@ def run_conv(
     and image ``b`` draws the noise of seed ``noise.seed + b``, so it equals a
     call on that image alone with that seed.
     """
+    check_number("stride", stride, integer=True, ge=1)
+    if activations.ndim not in (3, 4):
+        raise ValueError(f"activations must be (c_in, h, w) or (B, c_in, h, w), got shape {activations.shape}")
+    if weights.ndim != 4:
+        raise ValueError(f"weights must be (c_out, c_in, k, k), got shape {weights.shape}")
     batched = activations.ndim == 4
     images = activations if batched else activations[None]
     batch, c_in, h, w = images.shape
@@ -102,6 +108,8 @@ def run_conv(
         raise ValueError(f"channel mismatch: activations {c_in}, weights {c_in_w}")
     if k_w != k:
         raise ValueError(f"kernel must be square, got {k}x{k_w}")
+    if h < k or w < k:
+        raise ValueError(f"activations of {h}x{w} are smaller than the {k}x{k} kernel of the weights")
     h_out = (h - k) // stride + 1
     w_out = (w - k) // stride + 1
     layer = ConvLayerSpec(f"layer{layer_index}", c_in, c_out, k, h_out, w_out, stride)

@@ -1,30 +1,95 @@
 """Deterministic report emission: canonical JSON, CSV, and plain-text tables.
 
 JSON output is byte-stable for identical inputs: dict key order is the
-construction order and every float is rounded to nine significant digits
-before encoding. NaN and infinities raise ValueError rather than being written
-as the non-standard ``NaN``/``Infinity`` tokens.
+construction order and every float is rounded to nine significant digits as it
+is written. NaN and infinities raise ValueError rather than being written as
+the non-standard ``NaN``/``Infinity`` tokens.
 """
 
 from __future__ import annotations
 
 import io
-import json
-from typing import Any, Iterable, Sequence
-
-
-def _round_floats(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return float(f"{obj:.9g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+import math
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable, Iterable, Sequence
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(_round_floats(obj), indent=2, allow_nan=False) + "\n"
+    """``obj`` as JSON text with a two-space indent and a final newline.
+
+    One walk over ``obj`` rounds each float to nine significant digits and
+    writes the text. The result, errors included, is that of ``json.dumps``
+    with ``indent=2`` and ``allow_nan=False`` on a copy of ``obj`` whose
+    floats are rounded, plus a newline: strings are ASCII-escaped, tuples are
+    lists, dict keys are not rounded, and NaN and infinities raise ValueError.
+    """
+    parts: list[str] = []
+    _emit(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit(obj: Any, newline: str, write: Callable[[str], Any]) -> None:
+    """Write ``obj`` as JSON; ``newline`` is a newline and the indent of its line."""
+    if isinstance(obj, float):
+        write(_float_text(float(f"{obj:.9g}")))
+    elif isinstance(obj, str):
+        write(_quote(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            write(sep)
+            write(_quote(key if isinstance(key, str) else _key_text(key)))
+            write(": ")
+            _emit(value, inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            write(sep)
+            _emit(value, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+    return float.__repr__(value)
+
+
+def _key_text(key: Any) -> str:
+    """A dict key that is not a str, as ``json`` writes it."""
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def render_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

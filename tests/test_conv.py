@@ -155,6 +155,26 @@ class TestRunConvTiles:
         with pytest.raises(ValueError, match=message):
             run_conv(acts, np.ones(weight_shape), CoreGeometry(9, 8), in_q, w_q)
 
+    def test_rejects_activations_of_the_wrong_rank(self):
+        in_q, w_q = grids()
+        with pytest.raises(ValueError, match=r"^activations must be .* got shape \(6, 6\)$"):
+            run_conv(np.ones((6, 6)), np.ones((1, 1, 3, 3)), CoreGeometry(9, 8), in_q, w_q)
+
+    def test_rejects_weights_of_the_wrong_rank(self):
+        in_q, w_q = grids()
+        with pytest.raises(ValueError, match=r"^weights must be \(c_out, c_in, k, k\), got shape \(3, 3\)$"):
+            run_conv(np.ones((1, 6, 6)), np.ones((3, 3)), CoreGeometry(9, 8), in_q, w_q)
+
+    def test_rejects_an_image_smaller_than_the_kernel(self):
+        in_q, w_q = grids()
+        with pytest.raises(ValueError, match="^activations of 2x2 are smaller than the 3x3 kernel of the weights$"):
+            run_conv(np.ones((1, 2, 2)), np.ones((1, 1, 3, 3)), CoreGeometry(9, 8), in_q, w_q)
+
+    def test_rejects_a_zero_stride(self):
+        in_q, w_q = grids()
+        with pytest.raises(ValueError, match="^stride must be an integer >= 1, got 0$"):
+            run_conv(np.ones((1, 6, 6)), np.ones((1, 1, 3, 3)), CoreGeometry(9, 8), in_q, w_q, stride=0)
+
 
 class TestBatchedRunConv:
     @pytest.mark.parametrize("geom", [CoreGeometry(9, 2), CoreGeometry(18, 8), CoreGeometry(144, 256)])

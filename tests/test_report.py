@@ -1,9 +1,80 @@
+import collections
+import enum
 import json
 import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavecore.report import canonical_json, render_csv, render_table
+
+
+def _reference_round(obj):
+    """The reference rounding: every float to nine significant digits, tuples to lists."""
+    if isinstance(obj, float):
+        return float(f"{obj:.9g}")
+    if isinstance(obj, dict):
+        return {k: _reference_round(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_round(v) for v in obj]
+    return obj
+
+
+def reference_json(obj):
+    return json.dumps(_reference_round(obj), indent=2, allow_nan=False) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 1e16, 1e-7, 1.0 / 3.0, 123456789.5, 1e300]
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+INTS = st.integers() | st.sampled_from([2 ** 64, -(2 ** 63) - 1, 10 ** 30])
+TEXT = st.text(max_size=8) | st.sampled_from(["", "\x00\x1f\x7f", "\"\\/", "\u2028 \U0001f600"])
+LEAVES = st.none() | st.booleans() | INTS | FLOATS | TEXT
+TREES = st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(TREES)
+@settings(max_examples=300, deadline=None)
+def test_matches_the_rounded_json_dumps_reference(doc):
+    assert canonical_json(doc) == reference_json(doc)
+
+
+class Level(enum.IntEnum):
+    HIGH = 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1: "a", 2.5: [1e-7], True: None, None: 0, -0.0: 1},
+        {0.1234567891234: 0.1234567891234},
+        collections.OrderedDict(b=(1, [2.0]), a={}),
+        {"level": Level.HIGH, "x": np.float64(1.0 / 3.0)},
+        {"x": [1.0, math.nan]},
+        {"x": {math.inf: 1}},
+        {"x": [-math.inf]},
+        {(1, 2): 3},
+        {"x": [{1, 2}]},
+        {"x": object()},
+        [10 ** 5000],
+    ],
+    ids=["odd_keys", "key_not_rounded", "subclasses", "int_and_float_subclasses", "nan_value", "inf_key",
+         "neg_inf_value", "tuple_key", "set_value", "object_value", "too_long_int"],
+)
+def test_odd_inputs_and_errors_match_the_reference(doc):
+    try:
+        want = reference_json(doc)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            canonical_json(doc)
+    else:
+        assert canonical_json(doc) == want
 
 
 def test_floats_rounded_to_nine_significant_digits():

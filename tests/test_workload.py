@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,3 +359,35 @@ class TestWorkloadIo:
         path.write_text(json.dumps([{"name": "ok", "c_in": 1}, entry]))
         with pytest.raises(ValueError, match=f"entry 1 \\('conv_a'\\): {field} must be an integer"):
             load_workload(str(path))
+
+    def test_equal_text_gives_the_same_layers_without_a_second_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "wl.json"
+        path.write_text(json.dumps([{"name": str(tmp_path), "c_in": 3}]))
+        copy = tmp_path / "copy.json"
+        copy.write_text(path.read_text())
+        parses = []
+        real = json.loads
+        monkeypatch.setattr(json, "loads", lambda doc, *a, **k: parses.append(doc) or real(doc, *a, **k))
+        layers = load_workload(str(path))
+        assert load_workload(str(path)) is layers
+        assert load_workload(str(copy)) is layers
+        assert parses == [path.read_text()]
+
+    def test_a_rewritten_file_gives_the_new_layers(self, tmp_path):
+        path = tmp_path / "wl.json"
+        for c_in in (3, 5, 3):
+            path.write_text(json.dumps([{"name": "conv_a", "c_in": c_in}]))
+            assert load_workload(str(path)) == (ConvLayerSpec("conv_a", c_in),)
+
+    def test_a_bad_file_fails_on_every_load_and_loads_once_fixed(self, tmp_path):
+        path = tmp_path / "wl.json"
+        path.write_text(json.dumps([{"name": "conv_a", "c_in": 0}]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="entry 0 \\('conv_a'\\): c_in must be an integer >= 1"):
+                load_workload(str(path))
+        path.write_text("[not json")
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(f"workload file {path} is not readable JSON")):
+                load_workload(str(path))
+        path.write_text(json.dumps([{"name": "conv_a", "c_in": 2}]))
+        assert load_workload(str(path)) == (ConvLayerSpec("conv_a", 2),)
