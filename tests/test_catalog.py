@@ -193,7 +193,7 @@ def counting_parses(monkeypatch):
         parses.append(doc)
         return real(doc, *args, **kwargs)
 
-    catalog_module._shipped()                     # the shipped defaults are parsed once per process
+    catalog_module._shipped()                     # parse the shipped defaults before counting
     monkeypatch.setattr(json, "loads", loads)
     return parses
 

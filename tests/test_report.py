@@ -52,7 +52,7 @@ class Level(enum.IntEnum):
 @pytest.mark.parametrize(
     "doc",
     [
-        {1: "a", 2.5: [1e-7], True: None, None: 0, -0.0: 1},
+        {7: "a", 2.5: [1e-7], True: None, False: 0, None: 1, Level.HIGH: -0.0},
         {0.1234567891234: 0.1234567891234},
         collections.OrderedDict(b=(1, [2.0]), a={}),
         {"level": Level.HIGH, "x": np.float64(1.0 / 3.0)},
