@@ -289,13 +289,11 @@ _ENTRY_FIELDS = {
 
 
 @functools.cache
-def _shipped() -> tuple[bytes, dict[str, dict[str, Any]]]:
-    """The shipped file's bytes, and its entries by name. Every catalog has
-    exactly these entries; an entry or field a catalog leaves out takes the
-    value here."""
-    raw_bytes = _SHIPPED_PATH.read_bytes()
-    data = json.loads(raw_bytes)
-    return raw_bytes, {name: entry for name, entry in data.items() if name != "schema_version"}
+def _shipped() -> dict[str, dict[str, Any]]:
+    """The shipped file's entries by name. Every catalog has exactly these
+    entries; an entry or field a catalog leaves out takes the value here."""
+    data = json.loads(_SHIPPED_PATH.read_bytes())
+    return {name: entry for name, entry in data.items() if name != "schema_version"}
 
 
 @dataclass(frozen=True)
@@ -322,7 +320,7 @@ class DeviceCatalog:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
-        missing = sorted(_shipped()[1].keys() - _SUBSYSTEMS.keys() - self.components.keys())
+        missing = sorted(_shipped().keys() - _SUBSYSTEMS.keys() - self.components.keys())
         if missing:
             raise CatalogError(f"catalog is missing required components: {', '.join(missing)}")
 
@@ -363,7 +361,7 @@ def _build_entry(name: str, raw: Mapping[str, Any]) -> Any:
     unknown = raw.keys() - _ENTRY_FIELDS[cls]
     if unknown:
         raise CatalogError(f"{name}: unknown fields {sorted(unknown)}")
-    kwargs = {**_shipped()[1][name], **raw}
+    kwargs = {**_shipped()[name], **raw}
     if cls is ComponentSpec:
         kwargs.update(name=name, notes=str(kwargs.get("notes", "")))
     elif name == "sl_mzm":
@@ -378,37 +376,15 @@ def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
     ``DeviceCatalog.defaulted``; a field an entry leaves out is the shipped
     entry's. Unknown component names are rejected so that typos cannot
     silently drop a loss term.
-
-    The file is read on every call, so an edit between calls is seen. Its
-    parse and validation are reused while its bytes and the shipped file's
-    are unchanged: equal bytes give the same (frozen) catalog object. A file
-    that fails is parsed again on every call, and loads once it is fixed.
     """
     path = Path(path)
     try:
         raw_bytes = path.read_bytes()
+        data = json.loads(raw_bytes)
     except OSError as exc:
         raise CatalogError(f"cannot read catalog file {path}: {exc}") from None
-    try:
-        return _catalog_from_bytes(raw_bytes, _shipped()[0])
-    except _NotJson as exc:
-        raise CatalogError(f"catalog file {path} is not valid JSON: {exc}") from None
-
-
-class _NotJson(ValueError):
-    """File contents that do not parse as JSON; the loader that read the file names it."""
-
-
-@functools.lru_cache(maxsize=8)
-def _catalog_from_bytes(raw_bytes: bytes, shipped_bytes: bytes) -> DeviceCatalog:
-    """The catalog a file of ``raw_bytes`` describes, with :func:`_shipped`'s
-    defaults. ``shipped_bytes``, the shipped file's bytes that those defaults
-    were read from, is not read here: it is in the key, so a catalog built on
-    other defaults is never returned. Errors are raised, never cached."""
-    try:
-        data = json.loads(raw_bytes)
     except ValueError as exc:                                  # bad JSON, UTF-8 or integer literal
-        raise _NotJson(exc) from None
+        raise CatalogError(f"catalog file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise CatalogError("catalog root must be a JSON object")
     if "schema_version" not in data:
@@ -417,7 +393,7 @@ def _catalog_from_bytes(raw_bytes: bytes, shipped_bytes: bytes) -> DeviceCatalog
     if version != SCHEMA_VERSION:
         raise CatalogError(f"unsupported catalog schema_version {version!r} (expected {SCHEMA_VERSION})")
 
-    shipped = _shipped()[1]
+    shipped = _shipped()
     entries: dict[str, Any] = {}
     for name, raw in data.items():
         if name == "schema_version":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .catalog import DeviceCatalog, PcmSpec, _NotJson, check_number
+from .catalog import DeviceCatalog, PcmSpec, check_number
 from .linkbudget import CoreGeometry
 from .power import PowerReport, vcsel_program_energy
 
@@ -437,11 +437,6 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
     The file format is a JSON list of layer objects with the
     :class:`ConvLayerSpec` fields (``kind`` defaults to ``conv``); no two
     layers may share a name.
-
-    A file is read on every call, so an edit between calls is seen. Its
-    parse and validation are reused while its text is unchanged: equal text
-    gives the same tuple of frozen layers. A file that fails is parsed again
-    on every call, and loads once it is fixed.
     """
     if ref in _BUNDLED_WORKLOADS:
         return _BUNDLED_WORKLOADS[ref]()
@@ -449,18 +444,9 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
     if not path.exists():
         raise ValueError(f"workload {ref!r} is neither a bundled name {sorted(_BUNDLED_WORKLOADS)} nor a file")
     try:
-        return _layers_from_text(path.read_text())
-    except (OSError, UnicodeDecodeError, _NotJson) as exc:   # unreadable, not UTF-8 or not JSON
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:                     # unreadable, not UTF-8 or not JSON
         raise ValueError(f"workload file {path} is not readable JSON: {exc}") from None
-
-
-@functools.lru_cache(maxsize=8)
-def _layers_from_text(text: str) -> tuple[ConvLayerSpec, ...]:
-    """The layers a workload file of ``text`` describes. Errors are raised, never cached."""
-    try:
-        data = json.loads(text)
-    except ValueError as exc:                                # not JSON, or a bad integer literal
-        raise _NotJson(exc) from None
     if not (isinstance(data, list) and data):
         raise ValueError("workload file must contain a non-empty JSON list of layers")
     layers = []

@@ -184,32 +184,8 @@ class TestLoader:
         assert catalog.modulator.switch_energy_fj(12) == 117.1
 
 
-def counting_parses(monkeypatch):
-    """Patch ``json.loads`` to record each document it parses; return the record."""
-    parses = []
-    real = json.loads
-
-    def loads(doc, *args, **kwargs):
-        parses.append(doc)
-        return real(doc, *args, **kwargs)
-
-    catalog_module._shipped()                     # parse the shipped defaults before counting
-    monkeypatch.setattr(json, "loads", loads)
-    return parses
-
-
-class TestParseReuse:
-    """The file is read on every load; its parse is reused while its bytes are unchanged."""
-
-    def test_equal_bytes_give_the_same_catalog_without_a_second_parse(self, tmp_path, monkeypatch):
-        path = write_catalog(tmp_path / "cat.json", {"wsc": {"notes": str(tmp_path)}})
-        copy = tmp_path / "copy.json"
-        copy.write_bytes(path.read_bytes())
-        parses = counting_parses(monkeypatch)
-        cat = load_catalog(path)
-        assert load_catalog(path) is cat
-        assert load_catalog(copy) is cat
-        assert parses == [path.read_bytes()]
+class TestReload:
+    """The file is read on every load, so an edit between loads is seen."""
 
     def test_a_rewritten_file_gives_the_new_values(self, tmp_path):
         path = tmp_path / "cat.json"
@@ -219,9 +195,8 @@ class TestParseReuse:
             assert cat.loss_db("wsc") == db
             assert cat.source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
-    def test_a_bad_file_fails_on_every_load_and_loads_once_fixed(self, tmp_path, monkeypatch):
-        path = write_catalog(tmp_path / "cat.json", {"wsc": {"insertion_loss_db": -1.0, "notes": str(tmp_path)}})
-        parses = counting_parses(monkeypatch)
+    def test_a_bad_file_fails_on_every_load_and_loads_once_fixed(self, tmp_path):
+        path = write_catalog(tmp_path / "cat.json", {"wsc": {"insertion_loss_db": -1.0}})
         for _ in range(2):
             with pytest.raises(CatalogError, match="wsc.insertion_loss_db"):
                 load_catalog(path)
@@ -229,8 +204,7 @@ class TestParseReuse:
         for _ in range(2):
             with pytest.raises(CatalogError, match=re.escape(f"catalog file {path} is not valid JSON")):
                 load_catalog(path)
-        assert len(parses) == 4
-        write_catalog(path, {"wsc": {"insertion_loss_db": 1.0, "notes": str(tmp_path)}})
+        write_catalog(path, {"wsc": {"insertion_loss_db": 1.0}})
         assert load_catalog(path).loss_db("wsc") == 1.0
 
 

@@ -360,19 +360,6 @@ class TestWorkloadIo:
         with pytest.raises(ValueError, match=f"entry 1 \\('conv_a'\\): {field} must be an integer"):
             load_workload(str(path))
 
-    def test_equal_text_gives_the_same_layers_without_a_second_parse(self, tmp_path, monkeypatch):
-        path = tmp_path / "wl.json"
-        path.write_text(json.dumps([{"name": str(tmp_path), "c_in": 3}]))
-        copy = tmp_path / "copy.json"
-        copy.write_text(path.read_text())
-        parses = []
-        real = json.loads
-        monkeypatch.setattr(json, "loads", lambda doc, *a, **k: parses.append(doc) or real(doc, *a, **k))
-        layers = load_workload(str(path))
-        assert load_workload(str(path)) is layers
-        assert load_workload(str(copy)) is layers
-        assert parses == [path.read_text()]
-
     def test_a_rewritten_file_gives_the_new_layers(self, tmp_path):
         path = tmp_path / "wl.json"
         for c_in in (3, 5, 3):
