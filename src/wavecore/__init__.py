@@ -39,13 +39,22 @@ from .linkbudget import (
     fanout_loss,
     variant_feasibility,
 )
-from .power import PowerReport, PrecisionSpec, dac_power, laser_power, total_power, vcsel_program_energy
+from .power import (
+    PowerReport,
+    PrecisionSpec,
+    dac_power,
+    laser_power,
+    total_power,
+    total_power_cores,
+    vcsel_program_energy,
+)
 from .area import AreaParams, AreaReport, crossbar_area
 from .workload import (
     ConvLayerSpec,
     PerfReport,
     TileSchedule,
     estimate_perf,
+    estimate_perf_cores,
     load_workload,
     lower_conv,
     peak_tops,

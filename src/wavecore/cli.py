@@ -4,8 +4,9 @@ Exit codes: 0 for a feasible design point, 1 for configuration/validation
 errors, click's usage errors included (with field-level diagnostics on
 stderr), 2 only for a design point the models flag as infeasible. All
 evaluations are pure functions of their inputs; ablation variants and
-sweep points run one after another, in the order given. Only ``simulate``
-loads the numpy simulator, on first use.
+sweep points run one after another, in the order given. A sweep checks its
+core-independent inputs once and reports the first failing core's error.
+Only ``simulate`` loads the numpy simulator, on first use.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import __version__
 from .area import crossbar_area
 from .catalog import DeviceCatalog, check_number, default_catalog_path, load_catalog
 from .linkbudget import VARIANTS, ArchitectureVariant, CoreGeometry, critical_path_il
-from .power import PowerReport, PrecisionSpec, total_power
+from .power import PowerReport, PrecisionSpec, total_power, total_power_cores
 from .report import canonical_json, render_csv, render_table
 from .workload import (
     DEFAULT_CLOCK_HZ,
@@ -28,6 +29,7 @@ from .workload import (
     PerfReport,
     TileSchedule,
     estimate_perf,
+    estimate_perf_cores,
     load_workload,
     schedule,
     schedule_cores,
@@ -349,11 +351,15 @@ def sweep(cores_text: str, **kwargs) -> None:
         raise ScenarioError("cores: empty list")
     geometries = [_model(f"cores[{i}]", CoreGeometry.parse, text) for i, text in enumerate(core_texts)]
     layers = _model("workload", load_workload, scenario.workload)
-    # one walk of the workload for every core; each core still runs power, then perf
+    # one walk of the workload and one check of the core-independent inputs for every
+    # core; the power iterator is lazy, so each core still runs power, then perf
     scheds = schedule_cores(layers, geometries, pack_pointwise=scenario.pack_pointwise)
-    perfs = _model("sweep", lambda: [
-        _perf(scenario, sched, _power(scenario, sched.geometry, scenario.variant)) for sched in scheds
-    ])
+    perfs = _model("sweep", lambda: estimate_perf_cores(
+        scheds,
+        total_power_cores(geometries, scenario.catalog, scenario.variant, scenario.precision, scenario.f_hz,
+                          wpe=scenario.wpe),
+        scenario.f_hz, scenario.catalog, allow_overclock=scenario.allow_overclock,
+    ))
     header = ("core", "fps", "mj_per_inference", "total_w")
     rows = [(geom.label, perf.fps, perf.energy_per_inference_j * 1e3, perf.total_power_w)
             for geom, perf in zip(geometries, perfs)]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .catalog import DeviceCatalog, check_number
 from .linkbudget import (
@@ -131,9 +132,18 @@ def laser_power(
     check_number("il_db", il_db)
     check_number("extinction ratio in dB", er_db, gt=0.0)
     check_number("wpe", wpe, gt=0.0, le=1.0)
+    return _laser_w(sensitivity_dbm, il_db, 2.0 ** b_out, wpe, _modulation_depth(er_db))
+
+
+def _modulation_depth(er_db: float) -> float:
+    """Usable modulation depth of a finite extinction ratio."""
+    return 1.0 - 10.0 ** (-er_db / 10.0)
+
+
+def _laser_w(sensitivity_dbm: float, il_db: float, full_scale: float, wpe: float, depth: float) -> float:
+    """The laser formula of :func:`laser_power`, on checked inputs; ``full_scale`` is 2^b_out."""
     launched_mw = 10.0 ** ((sensitivity_dbm + il_db) / 10.0)
-    depth = 1.0 - 10.0 ** (-er_db / 10.0)
-    return launched_mw * (2.0 ** b_out) / wpe / depth * 1e-3
+    return launched_mw * full_scale / wpe / depth * 1e-3
 
 
 def dac_power(bits: int, f_hz: float, p0_ws: float) -> float:
@@ -156,6 +166,84 @@ def vcsel_program_energy(e_opt_pj: float, gc_loss_db: float, eta_vcsel: float) -
     return e_opt_pj * 10.0 ** (gc_loss_db / 10.0) / eta_vcsel
 
 
+def total_power_cores(
+    geometries: Iterable[CoreGeometry],
+    cat: DeviceCatalog,
+    variant: ArchitectureVariant = Baseline3D(),
+    precision: PrecisionSpec = PrecisionSpec(),
+    f_hz: float = 1e9,
+    *,
+    wpe: float | None = 1.0,
+) -> Iterator[PowerReport]:
+    """:func:`total_power` of each of ``geometries``, in order, as an iterator.
+
+    The inputs that do not depend on the core are checked and derived once,
+    when this is called: the clock, the wall-plug efficiency, the laser's
+    sensitivity, modulation depth and 2^b_out, both converter powers, the
+    driver's switch energy and the VOA and TIA static powers; so a bad
+    ``wpe`` is reported before any core's link budget is built. Each core's
+    link budget, laser power, entries and feasibility are computed when the
+    iterator reaches it, so a caller that interleaves other per-core work
+    (as :func:`~wavecore.workload.estimate_perf_cores` does) sees the first
+    failing core's error first.
+    """
+    check_number("f_hz", f_hz, gt=0.0)
+    effective_wpe = cat.laser.wpe if wpe is None else wpe
+    sensitivity, er_db = cat.pd.sensitivity_dbm, cat.modulator.extinction_ratio_db
+    # laser_power's checks, less the path loss's: each core's LinkBudgetReport makes that one
+    check_number("sensitivity_dbm", sensitivity)
+    check_number("extinction ratio in dB", er_db, gt=0.0)
+    check_number("wpe", effective_wpe, gt=0.0, le=1.0)
+    full_scale = 2.0 ** precision.b_out
+    depth = _modulation_depth(er_db)
+    dac_w = dac_power(precision.b_in, f_hz, cat.converters.p0_dac_ws)
+    adc_w = dac_power(precision.b_out, f_hz, cat.converters.p0_adc_ws)
+    switch_fj = cat.modulator.switch_energy_fj(precision.b_in)
+    voa_mw = cat.component("voa").static_power_mw or 0.0
+    tia_mw = cat.component("tia").static_power_mw or 0.0
+
+    def reports() -> Iterator[PowerReport]:
+        for geom in geometries:
+            link = critical_path_il(geom, cat, variant)
+            try:
+                laser_w = _laser_w(sensitivity, link.total_db, full_scale, effective_wpe, depth)
+            except OverflowError:
+                name, db = link.largest_term
+                raise ValueError(
+                    f"a result is out of float range: the laser power for a {link.total_db:.6g} dB"
+                    f" critical-path loss (largest term {name}, {db:.6g} dB)"
+                ) from None
+            rows, cols = geom.rows, geom.cols
+            entries: list[tuple[str, float]] = [
+                ("laser", laser_w),
+                ("input_dac", rows * dac_w),
+                ("mzm_driver", rows * switch_fj * 1e-15 * f_hz),
+                ("voa_bank", rows * voa_mw * 1e-3),
+                ("output_adc", cols * adc_w),
+                ("tia", cols * tia_mw * 1e-3),
+                *variant.extra_power(geom, cat),
+            ]
+            total = sum(w for _, w in entries)
+            verdict = variant_feasibility(link, cat.laser, cat.pd)
+            yield PowerReport(
+                total_w=total,
+                entries=tuple((name, w, w / total) for name, w in entries),
+                geometry=geom,
+                variant_label=variant.label,
+                b_in=precision.b_in,
+                b_out=precision.b_out,
+                f_hz=f_hz,
+                wpe=effective_wpe,
+                link=link,
+                feasible=verdict.feasible,
+                infeasible_reason="" if verdict.feasible else (
+                    f"single-channel link margin {verdict.margin_db:.1f} dB at {link.total_db:.1f} dB path loss"
+                ),
+            )
+
+    return reports()
+
+
 def total_power(
     geom: CoreGeometry,
     cat: DeviceCatalog,
@@ -176,46 +264,7 @@ def total_power(
     ``wpe=None`` selects the catalog laser wall-plug efficiency; the default
     ``1.0`` reports at the optical launch budget level (the variant-comparison
     convention).
+
+    This is :func:`total_power_cores` on the one core ``geom``.
     """
-    check_number("f_hz", f_hz, gt=0.0)
-    effective_wpe = cat.laser.wpe if wpe is None else wpe
-
-    link = critical_path_il(geom, cat, variant)
-    try:
-        laser_w = laser_power(
-            cat.pd.sensitivity_dbm, link.total_db, precision.b_out, cat.modulator.extinction_ratio_db, effective_wpe
-        )
-    except OverflowError:
-        name, db = link.largest_term
-        raise ValueError(
-            f"a result is out of float range: the laser power for a {link.total_db:.6g} dB critical-path loss"
-            f" (largest term {name}, {db:.6g} dB)"
-        ) from None
-
-    entries: list[tuple[str, float]] = [("laser", laser_w)]
-    entries.append(("input_dac", geom.rows * dac_power(precision.b_in, f_hz, cat.converters.p0_dac_ws)))
-    entries.append(("mzm_driver", geom.rows * cat.modulator.switch_energy_fj(precision.b_in) * 1e-15 * f_hz))
-    entries.append(("voa_bank", geom.rows * (cat.component("voa").static_power_mw or 0.0) * 1e-3))
-    entries.append(("output_adc", geom.cols * dac_power(precision.b_out, f_hz, cat.converters.p0_adc_ws)))
-    entries.append(("tia", geom.cols * (cat.component("tia").static_power_mw or 0.0) * 1e-3))
-    entries.extend(variant.extra_power(geom, cat))
-
-    total = sum(w for _, w in entries)
-    verdict = variant_feasibility(link, cat.laser, cat.pd)
-    reason = "" if verdict.feasible else (
-        f"single-channel link margin {verdict.margin_db:.1f} dB at {link.total_db:.1f} dB path loss"
-    )
-
-    return PowerReport(
-        total_w=total,
-        entries=tuple((name, w, w / total) for name, w in entries),
-        geometry=geom,
-        variant_label=variant.label,
-        b_in=precision.b_in,
-        b_out=precision.b_out,
-        f_hz=f_hz,
-        wpe=effective_wpe,
-        link=link,
-        feasible=verdict.feasible,
-        infeasible_reason=reason,
-    )
+    return next(total_power_cores((geom,), cat, variant, precision, f_hz, wpe=wpe))

@@ -244,7 +244,12 @@ def schedule(
 def peak_tops(geom: CoreGeometry, f_hz: float) -> float:
     """Peak throughput in TOPS: 2 ops (multiply + add) per cell per cycle."""
     check_number("f_hz", f_hz, gt=0.0)
-    return 2.0 * geom.cells * f_hz / 1e12
+    return _peak_tops(geom.cells, f_hz)
+
+
+def _peak_tops(cells: int, f_hz: float) -> float:
+    """The formula of :func:`peak_tops`, on a checked clock."""
+    return 2.0 * cells * f_hz / 1e12
 
 
 @dataclass(frozen=True)
@@ -312,6 +317,76 @@ class PerfReport:
         }
 
 
+def estimate_perf_cores(
+    scheds: Iterable[TileSchedule],
+    powers: Iterable[PowerReport],
+    f_hz: float,
+    cat: DeviceCatalog,
+    *,
+    allow_overclock: bool = False,
+) -> tuple[PerfReport, ...]:
+    """:func:`estimate_perf` of each schedule with its power report, in order.
+
+    ``scheds`` and ``powers`` are walked in step and must have the same
+    length. The clock is checked, and the write-cycle time read, once, when
+    this is called; the overclock check and the electrical program and
+    erase energies per cell are made once, at the first core, where a
+    one-core call makes them. Each core's latency, energies and
+    :class:`PerfReport` are its own. With ``powers`` from
+    :func:`~wavecore.power.total_power_cores`, each core's power is computed
+    just before its perf, so the error raised is the first failing core's,
+    as in a loop of one-core calls.
+    """
+    check_number("f_hz", f_hz, gt=0.0)
+    pcm = cat.pcm
+    cycle_ns = pcm.cycle_time_ns
+    perfs: list[PerfReport] = []
+    for sched, power in zip(scheds, powers, strict=True):
+        if not sched.workload:
+            raise ValueError("schedule is empty")
+        if not perfs and f_hz > cat.modulator.max_rate_hz and not allow_overclock:
+            raise ValueError(
+                f"f = {f_hz:.3g} Hz exceeds the modulator ceiling {cat.modulator.max_rate_hz:.3g} Hz "
+                "(pass allow_overclock to run anyway)"
+            )
+
+        latency = sched.total_tile_loads * cycle_ns * 1e-9 + sched.total_stream_cycles / f_hz
+        if not latency > 0.0:
+            raise ValueError("workload has no photonic work to schedule")
+        check_number("latency_s", latency)
+        fps = 1.0 / latency
+
+        if not perfs:
+            gc_loss = cat.loss_db("grating_coupler")
+            program_pj = vcsel_program_energy(pcm.program_energy_pj, gc_loss, cat.vcsel.efficiency)
+            erase_pj = vcsel_program_energy(pcm.erase_energy_pj, gc_loss, cat.vcsel.efficiency)
+        cells = sched.total_programmed_cells
+        program_j = cells * program_pj * 1e-12
+        erase_j = cells * erase_pj * 1e-12
+        steady_j = power.total_w * latency
+
+        peak = _peak_tops(sched.geometry.cells, f_hz)
+        perfs.append(PerfReport(
+            latency_s=latency,
+            fps=fps,
+            peak_tops=peak,
+            tops_per_w=peak / power.total_w,
+            fps_per_w=fps / power.total_w,
+            energy_per_inference_j=steady_j + program_j,
+            energy_steady_j=steady_j,
+            energy_program_j=program_j,
+            energy_erase_j=erase_j,
+            energy_with_erase_j=steady_j + program_j + erase_j,
+            total_power_w=power.total_w,
+            f_hz=f_hz,
+            tile_loads=sched.total_tile_loads,
+            stream_cycles=sched.total_stream_cycles,
+            programmed_cells=cells,
+            flagged_ops=sched.flagged_ops,
+        ))
+    return tuple(perfs)
+
+
 def estimate_perf(
     sched: TileSchedule,
     power: PowerReport,
@@ -325,50 +400,10 @@ def estimate_perf(
     latency = tile_loads * write_cycle + stream_cycles / f. Write energy per
     cell converts the optical program/erase pulses to electrical emitter
     energy through the vertical coupler loss and emitter efficiency.
+
+    This is :func:`estimate_perf_cores` on the one core of ``sched``.
     """
-    check_number("f_hz", f_hz, gt=0.0)
-    if not sched.workload:
-        raise ValueError("schedule is empty")
-    if f_hz > cat.modulator.max_rate_hz and not allow_overclock:
-        raise ValueError(
-            f"f = {f_hz:.3g} Hz exceeds the modulator ceiling {cat.modulator.max_rate_hz:.3g} Hz "
-            "(pass allow_overclock to run anyway)"
-        )
-
-    pcm = cat.pcm
-    latency = sched.total_tile_loads * pcm.cycle_time_ns * 1e-9 + sched.total_stream_cycles / f_hz
-    if not latency > 0.0:
-        raise ValueError("workload has no photonic work to schedule")
-    fps = 1.0 / latency
-
-    gc_loss = cat.loss_db("grating_coupler")
-    program_j = sched.total_programmed_cells * vcsel_program_energy(
-        pcm.program_energy_pj, gc_loss, cat.vcsel.efficiency
-    ) * 1e-12
-    erase_j = sched.total_programmed_cells * vcsel_program_energy(
-        pcm.erase_energy_pj, gc_loss, cat.vcsel.efficiency
-    ) * 1e-12
-    steady_j = power.total_w * latency
-
-    peak = peak_tops(sched.geometry, f_hz)
-    return PerfReport(
-        latency_s=latency,
-        fps=fps,
-        peak_tops=peak,
-        tops_per_w=peak / power.total_w,
-        fps_per_w=fps / power.total_w,
-        energy_per_inference_j=steady_j + program_j,
-        energy_steady_j=steady_j,
-        energy_program_j=program_j,
-        energy_erase_j=erase_j,
-        energy_with_erase_j=steady_j + program_j + erase_j,
-        total_power_w=power.total_w,
-        f_hz=f_hz,
-        tile_loads=sched.total_tile_loads,
-        stream_cycles=sched.total_stream_cycles,
-        programmed_cells=sched.total_programmed_cells,
-        flagged_ops=sched.flagged_ops,
-    )
+    return estimate_perf_cores((sched,), (power,), f_hz, cat, allow_overclock=allow_overclock)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from wavecore import (
     resnet50_workload,
     schedule,
     total_power,
+    total_power_cores,
     variant_feasibility,
     vcsel_program_energy,
 )
@@ -272,3 +273,19 @@ def test_criterion_8_pcm_schedule_legality():
     energy = vcsel_program_energy(135.0, CAT.loss_db("grating_coupler"), CAT.vcsel.efficiency)
     assert energy == pytest.approx(342.4, abs=0.1)
     _report("8 pcm schedule legality", f"sub-cycle rewrite rejected; write event {energy:.2f} pJ electrical")
+
+
+def test_frontier_report():
+    # computed, not asserted: which scanned cores close the link and fit the reticle
+    start = time.perf_counter()
+    geoms = [CoreGeometry(9 * r, 8 * c) for r in range(1, 65) for c in range(1, 129)]
+    powers = total_power_cores(geoms, CAT, f_hz=PARETO_CLOCK_HZ)
+    frontier = [geom for geom, power in zip(geoms, powers) if power.feasible and crossbar_area(geom).fits_reticle]
+    elapsed = time.perf_counter() - start
+    largest = sorted(frontier, key=lambda geom: (-geom.cells, geom.rows))
+    print(
+        f"[acceptance] frontier: {len(frontier)} of {len(geoms)} cores (9r x 8c, r <= 64, c <= 128) close the"
+        f" link and fit the reticle at the pareto clock, wpe 1; {CORE.label} "
+        f"{'is' if CORE in frontier else 'is not'} among them; largest {largest[0].label}"
+        f" ({largest[0].cells} cells), then {largest[1].label}; scanned in {elapsed:.2f} s"
+    )

@@ -379,6 +379,68 @@ def test_sweep_schedules_all_its_cores_in_one_call(runner, monkeypatch, run):
     assert result.stdout_bytes == run["stdout"].encode()
 
 
+@pytest.mark.parametrize("run", [run for run in GOLDEN_CLI if run["argv"][0] == "sweep"],
+                         ids=lambda run: " ".join(run["argv"]))
+def test_sweep_rolls_up_all_its_cores_in_one_call_each(runner, monkeypatch, run):
+    # one power and one perf roll-up for the whole sweep, not one of each per core
+    import wavecore.cli
+
+    calls = []
+    for name in ("total_power", "total_power_cores", "estimate_perf", "estimate_perf_cores"):
+        def counted(*args, _name=name, _fn=getattr(wavecore.cli, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(f"wavecore.cli.{name}", counted)
+    monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    result = runner.invoke(main, run["argv"])
+    assert result.exit_code == run["exit_code"]
+    assert calls == ["total_power_cores", "estimate_perf_cores"]
+    assert result.stdout_bytes == run["stdout"].encode()
+
+
+@pytest.mark.parametrize(
+    "cores, freq, message",
+    [
+        # core 0's perf fails before core 1's power is computed
+        ("9x8,9x80000", "5e9",
+         "sweep: f = 5e+09 Hz exceeds the modulator ceiling 1e+09 Hz (pass allow_overclock to run anyway)"),
+        # core 0's power fails before its perf
+        ("9x80000,9x8", "5e9",
+         "sweep: a result is out of float range: the laser power for a 26658.8 dB critical-path loss"
+         " (largest term crossings, 18401.8 dB)"),
+        # only a later core's power fails
+        ("9x8,18x16,9x80000", "1e9",
+         "sweep: a result is out of float range: the laser power for a 26658.8 dB critical-path loss"
+         " (largest term crossings, 18401.8 dB)"),
+    ],
+)
+def test_sweep_reports_the_first_failing_core(runner, cores, freq, message):
+    result = runner.invoke(main, ["sweep", "--cores", cores, "--variant", "planar2d", "--freq", freq])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == f"Error: {message}\n"
+
+
+@pytest.mark.parametrize("command, field", [
+    (["evaluate", "--core", "9x8", "--workload", "resnet50"], "perf"),
+    (["sweep", "--cores", "9x8"], "sweep"),
+])
+@pytest.mark.parametrize("freq, message", [
+    # stream_cycles / f overflows: the latency itself is not finite
+    ("1e-320", "latency_s must be a finite number, got inf"),
+    # the latency is finite, its value in ms is not
+    ("1e-300", "latency_ms must be a finite number, got inf"),
+])
+def test_latency_out_of_float_range_names_the_field(runner, command, field, freq, message):
+    result = runner.invoke(main, [*command, "--freq", freq])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"Error: {field}: {message}\n"
+    assert "nan" not in result.output.lower()
+
+
 @pytest.mark.parametrize("args, stderr_start", [([], "Usage: "), (["--nope"], "Error: --nope: ")])
 def test_group_usage_errors_exit_1(runner, args, stderr_start):
     # the group's own options and a missing command are input errors, not "infeasible"

@@ -1,6 +1,6 @@
 """Boundary fuzz: drawn catalog fields, workload entries, variant parameters,
-core sizes, clocks, ``simulate`` options and raw input file bytes through the
-CLI, in process.
+core sizes, ``sweep`` core lists, clocks, ``simulate`` options and raw input
+file bytes through the CLI, in process.
 
 Every draw must end in exit 0, 1 or 2 without a traceback; JSON stdout must
 parse without NaN or Infinity; an exit 1 must name what it rejects (option
@@ -52,6 +52,10 @@ values = st.one_of(wrong_types, non_finite, negatives, huge_integers, large_floa
 ERROR_LINE = re.compile(
     r"^Error: (catalog|workload|variant|power|perf|link_budget|core|freq|noise|samples|--[a-z-]+): ", re.M
 )
+# sweep also names its core list, a list entry, or the sweep's roll-up
+SWEEP_ERROR_LINE = re.compile(
+    r"^Error: (catalog|workload|variant|sweep|cores|cores\[\d+\]|core|freq|--[a-z-]+): ", re.M
+)
 
 # option text: drawn values as the CLI sees them, and a few hand-picked forms
 option_text = st.one_of(values.map(str), st.sampled_from(["", " ", "nan", "-inf", "1e400", "0x10", "1_0", " 3 "]))
@@ -87,7 +91,7 @@ def invoke(argv, fmt):
         infeasible = doc.get("feasible") is False if fmt == "json" else "INFEASIBLE: " in result.stdout
         assert infeasible, result.output
     if result.exit_code == 1:
-        match = ERROR_LINE.search(result.output)
+        match = (SWEEP_ERROR_LINE if argv[0] == "sweep" else ERROR_LINE).search(result.output)
         assert match, result.output
         return match.group(1), result.output
     return None, result.output
@@ -186,12 +190,54 @@ def test_core(core, command, fmt):
         assert repr(core) in output, output
 
 
+FREQ_COMMANDS = (["linkbudget"], ["evaluate"], ["evaluate", "--workload", "resnet50"], ["ablate"], ["sweep"])
+
+
 @FUZZ
-@given(freq=float_text, command=st.sampled_from(["linkbudget", "evaluate", "ablate"]), fmt=st.sampled_from(FORMATS))
+@given(freq=float_text, command=st.sampled_from(FREQ_COMMANDS), fmt=st.sampled_from(FORMATS))
 def test_freq(freq, command, fmt):
-    field, output = invoke([command, "--core", "18x16", "--freq", freq], fmt)
+    core = ["--cores", "9x8,18x16"] if command == ["sweep"] else ["--core", "18x16"]
+    field, output = invoke([*command, *core, "--freq", freq], fmt)
     if field == "freq":
         assert "clock" in output, output
+
+
+# a sweep's core list: entries that parse, up to cores whose laser power
+# overflows, mixed with drawn core text and now and then an empty entry
+valid_core = st.builds(
+    "{}x{}".format,
+    st.integers(1, 100).map(lambda r: 9 * r),
+    st.one_of(st.integers(1, 7), st.integers(1, 12500).map(lambda c: 8 * c)),
+)
+CORES_TEXT = {
+    "parse": st.lists(valid_core, min_size=1, max_size=6).map(",".join),
+    "mixed": st.lists(st.one_of(valid_core, core_text, st.just("")), min_size=1, max_size=6).map(",".join),
+    "text": option_text,
+}
+
+
+@FUZZ
+@given(data=st.data(), form=st.sampled_from(sorted(CORES_TEXT)),
+       variant=st.sampled_from(["none", "name", "parameter"]), fmt=st.sampled_from(FORMATS))
+def test_sweep(data, form, variant, fmt):
+    cores = data.draw(CORES_TEXT[form])
+    argv = ["sweep", "--cores", cores]
+    if data.draw(st.booleans()):
+        clocks = st.sampled_from(["1e9", "4.6e9", "5e9", "1e15", "1e-300", "1e-320"])
+        argv += ["--freq", data.draw(st.one_of(clocks, st.floats(1e6, 1e12).map(repr), float_text))]
+    if variant == "name":
+        argv += ["--variant", data.draw(st.sampled_from(sorted(VARIANTS)))]
+    elif variant == "parameter":
+        label, param = data.draw(st.sampled_from(VARIANT_PARAMS))
+        value = data.draw(st.one_of(values.map(str), st.sampled_from(["", "1e400", "0x10", " 3 "])))
+        argv += ["--variant", f"{label}:{param}={value}"]
+    if data.draw(st.booleans()):
+        argv += ["--allow-overclock"]
+    field, output = invoke(argv, fmt)
+    if field is not None and field.startswith("cores["):
+        index = int(field[len("cores["):-1])
+        entry = [c.strip() for c in cores.split(",") if c.strip()][index]
+        assert repr(entry) in output, output
 
 
 # each draw gives one simulate option a wild value and the rest ordinary ones
