@@ -310,5 +310,10 @@ def variant_feasibility(report: LinkBudgetReport, laser: LaserSpec, pd: PdSpec) 
     sensitivity, all in dB. A negative margin means the design point cannot
     close the link even before resolution scaling is considered.
     """
-    margin = laser.channel_power_dbm - report.total_db - pd.sensitivity_dbm
+    margin = _link_margin_db(laser.channel_power_dbm, report.total_db, pd.sensitivity_dbm)
     return FeasibilityVerdict(feasible=margin >= 0.0, margin_db=margin)
+
+
+def _link_margin_db(channel_power_dbm: float, total_db: float, sensitivity_dbm: float) -> float:
+    """The margin formula of :func:`variant_feasibility`."""
+    return channel_power_dbm - total_db - sensitivity_dbm

@@ -26,8 +26,8 @@ from .linkbudget import (
     Baseline3D,
     CoreGeometry,
     LinkBudgetReport,
+    _link_margin_db,
     critical_path_il,
-    variant_feasibility,
 )
 
 _TOL_FRACTION = 1e-9
@@ -201,6 +201,7 @@ def total_power_cores(
     switch_fj = cat.modulator.switch_energy_fj(precision.b_in)
     voa_mw = cat.component("voa").static_power_mw or 0.0
     tia_mw = cat.component("tia").static_power_mw or 0.0
+    channel_dbm = cat.laser.channel_power_dbm
 
     def reports() -> Iterator[PowerReport]:
         for geom in geometries:
@@ -223,11 +224,12 @@ def total_power_cores(
                 ("tia", cols * tia_mw * 1e-3),
                 *variant.extra_power(geom, cat),
             ]
-            total = sum(w for _, w in entries)
-            verdict = variant_feasibility(link, cat.laser, cat.pd)
+            total = sum([w for _, w in entries])
+            margin = _link_margin_db(channel_dbm, link.total_db, sensitivity)
+            feasible = margin >= 0.0
             yield PowerReport(
                 total_w=total,
-                entries=tuple((name, w, w / total) for name, w in entries),
+                entries=tuple([(name, w, w / total) for name, w in entries]),
                 geometry=geom,
                 variant_label=variant.label,
                 b_in=precision.b_in,
@@ -235,9 +237,9 @@ def total_power_cores(
                 f_hz=f_hz,
                 wpe=effective_wpe,
                 link=link,
-                feasible=verdict.feasible,
-                infeasible_reason="" if verdict.feasible else (
-                    f"single-channel link margin {verdict.margin_db:.1f} dB at {link.total_db:.1f} dB path loss"
+                feasible=feasible,
+                infeasible_reason="" if feasible else (
+                    f"single-channel link margin {margin:.1f} dB at {link.total_db:.1f} dB path loss"
                 ),
             )
 

@@ -344,6 +344,7 @@ def estimate_perf_cores(
     for sched, power in zip(scheds, powers, strict=True):
         if not sched.workload:
             raise ValueError("schedule is empty")
+        # core-independent, but made at the first core, after its power, so errors keep the one-core order
         if not perfs and f_hz > cat.modulator.max_rate_hz and not allow_overclock:
             raise ValueError(
                 f"f = {f_hz:.3g} Hz exceeds the modulator ceiling {cat.modulator.max_rate_hz:.3g} Hz "
