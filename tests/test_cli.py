@@ -19,6 +19,11 @@ GOLDEN_CATALOG_SHA256 = json.loads(GOLDEN_VARIANTS[0]["stdout"])["header"]["cata
 # evaluate and sweep exit codes and stdout in every format, recorded before the
 # commands shared one renderer and one power-to-perf path; compared, never regenerated
 GOLDEN_CLI = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())["runs"]
+# usage errors (bad numbers and choices, unknown options and commands, missing
+# values, extra arguments), --opt=value, repeated options and --version: exit
+# code, stdout and stderr, recorded through click before the option table
+# replaced it; compared, never regenerated
+GOLDEN_USAGE = json.loads((Path(__file__).parent / "data" / "golden_usage.json").read_text())["runs"]
 REPO_ROOT = Path(__file__).resolve().parent.parent
 HUGE = int("9" * 400)                           # an integer too large for a float
 
@@ -315,6 +320,14 @@ def test_evaluate_and_sweep_outputs_match_golden(runner, monkeypatch, run):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.exit_code == run["exit_code"]
     assert result.stdout_bytes == run["stdout"].encode()
+
+
+@pytest.mark.parametrize("run", GOLDEN_USAGE, ids=lambda run: " ".join(run["argv"]))
+def test_usage_matches_golden(runner, monkeypatch, run):
+    monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    result = runner.invoke(main, run["argv"])
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert (result.exit_code, result.stdout, result.stderr) == (run["exit_code"], run["stdout"], run["stderr"])
 
 
 @pytest.mark.parametrize("run", GOLDEN_CLI, ids=lambda run: " ".join(run["argv"]))
