@@ -1,21 +1,25 @@
 """Command-line surface: reproducible evaluations, ablations, and sweeps.
 
 Exit codes: 0 for a feasible design point, 1 for configuration/validation
-errors, click's usage errors included (with field-level diagnostics on
-stderr), 2 only for a design point the models flag as infeasible. All
-evaluations are pure functions of their inputs; ablation variants and
-sweep points run one after another, in the order given. A sweep checks its
-core-independent inputs once and reports the first failing core's error.
-Only ``simulate`` loads the numpy simulator, on first use.
+errors, usage errors included (with field-level diagnostics on stderr), 2
+only for a design point the models flag as infeasible. All evaluations are
+pure functions of their inputs; ablation variants and sweep points run one
+after another, in the order given. A sweep checks its core-independent
+inputs once and reports the first failing core's error. Only ``simulate``
+loads the numpy simulator, on first use.
+
+Each command's options are one module-level table of :class:`Option`
+entries; one loop, :func:`_parse`, reads the command line against it, and
+the help text is rendered from the same table. Usage errors keep the
+wording of the click-based parser this replaced.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
-
-import click
 
 from . import __version__
 from .area import crossbar_area
@@ -43,8 +47,9 @@ ABLATION_VARIANTS = tuple(VARIANTS)
 DEFAULT_SWEEP_CORES = "9x8,18x16,36x32,72x64,144x128,144x256"
 
 
-class ScenarioError(click.ClickException):
-    exit_code = EXIT_CONFIG
+class ScenarioError(Exception):
+    """An input error: exit 1, with ``Error: <message>`` on stderr. The
+    message starts with the field or option at fault."""
 
 
 def _model(field: str, fn, *args, **kwargs):
@@ -122,29 +127,57 @@ def _resolve_frequency(profile: str, freq: float | None, allow_overclock: bool) 
     raise ScenarioError(f"profile: unknown profile {profile!r} (default, pareto)")
 
 
-def _scenario_options(fn):
-    opts = [
-        click.option("--catalog", "catalog_path", type=click.Path(), default=None,
-                     help="Catalog JSON (defaults to $WAVECORE_CATALOG, then the shipped calibration)."),
-        click.option("--core", "core_text", default="144x256", show_default=True, help="Geometry HxW."),
-        click.option("--variant", "variant_text", default="baseline3d", show_default=True,
-                     help="Architecture variant NAME[:k=v,...]."),
-        click.option("--profile", default="default", show_default=True,
-                     help="Clock profile: default (1 GHz) or pareto (calibrated)."),
-        click.option("--freq", type=float, default=None, help="Explicit clock in Hz (overrides --profile)."),
-        click.option("--allow-overclock", is_flag=True, help="Permit clocks above the modulator ceiling."),
-        click.option("--wpe-mode", type=click.Choice(["budget", "electrical"]), default="budget",
-                     show_default=True, help="Laser accounting: optical budget (wpe=1) or electrical (catalog wpe)."),
-        click.option("--workload", default=None, help="Workload name (resnet50) or JSON path."),
-        click.option("--pack-pointwise/--no-pack-pointwise", default=True, show_default=True,
-                     help="Pack nine pointwise channels per wavelength group."),
-        click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]), default="table",
-                     show_default=True),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+@dataclass(frozen=True)
+class Option:
+    """One entry of a command's option table. ``convert`` (``str``, ``int`` or
+    ``float``) reads the option's text; None makes a flag, which sets ``dest``
+    to True, or to False when given as its second, negating spelling."""
+
+    flags: tuple[str, ...]
+    dest: str
+    convert: type | None = str
+    default: object = None
+    choices: tuple[str, ...] = ()
+    help: str = ""
+
+
+GROUP_DOC = "Design-space exploration for WDM photonic in-memory tensor cores."
+HELP = Option(("--help",), "help", None, help="Show this message and exit.")
+GROUP_OPTIONS = (Option(("--version",), "version", None, help="Show the version and exit."), HELP)
+SCENARIO_OPTIONS = (
+    Option(("--catalog",), "catalog_path",
+           help="Catalog JSON (defaults to $WAVECORE_CATALOG, then the shipped calibration)."),
+    Option(("--core",), "core_text", default="144x256", help="Geometry HxW."),
+    Option(("--variant",), "variant_text", default="baseline3d", help="Architecture variant NAME[:k=v,...]."),
+    Option(("--profile",), "profile", default="default", help="Clock profile: default (1 GHz) or pareto (calibrated)."),
+    Option(("--freq",), "freq", float, help="Explicit clock in Hz (overrides --profile)."),
+    Option(("--allow-overclock",), "allow_overclock", None, False, help="Permit clocks above the modulator ceiling."),
+    Option(("--wpe-mode",), "wpe_mode", default="budget", choices=("budget", "electrical"),
+           help="Laser accounting: optical budget (wpe=1) or electrical (catalog wpe)."),
+    Option(("--workload",), "workload", help="Workload name (resnet50) or JSON path."),
+    Option(("--pack-pointwise", "--no-pack-pointwise"), "pack_pointwise", None, True,
+           help="Pack nine pointwise channels per wavelength group."),
+    Option(("--seed",), "seed", int, 0),
+    Option(("--format",), "fmt", default="table", choices=("json", "csv", "table")),
+)
+LINKBUDGET_OPTIONS = (*SCENARIO_OPTIONS, HELP)
+EVALUATE_OPTIONS = (*SCENARIO_OPTIONS, Option(("--area",), "area_only", None, False,
+                                              help="Print only the area section."), HELP)
+ABLATE_OPTIONS = (*SCENARIO_OPTIONS, Option(("--variants",), "variants_text", default=",".join(ABLATION_VARIANTS),
+                                            help="Comma-separated variant list."), HELP)
+SWEEP_OPTIONS = (*SCENARIO_OPTIONS, Option(("--cores",), "cores_text", default=DEFAULT_SWEEP_CORES,
+                                           help="Comma-separated core sizes HxW."), HELP)
+SIMULATE_OPTIONS = (
+    Option(("--model",), "model", default="tinycnn", help="Bundled model name."),
+    Option(("--core",), "core_text", default="144x256", help="Geometry HxW; sets how the model's layers are tiled."),
+    Option(("--sigma-in",), "sigma_in", float, 0.0031, help="Input modulation noise: std relative to each input."),
+    Option(("--sigma-w",), "sigma_w", float, 0.01, help="PCM weight programming noise: std relative to each weight."),
+    Option(("--sigma-out",), "sigma_out", float, 0.01, help="Detector readout noise: std relative to each reading."),
+    Option(("--seed",), "seed", int, 0, help="Noise seed; image i draws from seed + i. The dataset is fixed."),
+    Option(("--samples",), "samples", int, 60, help="Number of synthetic images to classify."),
+    Option(("--format",), "fmt", default="table", choices=("json", "table")),
+    HELP,
+)
 
 
 def _build_scenario(catalog_path, core_text, variant_text, profile, freq, allow_overclock,
@@ -188,16 +221,17 @@ def _emit(scenario: Scenario, doc: dict, *tables) -> None:
     """One report in the scenario's format: ``doc`` under the JSON header, or
     the stamp and the ``(header, rows, title)`` tables, as titled text tables
     or, for exactly one table, as CSV with lower-case column names."""
+    write = sys.stdout.write
     if scenario.fmt == "json":
-        click.echo(canonical_json({"header": _header(scenario), **doc}), nl=False)
+        write(canonical_json({"header": _header(scenario), **doc}))
     elif scenario.fmt == "csv":
         ((header, rows, _),) = tables
-        click.echo(f"# {_stamp(scenario)}")
-        click.echo(render_csv([name.lower() for name in header], rows), nl=False)
+        write(f"# {_stamp(scenario)}\n")
+        write(render_csv([name.lower() for name in header], rows))
     else:
-        click.echo(_stamp(scenario))
+        write(f"{_stamp(scenario)}\n")
         for header, rows, title in tables:
-            click.echo(render_table(header, rows, title=title), nl=False)
+            write(render_table(header, rows, title=title))
 
 
 def _power(scenario: Scenario, geom: CoreGeometry, variant: ArchitectureVariant) -> PowerReport:
@@ -208,45 +242,6 @@ def _perf(scenario: Scenario, sched: TileSchedule, power: PowerReport) -> PerfRe
     return estimate_perf(sched, power, scenario.f_hz, scenario.catalog, allow_overclock=scenario.allow_overclock)
 
 
-def _input_error(exc: click.UsageError) -> ScenarioError:
-    """A click usage error as an exit 1 naming the option at fault."""
-    if isinstance(exc, click.BadParameter):
-        return ScenarioError(f"{exc.param.opts[0]}: {exc.message}")
-    option = getattr(exc, "option_name", None) or "command"
-    return ScenarioError(f"{option}: {exc.format_message()}")
-
-
-class _Commands(click.Group):
-    """The command group. A usage error in the group's options or a command's
-    (text that is not a number or a choice, an unknown option) exits 1 naming
-    the option, as any other input error does, so that exit 2 means only
-    infeasible. A bare ``wavecore`` prints the help and exits 1: a missing
-    command is an input error too."""
-
-    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
-        try:
-            return super().parse_args(ctx, args)
-        except click.exceptions.NoArgsIsHelpError as exc:
-            exc.exit_code = EXIT_CONFIG
-            raise
-        except click.UsageError as exc:
-            raise _input_error(exc) from None
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            raise _input_error(exc) from None
-
-
-@click.group(cls=_Commands)
-@click.version_option(version=__version__, prog_name="wavecore")
-def main() -> None:
-    """Design-space exploration for WDM photonic in-memory tensor cores."""
-
-
-@main.command()
-@_scenario_options
 def linkbudget(**kwargs) -> None:
     """Critical-path insertion loss breakdown for one design point."""
     scenario = _build_scenario(**kwargs)
@@ -256,10 +251,7 @@ def linkbudget(**kwargs) -> None:
            f"critical path, {scenario.geometry.label} {report.variant_label}"))
 
 
-@main.command()
-@_scenario_options
-@click.option("--area", "area_only", is_flag=True, help="Print only the area section.")
-def evaluate(area_only: bool, **kwargs) -> None:
+def evaluate(area_only: bool, **kwargs) -> int:
     """Combined link budget + power + area (+ workload perf) report."""
     scenario = _build_scenario(**kwargs)
     power = _model("power", _power, scenario, scenario.geometry, scenario.variant)
@@ -313,14 +305,11 @@ def evaluate(area_only: bool, **kwargs) -> None:
     _emit(replace(scenario, fmt="table") if scenario.fmt == "csv" else scenario, doc, *tables)
     if not power.feasible:
         if scenario.fmt != "json" and not area_only:
-            click.echo(f"INFEASIBLE: {power.infeasible_reason}")
-        sys.exit(EXIT_INFEASIBLE)
+            sys.stdout.write(f"INFEASIBLE: {power.infeasible_reason}\n")
+        return EXIT_INFEASIBLE
+    return EXIT_OK
 
 
-@main.command()
-@_scenario_options
-@click.option("--variants", "variants_text", default=",".join(ABLATION_VARIANTS), show_default=True,
-              help="Comma-separated variant list.")
 def ablate(variants_text: str, **kwargs) -> None:
     """One row per architecture variant: loss, power, dominant contributor."""
     scenario = _build_scenario(**kwargs)
@@ -337,10 +326,6 @@ def ablate(variants_text: str, **kwargs) -> None:
           (header, rows, f"ablation @ {scenario.geometry.label}"))
 
 
-@main.command()
-@_scenario_options
-@click.option("--cores", "cores_text", default=DEFAULT_SWEEP_CORES, show_default=True,
-              help="Comma-separated core sizes HxW.")
 def sweep(cores_text: str, **kwargs) -> None:
     """Core-size sweep of a workload: fps and energy per inference."""
     if kwargs.get("workload") is None:
@@ -367,20 +352,6 @@ def sweep(cores_text: str, **kwargs) -> None:
           (header, rows, f"core sweep ({scenario.workload})"))
 
 
-@main.command()
-@click.option("--model", default="tinycnn", show_default=True, help="Bundled model name.")
-@click.option("--core", "core_text", default="144x256", show_default=True,
-              help="Geometry HxW; sets how the model's layers are tiled.")
-@click.option("--sigma-in", type=float, default=0.0031, show_default=True,
-              help="Input modulation noise: std relative to each input.")
-@click.option("--sigma-w", type=float, default=0.01, show_default=True,
-              help="PCM weight programming noise: std relative to each weight.")
-@click.option("--sigma-out", type=float, default=0.01, show_default=True,
-              help="Detector readout noise: std relative to each reading.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Noise seed; image i draws from seed + i. The dataset is fixed.")
-@click.option("--samples", type=int, default=60, show_default=True, help="Number of synthetic images to classify.")
-@click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table", show_default=True)
 def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_out: float,
              seed: int, samples: int, fmt: str) -> None:
     """Noise-injected inference of the bundled model on synthetic data."""
@@ -423,12 +394,177 @@ def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_
                 for s in stats
             ],
         }
-        click.echo(canonical_json(doc), nl=False)
+        sys.stdout.write(canonical_json(doc))
     else:
         rows = [(s.name, s.mean, s.std, s.min, s.max) for s in stats]
-        click.echo(render_table(("layer", "mean", "std", "min", "max"), rows, title="layer statistics"),
-                   nl=False)
-        click.echo(f"accuracy: {accuracy:.3f} ({samples} samples, seed {seed})")
+        sys.stdout.write(render_table(("layer", "mean", "std", "min", "max"), rows, title="layer statistics"))
+        sys.stdout.write(f"accuracy: {accuracy:.3f} ({samples} samples, seed {seed})\n")
+
+
+# ---------------------------------------------------------------------------
+# Command line
+# ---------------------------------------------------------------------------
+
+COMMANDS = {
+    "ablate": (ablate, ABLATE_OPTIONS),
+    "evaluate": (evaluate, EVALUATE_OPTIONS),
+    "linkbudget": (linkbudget, LINKBUDGET_OPTIONS),
+    "simulate": (simulate, SIMULATE_OPTIONS),
+    "sweep": (sweep, SWEEP_OPTIONS),
+}
+_METAVARS = {str: "TEXT", int: "INTEGER", float: "FLOAT"}
+
+
+def _did_you_mean(name: str, known) -> str:
+    """The suggestion that follows an unknown option or command name."""
+    from difflib import get_close_matches  # on this error path only
+
+    matches = sorted(get_close_matches(name, known))
+    if len(matches) == 1:
+        return f" Did you mean {matches[0]!r}?"
+    return f" (Did you mean one of: {', '.join(map(repr, matches))}?)" if matches else ""
+
+
+def _parse(options: tuple[Option, ...], argv: list[str], *, interspersed: bool = True) -> tuple[dict, list[str]]:
+    """Read ``argv`` against an option table, as ``--opt value``, ``--opt=value``
+    or a bare flag. Returns ``{dest: (option, text or flag value)}`` in the order
+    the options were first given, the last given value winning, and the
+    arguments that are not options. Reading stops at ``--``, and, without
+    ``interspersed`` (the group's options), also at the first argument that is
+    not an option, which is returned with all that follow it."""
+    by_flag = {flag: opt for opt in options for flag in opt.flags}
+    given, rest = {}, []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg == "--":
+            rest += argv[i:]
+            break
+        if arg[:1] != "-" or arg == "-":
+            if not interspersed:
+                rest += argv[i - 1:]
+                break
+            rest.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        opt = by_flag.get(flag)
+        if opt is None:
+            if arg[:2] != "--":  # "-abc" reads as one-letter options, and there are none
+                flag, by_flag = arg[:2], ()
+            raise ScenarioError(f"{flag}: No such option {flag!r}.{_did_you_mean(flag, by_flag)}")
+        if opt.convert is None:
+            if eq:
+                raise ScenarioError(f"{flag}: Option {flag!r} does not take a value.")
+            value = flag == opt.flags[0]
+        elif not eq:
+            if i == len(argv):
+                raise ScenarioError(f"{flag}: Option {flag!r} requires an argument.")
+            value = argv[i]
+            i += 1
+        given[opt.dest] = (opt, value)
+    return given, rest
+
+
+def _convert(options: tuple[Option, ...], given: dict) -> dict:
+    """The keyword arguments of a command: each option's default, replaced by
+    its given value, converted, in the order given (the first bad one exits 1)."""
+    kwargs = {opt.dest: opt.default for opt in options}
+    for dest, (opt, value) in given.items():
+        if opt.choices and value not in opt.choices:
+            raise ScenarioError(f"{opt.flags[0]}: {value!r} is not one of {', '.join(map(repr, opt.choices))}.")
+        if opt.convert is int or opt.convert is float:
+            try:
+                value = opt.convert(value)
+            except ValueError:
+                kind = "integer" if opt.convert is int else "float"
+                raise ScenarioError(f"{opt.flags[0]}: {value!r} is not a valid {kind}.") from None
+        kwargs[dest] = value
+    return kwargs
+
+
+def _help(usage: str, doc: str, options: tuple[Option, ...], commands: dict | None = None) -> str:
+    """Help text rendered from an option table, and for the group its commands."""
+    import textwrap
+
+    rows = []
+    for opt in options:
+        term = " / ".join(opt.flags)
+        if opt.choices:
+            term += f" [{'|'.join(opt.choices)}]"
+        elif opt.convert is not None:
+            term += f" {_METAVARS[opt.convert]}"
+        default = opt.flags[0].removeprefix("--") if opt.default is True and len(opt.flags) > 1 else opt.default
+        shown = "" if default is None or default is False else f"  [default: {default}]"
+        rows.append((term, f"{opt.help}{shown}".strip()))
+    sections = [("Options", rows)]
+    if commands:
+        sections.append(("Commands", [(name, fn.__doc__.strip()) for name, (fn, _) in commands.items()]))
+    lines = [f"Usage: {usage}", "", f"  {doc}"]
+    for title, rows in sections:
+        width = min(max(len(term) for term, _ in rows), 30)
+        lines += ["", f"{title}:"]
+        for term, text in rows:
+            wrapped = textwrap.wrap(text, 76 - width) or [""]
+            if len(term) > width:  # the term on a line of its own
+                lines.append(f"  {term}")
+                term = ""
+            lines.append(f"  {term:{width}}  {wrapped[0]}".rstrip())
+            lines += [f"  {'':{width}}  {line}" for line in wrapped[1:]]
+    return "\n".join(lines) + "\n"
+
+
+def _run(argv: list[str]) -> int:
+    """Parse and run one command line; its exit code."""
+    given, rest = _parse(GROUP_OPTIONS, argv, interspersed=False)
+    if not given and rest and rest[0] not in COMMANDS and not rest[0][:1].isalnum():
+        # an unknown command that looks like an option (it followed "--") is
+        # read as the group's options once more, as click did
+        given, _ = _parse(GROUP_OPTIONS, rest, interspersed=False)
+    group_help = "wavecore [OPTIONS] COMMAND [ARGS]...", GROUP_DOC, GROUP_OPTIONS, COMMANDS
+    if given:  # the first of --help and --version given
+        sys.stdout.write(_help(*group_help) if next(iter(given)) == "help" else f"wavecore, version {__version__}\n")
+        return EXIT_OK
+    if not rest:
+        if argv:
+            raise ScenarioError("command: Missing command.")
+        sys.stderr.write(_help(*group_help))  # a bare ``wavecore``: a missing command is an input error
+        return EXIT_CONFIG
+    name, args = rest[0], rest[1:]
+    if name not in COMMANDS:
+        raise ScenarioError(f"command: No such command {name!r}.{_did_you_mean(name, COMMANDS)}")
+    fn, options = COMMANDS[name]
+    given, extra = _parse(options, args)
+    if "help" in given:
+        sys.stdout.write(_help(f"wavecore {name} [OPTIONS]", fn.__doc__.strip(), options))
+        return EXIT_OK
+    kwargs = _convert(options, given)
+    if extra:
+        plural = "s" if len(extra) > 1 else ""
+        raise ScenarioError(f"command: Got unexpected extra argument{plural} ({' '.join(extra)})")
+    del kwargs["help"]
+    return fn(**kwargs) or EXIT_OK
+
+
+def main(argv: list[str] | None = None, *, standalone_mode: bool = True) -> int:
+    """Run one command line (``sys.argv[1:]`` by default); its exit code. An
+    input error prints ``Error: <field>: ...`` on stderr and exits 1. With
+    ``standalone_mode``, as the console script, exit the process with the code."""
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except ScenarioError as exc:
+        sys.stderr.write(f"Error: {exc}\n")
+        code = EXIT_CONFIG
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1, and send what is still buffered to
+        # devnull, so that the interpreter's last flush does not fail again
+        if standalone_mode:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CONFIG
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

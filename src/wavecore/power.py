@@ -130,6 +130,7 @@ def laser_power(
     """
     check_number("sensitivity_dbm", sensitivity_dbm)
     check_number("il_db", il_db)
+    check_number("b_out", b_out, integer=True, ge=1, le=16)
     check_number("extinction ratio in dB", er_db, gt=0.0)
     check_number("wpe", wpe, gt=0.0, le=1.0)
     return _laser_w(sensitivity_dbm, il_db, 2.0 ** b_out, wpe, _modulation_depth(er_db))
@@ -148,7 +149,7 @@ def _laser_w(sensitivity_dbm: float, il_db: float, full_scale: float, wpe: float
 
 def dac_power(bits: int, f_hz: float, p0_ws: float) -> float:
     """Converter power (W) under the resolution-rate scaling law p0 * 2^b/(b+1) * f."""
-    check_number("bits", bits, ge=1)
+    check_number("bits", bits, integer=True, ge=1, le=16)
     check_number("f_hz", f_hz, gt=0.0)
     check_number("p0_ws", p0_ws, ge=0.0)
     return p0_ws * (2.0 ** bits) / (bits + 1) * f_hz

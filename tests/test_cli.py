@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,10 +8,12 @@ import threading
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from wavecore.cli import ablate, main, parse_variant
+from wavecore import __version__
+from wavecore.cli import ABLATE_OPTIONS, main, parse_variant
 from wavecore.linkbudget import VARIANTS
+
+from clirunner import CliRunner
 
 # linkbudget and ablate stdout for every variant and each parametrized form,
 # recorded before the variants became one class each; compared, never regenerated
@@ -291,7 +294,7 @@ class TestVariantRegistry:
                 assert type(getattr(got, field.name)) is type(value)
 
     def test_ablate_defaults_to_the_registry_in_order(self):
-        (option,) = [p for p in ablate.params if p.name == "variants_text"]
+        (option,) = [opt for opt in ABLATE_OPTIONS if opt.dest == "variants_text"]
         assert option.default == ",".join(VARIANTS)
 
 
@@ -465,6 +468,44 @@ def test_group_usage_errors_exit_1(runner, args, stderr_start):
         assert "Commands:" in result.stderr
 
 
+# the console script's path: main() exits the process with the code
+PROCESS_ENV = {
+    **{key: value for key, value in os.environ.items() if key != "WAVECORE_CATALOG"},
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])),
+}
+
+
+@pytest.mark.parametrize("args, exit_code, stdout_start, stderr_start", [
+    (["linkbudget", "--core", "9x8", "--format", "csv"], 0, "# wavecore ", ""),
+    (["evaluate", "--variant", "mrr", "--format", "json"], 2, "{", ""),
+    (["linkbudget", "--freq", "None"], 1, "", "Error: --freq: 'None' is not a valid float.\n"),
+    (["--version"], 0, f"wavecore, version {__version__}\n", ""),
+    ([], 1, "", "Usage: wavecore "),
+])
+def test_process_exits_with_the_code(args, exit_code, stdout_start, stderr_start):
+    proc = subprocess.run([sys.executable, "-m", "wavecore.cli", *args], capture_output=True, text=True,
+                          env=PROCESS_ENV, timeout=120)
+    assert proc.returncode == exit_code, proc.stderr
+    assert proc.stdout.startswith(stdout_start)
+    assert proc.stderr.startswith(stderr_start)
+    assert "Traceback" not in proc.stderr
+    if not stderr_start:
+        assert proc.stderr == ""
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)                          # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wavecore.cli", "sweep"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=PROCESS_ENV, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+
+
 class TestLinkbudget:
     def test_table_lists_terms(self, runner):
         result = runner.invoke(main, ["linkbudget"])
@@ -634,7 +675,7 @@ def test_analytic_import_loads_no_numpy_and_no_pool(module):
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import {module}; "
-        "print([m for m in ('numpy', 'wavecore.engine', 'concurrent.futures') if m in sys.modules])"
+        "print([m for m in ('numpy', 'wavecore.engine', 'concurrent.futures', 'click') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -16,12 +16,13 @@ import math
 import re
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wavecore.catalog import default_catalog_path
 from wavecore.cli import main
 from wavecore.linkbudget import VARIANTS
+
+from clirunner import CliRunner
 
 SHIPPED = json.loads(default_catalog_path().read_text())
 CATALOG_FIELDS = [(name, key) for name, entry in SHIPPED.items() if isinstance(entry, dict) for key in entry]

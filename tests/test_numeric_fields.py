@@ -150,11 +150,12 @@ def design_point(catalog):
         lambda cat, geom, power, sched, x: laser_power(-25.0, x, 8, 1.17, 1.0),
         lambda cat, geom, power, sched, x: laser_power(x, 30.0, 8, 1.17, 1.0),
         lambda cat, geom, power, sched, x: dac_power(8, 1e9, x),
+        lambda cat, geom, power, sched, x: laser_power(-25.0, 30.0, x, 1.17, 1.0),
     ],
     ids=["peak_tops.f_hz", "dac_power.f_hz", "dac_power.bits", "total_power.f_hz", "laser_power.er_db",
          "laser_power.wpe", "vcsel_program_energy.e_opt_pj", "vcsel_program_energy.eta_vcsel", "fanout_loss.w",
          "estimate_perf.f_hz", "vcsel_program_energy.gc_loss_db", "laser_power.il_db",
-         "laser_power.sensitivity_dbm", "dac_power.p0_ws"],
+         "laser_power.sensitivity_dbm", "dac_power.p0_ws", "laser_power.b_out"],
 )
 def test_roll_up_arguments_reject_nan(catalog, design_point, call):
     geom, power, sched = design_point

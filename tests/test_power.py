@@ -26,10 +26,10 @@ class TestLaserPower:
         assert laser_power(-25.0, 51.6, 8, 1.17, 1.0) == pytest.approx(495.5, abs=0.1)
 
     def test_collapses_to_bare_sensitivity(self):
-        # 0-bit swing scaling, near-infinite extinction, lossless path:
-        # every correction factor is 1, leaving the raw sensitivity power
-        watts = laser_power(-25.0, 0.0, 0, 1000.0, 1.0)
-        assert watts == pytest.approx(10 ** (-25 / 10) * 1e-3, rel=1e-9)
+        # 1-bit swing, near-infinite extinction, lossless path: every correction
+        # factor but the swing's 2 is 1, leaving twice the raw sensitivity power
+        watts = laser_power(-25.0, 0.0, 1, 1000.0, 1.0)
+        assert watts == pytest.approx(2 * 10 ** (-25 / 10) * 1e-3, rel=1e-9)
 
     def test_plus_10db_is_exactly_10x(self):
         a = laser_power(-25.0, 30.0, 8, 1.17, 0.2)
@@ -45,6 +45,11 @@ class TestLaserPower:
         assert laser_power(-25.0, 30.0, bits + 1, 1.17, 1.0) == pytest.approx(
             2.0 * laser_power(-25.0, 30.0, bits, 1.17, 1.0), rel=1e-12
         )
+
+    @pytest.mark.parametrize("b_out", [0, 17, 2000, 1.5, 8.0, True])
+    def test_bit_count_outside_the_precision_range_rejected(self, b_out):
+        with pytest.raises(ValueError, match="^b_out must be an integer >= 1 and <= 16, got "):
+            laser_power(-25.0, 30.0, b_out, 1.17, 1.0)
 
     def test_zero_extinction_rejected(self):
         with pytest.raises(ValueError, match="extinction"):
@@ -66,6 +71,12 @@ class TestConverterPower:
             dac_power(0, 1e9, 1e-13)
         with pytest.raises(ValueError):
             dac_power(8, 0.0, 1e-13)
+
+    @pytest.mark.parametrize("bits", [0, 17, 2000, 1.5, 8.0, True])
+    def test_bit_count_outside_the_precision_range_rejected(self, bits):
+        # 2000 bits once overflowed 2.0 ** bits into a bare OverflowError
+        with pytest.raises(ValueError, match="^bits must be an integer >= 1 and <= 16, got "):
+            dac_power(bits, 1e9, 1e-13)
 
 
 class TestVcselEnergy:

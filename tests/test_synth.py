@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from wavecore import CoreGeometry, NoiseSpec, conv
 from wavecore.cli import main
@@ -12,6 +11,7 @@ from wavecore.rng import keyed_rng
 from wavecore.synth import _FILTERS, make_dataset, run_tinycnn, simulate_accuracy
 from wavecore.workload import ConvLayerSpec, lower_conv
 
+from clirunner import CliRunner
 from conftest import assert_same_bits
 
 # simulate's stdout and full-precision statistics, recorded from the
