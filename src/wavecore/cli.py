@@ -8,10 +8,9 @@ after another, in the order given. A sweep checks its core-independent
 inputs once and reports the first failing core's error. Only ``simulate``
 loads the numpy simulator, on first use.
 
-Each command's options are one module-level table of :class:`Option`
-entries; one loop, :func:`_parse`, reads the command line against it, and
-the help text is rendered from the same table. Usage errors keep the
-wording of the click-based parser this replaced.
+Each command's options are one module-level table of
+:class:`~wavecore.options.Option` entries, which :mod:`wavecore.options`
+reads the command line against and renders the help text from.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from . import __version__
 from .area import crossbar_area
 from .catalog import DeviceCatalog, check_number, default_catalog_path, load_catalog
 from .linkbudget import VARIANTS, ArchitectureVariant, CoreGeometry, critical_path_il
+from .options import Option, UsageError, convert, did_you_mean, parse, render_help
 from .power import PowerReport, PrecisionSpec, total_power, total_power_cores
 from .report import canonical_json, render_csv, render_table
 from .workload import (
@@ -125,20 +125,6 @@ def _resolve_frequency(profile: str, freq: float | None, allow_overclock: bool) 
     if profile == "default":
         return DEFAULT_CLOCK_HZ, "default", allow_overclock
     raise ScenarioError(f"profile: unknown profile {profile!r} (default, pareto)")
-
-
-@dataclass(frozen=True)
-class Option:
-    """One entry of a command's option table. ``convert`` (``str``, ``int`` or
-    ``float``) reads the option's text; None makes a flag, which sets ``dest``
-    to True, or to False when given as its second, negating spelling."""
-
-    flags: tuple[str, ...]
-    dest: str
-    convert: type | None = str
-    default: object = None
-    choices: tuple[str, ...] = ()
-    help: str = ""
 
 
 GROUP_DOC = "Design-space exploration for WDM photonic in-memory tensor cores."
@@ -412,136 +398,40 @@ COMMANDS = {
     "simulate": (simulate, SIMULATE_OPTIONS),
     "sweep": (sweep, SWEEP_OPTIONS),
 }
-_METAVARS = {str: "TEXT", int: "INTEGER", float: "FLOAT"}
 
 
-def _did_you_mean(name: str, known) -> str:
-    """The suggestion that follows an unknown option or command name."""
-    from difflib import get_close_matches  # on this error path only
-
-    matches = sorted(get_close_matches(name, known))
-    if len(matches) == 1:
-        return f" Did you mean {matches[0]!r}?"
-    return f" (Did you mean one of: {', '.join(map(repr, matches))}?)" if matches else ""
-
-
-def _parse(options: tuple[Option, ...], argv: list[str], *, interspersed: bool = True) -> tuple[dict, list[str]]:
-    """Read ``argv`` against an option table, as ``--opt value``, ``--opt=value``
-    or a bare flag. Returns ``{dest: (option, text or flag value)}`` in the order
-    the options were first given, the last given value winning, and the
-    arguments that are not options. Reading stops at ``--``, and, without
-    ``interspersed`` (the group's options), also at the first argument that is
-    not an option, which is returned with all that follow it."""
-    by_flag = {flag: opt for opt in options for flag in opt.flags}
-    given, rest = {}, []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        i += 1
-        if arg == "--":
-            rest += argv[i:]
-            break
-        if arg[:1] != "-" or arg == "-":
-            if not interspersed:
-                rest += argv[i - 1:]
-                break
-            rest.append(arg)
-            continue
-        flag, eq, value = arg.partition("=")
-        opt = by_flag.get(flag)
-        if opt is None:
-            if arg[:2] != "--":  # "-abc" reads as one-letter options, and there are none
-                flag, by_flag = arg[:2], ()
-            raise ScenarioError(f"{flag}: No such option {flag!r}.{_did_you_mean(flag, by_flag)}")
-        if opt.convert is None:
-            if eq:
-                raise ScenarioError(f"{flag}: Option {flag!r} does not take a value.")
-            value = flag == opt.flags[0]
-        elif not eq:
-            if i == len(argv):
-                raise ScenarioError(f"{flag}: Option {flag!r} requires an argument.")
-            value = argv[i]
-            i += 1
-        given[opt.dest] = (opt, value)
-    return given, rest
-
-
-def _convert(options: tuple[Option, ...], given: dict) -> dict:
-    """The keyword arguments of a command: each option's default, replaced by
-    its given value, converted, in the order given (the first bad one exits 1)."""
-    kwargs = {opt.dest: opt.default for opt in options}
-    for dest, (opt, value) in given.items():
-        if opt.choices and value not in opt.choices:
-            raise ScenarioError(f"{opt.flags[0]}: {value!r} is not one of {', '.join(map(repr, opt.choices))}.")
-        if opt.convert is int or opt.convert is float:
-            try:
-                value = opt.convert(value)
-            except ValueError:
-                kind = "integer" if opt.convert is int else "float"
-                raise ScenarioError(f"{opt.flags[0]}: {value!r} is not a valid {kind}.") from None
-        kwargs[dest] = value
-    return kwargs
-
-
-def _help(usage: str, doc: str, options: tuple[Option, ...], commands: dict | None = None) -> str:
-    """Help text rendered from an option table, and for the group its commands."""
-    import textwrap
-
-    rows = []
-    for opt in options:
-        term = " / ".join(opt.flags)
-        if opt.choices:
-            term += f" [{'|'.join(opt.choices)}]"
-        elif opt.convert is not None:
-            term += f" {_METAVARS[opt.convert]}"
-        default = opt.flags[0].removeprefix("--") if opt.default is True and len(opt.flags) > 1 else opt.default
-        shown = "" if default is None or default is False else f"  [default: {default}]"
-        rows.append((term, f"{opt.help}{shown}".strip()))
-    sections = [("Options", rows)]
-    if commands:
-        sections.append(("Commands", [(name, fn.__doc__.strip()) for name, (fn, _) in commands.items()]))
-    lines = [f"Usage: {usage}", "", f"  {doc}"]
-    for title, rows in sections:
-        width = min(max(len(term) for term, _ in rows), 30)
-        lines += ["", f"{title}:"]
-        for term, text in rows:
-            wrapped = textwrap.wrap(text, 76 - width) or [""]
-            if len(term) > width:  # the term on a line of its own
-                lines.append(f"  {term}")
-                term = ""
-            lines.append(f"  {term:{width}}  {wrapped[0]}".rstrip())
-            lines += [f"  {'':{width}}  {line}" for line in wrapped[1:]]
-    return "\n".join(lines) + "\n"
+def _group_help() -> str:
+    summaries = {name: fn.__doc__.strip() for name, (fn, _) in COMMANDS.items()}
+    return render_help("wavecore [OPTIONS] COMMAND [ARGS]...", GROUP_DOC, GROUP_OPTIONS, summaries)
 
 
 def _run(argv: list[str]) -> int:
     """Parse and run one command line; its exit code."""
-    given, rest = _parse(GROUP_OPTIONS, argv, interspersed=False)
+    given, rest = parse(GROUP_OPTIONS, argv, interspersed=False)
     if not given and rest and rest[0] not in COMMANDS and not rest[0][:1].isalnum():
         # an unknown command that looks like an option (it followed "--") is
-        # read as the group's options once more, as click did
-        given, _ = _parse(GROUP_OPTIONS, rest, interspersed=False)
-    group_help = "wavecore [OPTIONS] COMMAND [ARGS]...", GROUP_DOC, GROUP_OPTIONS, COMMANDS
+        # read as the group's options once more, as click does
+        given, _ = parse(GROUP_OPTIONS, rest, interspersed=False)
     if given:  # the first of --help and --version given
-        sys.stdout.write(_help(*group_help) if next(iter(given)) == "help" else f"wavecore, version {__version__}\n")
+        sys.stdout.write(_group_help() if next(iter(given)) == "help" else f"wavecore, version {__version__}\n")
         return EXIT_OK
     if not rest:
         if argv:
-            raise ScenarioError("command: Missing command.")
-        sys.stderr.write(_help(*group_help))  # a bare ``wavecore``: a missing command is an input error
+            raise UsageError("command: Missing command.")
+        sys.stderr.write(_group_help())  # a bare ``wavecore``: a missing command is an input error
         return EXIT_CONFIG
     name, args = rest[0], rest[1:]
     if name not in COMMANDS:
-        raise ScenarioError(f"command: No such command {name!r}.{_did_you_mean(name, COMMANDS)}")
+        raise UsageError(f"command: No such command {name!r}.{did_you_mean(name, COMMANDS)}")
     fn, options = COMMANDS[name]
-    given, extra = _parse(options, args)
+    given, extra = parse(options, args)
     if "help" in given:
-        sys.stdout.write(_help(f"wavecore {name} [OPTIONS]", fn.__doc__.strip(), options))
+        sys.stdout.write(render_help(f"wavecore {name} [OPTIONS]", fn.__doc__.strip(), options))
         return EXIT_OK
-    kwargs = _convert(options, given)
+    kwargs = convert(options, given)
     if extra:
         plural = "s" if len(extra) > 1 else ""
-        raise ScenarioError(f"command: Got unexpected extra argument{plural} ({' '.join(extra)})")
+        raise UsageError(f"command: Got unexpected extra argument{plural} ({' '.join(extra)})")
     del kwargs["help"]
     return fn(**kwargs) or EXIT_OK
 
@@ -553,7 +443,7 @@ def main(argv: list[str] | None = None, *, standalone_mode: bool = True) -> int:
     try:
         code = _run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
-    except ScenarioError as exc:
+    except (UsageError, ScenarioError) as exc:
         sys.stderr.write(f"Error: {exc}\n")
         code = EXIT_CONFIG
     except BrokenPipeError:

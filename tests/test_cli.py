@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from wavecore import __version__
-from wavecore.cli import ABLATE_OPTIONS, main, parse_variant
+from wavecore.cli import ABLATE_OPTIONS, COMMANDS, main, parse_variant
 from wavecore.linkbudget import VARIANTS
 
 from clirunner import CliRunner
@@ -466,6 +466,18 @@ def test_group_usage_errors_exit_1(runner, args, stderr_start):
     assert result.stderr.startswith(stderr_start)
     if not args:
         assert "Commands:" in result.stderr
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_is_rendered_from_the_option_table(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout.startswith(f"Usage: wavecore {command} [OPTIONS]\n")
+    for opt in COMMANDS[command][1]:
+        assert f"  {' / '.join(opt.flags)}" in result.stdout
+    group = runner.invoke(main, ["--help"])
+    assert (group.exit_code, group.stderr) == (0, "")
+    assert f"\n  {command} " in group.stdout
 
 
 # the console script's path: main() exits the process with the code
