@@ -9,8 +9,9 @@ inputs once and reports the first failing core's error. Only ``simulate``
 loads the numpy simulator, on first use.
 
 Each command's options are one module-level table of
-:class:`~wavecore.options.Option` entries, which :mod:`wavecore.options`
-reads the command line against and renders the help text from.
+:class:`~wavecore.options.Option` entries; :func:`wavecore.options.run`
+reads the command line against them, renders the help text from them and
+calls the command.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import __version__
 from .area import crossbar_area
 from .catalog import DeviceCatalog, check_number, default_catalog_path, load_catalog
 from .linkbudget import VARIANTS, ArchitectureVariant, CoreGeometry, critical_path_il
-from .options import Option, UsageError, convert, did_you_mean, parse, render_help
+from .options import HELP, Option, UsageError, run
 from .power import PowerReport, PrecisionSpec, total_power, total_power_cores
 from .report import canonical_json, render_csv, render_table
 from .workload import (
@@ -128,8 +129,6 @@ def _resolve_frequency(profile: str, freq: float | None, allow_overclock: bool) 
 
 
 GROUP_DOC = "Design-space exploration for WDM photonic in-memory tensor cores."
-HELP = Option(("--help",), "help", None, help="Show this message and exit.")
-GROUP_OPTIONS = (Option(("--version",), "version", None, help="Show the version and exit."), HELP)
 SCENARIO_OPTIONS = (
     Option(("--catalog",), "catalog_path",
            help="Catalog JSON (defaults to $WAVECORE_CATALOG, then the shipped calibration)."),
@@ -400,48 +399,12 @@ COMMANDS = {
 }
 
 
-def _group_help() -> str:
-    summaries = {name: fn.__doc__.strip() for name, (fn, _) in COMMANDS.items()}
-    return render_help("wavecore [OPTIONS] COMMAND [ARGS]...", GROUP_DOC, GROUP_OPTIONS, summaries)
-
-
-def _run(argv: list[str]) -> int:
-    """Parse and run one command line; its exit code."""
-    given, rest = parse(GROUP_OPTIONS, argv, interspersed=False)
-    if not given and rest and rest[0] not in COMMANDS and not rest[0][:1].isalnum():
-        # an unknown command that looks like an option (it followed "--") is
-        # read as the group's options once more, as click does
-        given, _ = parse(GROUP_OPTIONS, rest, interspersed=False)
-    if given:  # the first of --help and --version given
-        sys.stdout.write(_group_help() if next(iter(given)) == "help" else f"wavecore, version {__version__}\n")
-        return EXIT_OK
-    if not rest:
-        if argv:
-            raise UsageError("command: Missing command.")
-        sys.stderr.write(_group_help())  # a bare ``wavecore``: a missing command is an input error
-        return EXIT_CONFIG
-    name, args = rest[0], rest[1:]
-    if name not in COMMANDS:
-        raise UsageError(f"command: No such command {name!r}.{did_you_mean(name, COMMANDS)}")
-    fn, options = COMMANDS[name]
-    given, extra = parse(options, args)
-    if "help" in given:
-        sys.stdout.write(render_help(f"wavecore {name} [OPTIONS]", fn.__doc__.strip(), options))
-        return EXIT_OK
-    kwargs = convert(options, given)
-    if extra:
-        plural = "s" if len(extra) > 1 else ""
-        raise UsageError(f"command: Got unexpected extra argument{plural} ({' '.join(extra)})")
-    del kwargs["help"]
-    return fn(**kwargs) or EXIT_OK
-
-
 def main(argv: list[str] | None = None, *, standalone_mode: bool = True) -> int:
     """Run one command line (``sys.argv[1:]`` by default); its exit code. An
     input error prints ``Error: <field>: ...`` on stderr and exits 1. With
     ``standalone_mode``, as the console script, exit the process with the code."""
     try:
-        code = _run(sys.argv[1:] if argv is None else argv)
+        code = run("wavecore", __version__, GROUP_DOC, COMMANDS, sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
     except (UsageError, ScenarioError) as exc:
         sys.stderr.write(f"Error: {exc}\n")
@@ -451,6 +414,9 @@ def main(argv: list[str] | None = None, *, standalone_mode: bool = True) -> int:
         # devnull, so that the interpreter's last flush does not fail again
         if standalone_mode:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CONFIG
+    except KeyboardInterrupt:
+        sys.stderr.write("\nAborted!\n")
         code = EXIT_CONFIG
     if standalone_mode:
         sys.exit(code)

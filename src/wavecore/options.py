@@ -1,15 +1,17 @@
 """Command-line options read against one table per command.
 
-An option table is a tuple of :class:`Option` entries. :func:`parse` reads a
-command line against a table in one loop, :func:`convert` turns the text it
-read into each entry's type over the entry's default, and
-:func:`render_help` renders the help text from the same table. Errors are
-:class:`UsageError`s, whose message starts with the option at fault and
-keeps the wording of click, which this module replaced.
+An option table is a tuple of :class:`Option` entries. :func:`run` reads a
+command line of a group of commands and calls the command: :func:`parse`
+reads the text against a table in one loop, :func:`convert` turns it into
+each entry's type over the entry's default, and :func:`render_help` renders
+the help text from the same table. Errors are :class:`UsageError`s, whose
+message starts with the option at fault and keeps the wording of click,
+which this module replaced.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 _METAVARS = {str: "TEXT", int: "INTEGER", float: "FLOAT"}
@@ -31,6 +33,10 @@ class Option:
     default: object = None
     choices: tuple[str, ...] = ()
     help: str = ""
+
+
+HELP = Option(("--help",), "help", None, help="Show this message and exit.")
+_GROUP_OPTIONS = (Option(("--version",), "version", None, help="Show the version and exit."), HELP)
 
 
 def did_you_mean(name: str, known) -> str:
@@ -131,3 +137,45 @@ def render_help(usage: str, doc: str, options: tuple[Option, ...], commands: dic
             lines.append(f"  {term:{width}}  {wrapped[0]}".rstrip())
             lines += [f"  {'':{width}}  {line}" for line in wrapped[1:]]
     return "\n".join(lines) + "\n"
+
+
+def _group_help(prog: str, doc: str, commands: dict) -> str:
+    summaries = {name: fn.__doc__.strip() for name, (fn, _) in commands.items()}
+    return render_help(f"{prog} [OPTIONS] COMMAND [ARGS]...", doc, _GROUP_OPTIONS, summaries)
+
+
+def run(prog: str, version: str, doc: str, commands: dict, argv: list[str]) -> int:
+    """Read one command line of the group ``prog`` and run its command.
+    ``commands`` maps each name to its function and option table, whose
+    entries (less :data:`HELP`) are the function's keyword arguments; its
+    return value is the exit code, None meaning 0. ``--help`` and
+    ``--version`` print to stdout and exit 0; a bare ``prog`` prints the help
+    to stderr and exits 1, a missing command being an input error."""
+    given, rest = parse(_GROUP_OPTIONS, argv, interspersed=False)
+    if not given and rest and rest[0] not in commands and not rest[0][:1].isalnum():
+        # an unknown command that looks like an option (it followed "--") is
+        # read as the group's options once more, as click did
+        given, _ = parse(_GROUP_OPTIONS, rest, interspersed=False)
+    if given:  # the first of --help and --version given
+        help_ = next(iter(given)) == "help"
+        sys.stdout.write(_group_help(prog, doc, commands) if help_ else f"{prog}, version {version}\n")
+        return 0
+    if not rest:
+        if argv:
+            raise UsageError("command: Missing command.")
+        sys.stderr.write(_group_help(prog, doc, commands))
+        return 1
+    name, args = rest[0], rest[1:]
+    if name not in commands:
+        raise UsageError(f"command: No such command {name!r}.{did_you_mean(name, commands)}")
+    fn, options = commands[name]
+    given, extra = parse(options, args)
+    if "help" in given:
+        sys.stdout.write(render_help(f"{prog} {name} [OPTIONS]", fn.__doc__.strip(), options))
+        return 0
+    kwargs = convert(options, given)
+    if extra:
+        plural = "s" if len(extra) > 1 else ""
+        raise UsageError(f"command: Got unexpected extra argument{plural} ({' '.join(extra)})")
+    del kwargs["help"]
+    return fn(**kwargs) or 0

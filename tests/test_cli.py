@@ -480,6 +480,16 @@ def test_help_is_rendered_from_the_option_table(runner, command):
     assert f"\n  {command} " in group.stdout
 
 
+def test_interrupt_exits_1_without_a_traceback(runner, monkeypatch):
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(COMMANDS, "linkbudget", (interrupted, COMMANDS["linkbudget"][1]))
+    result = runner.invoke(main, ["linkbudget"])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
+    assert result.exception is None
+
+
 # the console script's path: main() exits the process with the code
 PROCESS_ENV = {
     **{key: value for key, value in os.environ.items() if key != "WAVECORE_CATALOG"},
@@ -664,7 +674,7 @@ class TestSimulate:
         (["ablate", "--variants", "planar2d:crossing_count"], "variants[0]"),
         (["ablate", "--variants", "kcl,planar2d:crossing_count=x"], "variants[1]"),
         (["ablate", "--variants", "kcl,soa,planar2d:crossing_count=-5"], "variants[2]"),
-        # click's usage errors name the option
+        # usage errors name the option
         (["linkbudget", "--freq", "None"], "--freq"),
         (["simulate", "--seed", "1.5"], "--seed"),
         (["linkbudget", "--nope"], "--nope"),

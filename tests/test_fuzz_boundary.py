@@ -49,7 +49,7 @@ ordinary = st.one_of(st.integers(0, 300), st.floats(0.0, 100.0))
 values = st.one_of(wrong_types, non_finite, negatives, huge_integers, large_floats, empty, ordinary)
 
 # Every exit 1 is one "Error: <field>: ..." line; these are the fields a
-# drawn input can be rejected under, and the options whose text click rejects.
+# drawn input can be rejected under, and the options whose text the parser rejects.
 ERROR_LINE = re.compile(
     r"^Error: (catalog|workload|variant|power|perf|link_budget|core|freq|noise|samples|--[a-z-]+): ", re.M
 )
@@ -60,7 +60,7 @@ SWEEP_ERROR_LINE = re.compile(
 
 # option text: drawn values as the CLI sees them, and a few hand-picked forms
 option_text = st.one_of(values.map(str), st.sampled_from(["", " ", "nan", "-inf", "1e400", "0x10", "1_0", " 3 "]))
-junk = st.sampled_from(["", " ", "abc", "0x10", "1_0", "None", "[1]", "1.5"])    # click rejects most
+junk = st.sampled_from(["", " ", "abc", "0x10", "1_0", "None", "[1]", "1.5"])    # the parser rejects most
 # numbers as text, now and then text that is not a number
 float_text = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr), st.integers(-10**6, 10**6).map(str),
@@ -257,7 +257,7 @@ def test_simulate_options(data, wild, fmt):
     options[wild] = value = data.draw(SIMULATE_WILD[wild])
     field, output = invoke(["simulate", "--core", "9x8", *(text for item in options.items() for text in item)], fmt)
     if field is not None and field.startswith("--"):
-        assert field == wild, output            # click rejected the text before the command ran
+        assert field == wild, output            # the parser rejected the text before the command ran
     elif field is not None:
         assert field == ("samples" if wild == "--samples" else "noise"), output
         assert (value if wild == "--samples" else wild.removeprefix("--").replace("-", "_")) in output, output
