@@ -12,7 +12,7 @@ which this module replaced.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _METAVARS = {str: "TEXT", int: "INTEGER", float: "FLOAT"}
 
@@ -21,11 +21,11 @@ class UsageError(Exception):
     """Command-line text that the option table cannot read."""
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One entry of an option table. ``convert`` (``str``, ``int`` or
     ``float``) reads the option's text; None makes a flag, which sets ``dest``
-    to True, or to False when given as its second, negating spelling."""
+    to True, or to False when given as its second, negating spelling. A named
+    tuple, not a dataclass: it is built on every cold start."""
 
     flags: tuple[str, ...]
     dest: str
@@ -157,8 +157,10 @@ def run(prog: str, version: str, doc: str, commands: dict, argv: list[str]) -> i
         # read as the group's options once more, as click did
         given, _ = parse(_GROUP_OPTIONS, rest, interspersed=False)
     if given:  # the first of --help and --version given
-        help_ = next(iter(given)) == "help"
-        sys.stdout.write(_group_help(prog, doc, commands) if help_ else f"{prog}, version {version}\n")
+        if next(iter(given)) == "help":
+            sys.stdout.write(_group_help(prog, doc, commands))
+        else:
+            sys.stdout.write(f"{prog}, version {version}\n")
         return 0
     if not rest:
         if argv:
