@@ -47,8 +47,6 @@ class CliRunner:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 exit_code = cli(list(args), standalone_mode=False)
-            except SystemExit as exc:
-                exit_code, exception = exc.code, exc
             except Exception as exc:            # reported, as a traceback would be
                 exit_code, exception = 1, exc
         return Result(exit_code, out.getvalue(), err.getvalue(), shared.getvalue(), exception)
