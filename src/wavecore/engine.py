@@ -7,39 +7,21 @@ quantization, and digital accumulation of partial sums. At zero noise and on
 integer-aligned grids the pipeline is exact, which is what the reference
 integer oracle in the test suite checks against.
 
-Accumulation order is fixed: each bus sums its rows in row order, each
-detector sums its buses in bus order (a short last bus or detector sums as if
-zero-padded to full size), and detector readings are summed digitally in
-detector order. The products are never built whole: the tile is walked in
-cache-sized blocks of cols x positions with the longer axis innermost, each
-detector's first bus reduced into the block's running sum and every later bus
-added to it. With 9-row buses the scratch is about 0.7 MiB on top of the
-detectors x cols x positions output.
+The accumulation tree sets which rows share a detector: a bus carries
+``group_size`` rows and a detector sums ``pd_ports`` buses, so detector ``d``
+holds rows ``d*span`` up to ``(d+1)*span`` with ``span = group_size *
+pd_ports``. Each detector's sum is one matrix product, so its additions run
+in the order of the BLAS build numpy links, and the pinned bits are that
+build's. Sums on integer grids are exact in any order. Detector readings are
+summed digitally in detector order. Memory grows as detectors x cols x
+positions; the rows x cols x positions products are never built.
 
 Every operation takes a batch: ``noisy_mvm``'s inputs are B x rows x
 positions (a single tile is a batch of one), and ``inject_noise`` draws each
 item of an array's leading axis from its own generator. Shared weights and
 the batch's inputs are quantized once per call; only the noise is drawn per item, item ``b`` from
-the streams of seed ``noise.seed + b``. A batch is therefore bit-identical to
-B separate calls. In the kernel the batch is the outermost block axis: small
-tiles share a block while one bus's products fit in 2^13 elements, so the
-scratch does not grow with the batch.
-
-The kernel turns numpy's ufunc buffering off (a buffer size of 16, the
-smallest numpy accepts) and restores the caller's buffer size on return.
-Buffered, numpy copies each broadcast operand of the per-bus multiply into
-8192-element buffers whenever the inner axis is shorter than about 4096,
-which triples the cost of a product; the copy changes no bits. Per product
-on one 144 x 256 tile (2-vCPU x86 KVM guest, numpy 2.4, median of 9):
-
-    positions   inner axis       buffered   unbuffered
-         4096   4096 positions    0.91 ns      0.93 ns
-         1024   1024 positions    2.09 ns      0.96 ns
-          256    256 positions    1.64 ns      1.07 ns
-           64    256 cols         1.89 ns      1.19 ns
-
-The buffer size holds for the whole block loop, so the reductions run under
-it too. Only numpy 2.4, the floor in pyproject.toml, has been measured.
+the streams of seed ``noise.seed + b``. Each item is its own matrix product
+in the kernel, so a batch is bit-identical to B separate calls.
 """
 
 from __future__ import annotations
@@ -125,7 +107,9 @@ class AccumulationTree:
     Level 1 sums ``group_size`` row products on a shared bus (by default one
     wavelength group, ``WAVELENGTHS_PER_GROUP`` rows), level 2 sums up to
     ``pd_ports`` buses in one detector's photocurrent, level 3 adds detector
-    readings digitally.
+    readings digitally. The simulator sums each detector's rows in one matrix
+    product, so of the bus level only the detector span ``group_size *
+    pd_ports`` shapes its results: trees of equal span give the same bits.
     """
 
     group_size: int = WAVELENGTHS_PER_GROUP
@@ -198,102 +182,27 @@ def inject_noise(q_value, sigma: float, streams):
     return out
 
 
-# cols x positions elements per block: one bus's products (group_size x 64 KiB)
-# and the block's two running sums stay in a core's L2 cache between the
-# multiply and the reductions, and the inner loops are still long enough that
-# numpy's per-call overhead costs little.
-_BLOCK = 1 << 13
-
-# The kernel's ufunc buffer size (see the module docstring): numpy buffers a
-# broadcast operand only when the inner axis is shorter than about half of
-# it, and it must be a multiple of 16.
-_UNBUFFERED_BUFSIZE = 16
-
-
-def _even_spans(n: int, width: int) -> tuple[list[tuple[int, int]], int]:
-    """The fewest near-equal spans of range(n) at most ``width`` long, and the longest."""
-    count = max(1, -(-n // width))
-    bounds = [i * n // count for i in range(count + 1)]
-    return list(zip(bounds, bounds[1:])), -(-n // count)
-
-
 def _detector_sums(x: np.ndarray, w: np.ndarray, tree: AccumulationTree) -> np.ndarray:
     """Per-detector sums of ``w[b, r, c] * x[b, r, p]``, shape (batch, detectors, cols, positions).
 
-    ``x`` is (batch, rows, positions) and ``w`` (batch, rows, cols). The tile
-    is walked in blocks of about ``_BLOCK`` cols x positions elements with the
-    longer of the two axes innermost; items of the batch share a block while
-    a bus's products fit in ``_BLOCK`` elements. Per block and detector, the
-    first bus's (rows_in_bus, block) products are reduced with
-    ``np.add.reduce(axis=0)`` into a running block sum, and every later bus
-    is reduced into a scratch block and added to it. numpy starts a
-    reduction from +0.0, so the additions run in row order, then bus order,
-    and give each item the bits its zero-padded rows x cols x positions
-    product tensor would give, signed zeros included; that tensor is never
-    built.
-
-    The loop runs with ufunc buffering off, and the caller's
-    ``np.getbufsize()`` is restored on return. Buffering decides only how
-    numpy chunks the operands, not which additions run or in what order, so
-    the bits are the same (checked on numpy 2.4).
+    ``x`` is (batch, rows, positions) and ``w`` (batch, rows, cols). Detector
+    ``d`` sums rows ``d*span`` up to ``(d+1)*span``, where ``span`` is
+    ``group_size * pd_ports``; the last detector may hold fewer. Each
+    detector is one ``np.matmul`` of its rows' weights, transposed, with its
+    rows' inputs, written in place into the result, so its additions run in
+    BLAS's order: the bits are those of the BLAS build numpy links, and the
+    bus level matters only through the span. Sums of integers are exact in
+    any order, and a zero sum reads +0.0. Each item of the batch is its own
+    matrix product, so a batch gives the bits of its items' calls alone.
+    OpenBLAS gives the same bits on any thread count, except for a one-element
+    tile whose detector holds over 10000 rows: it splits that dot product
+    over its threads.
     """
     batch, rows, cols = w.shape
-    positions = x.shape[2]
-    group, ports = tree.group_size, tree.pd_ports
-    buses = -(-rows // group)
-    detectors = -(-buses // ports)
-    if cols * positions == 1:
-        # numpy sums a reduction into a single element pairwise, not in
-        # order, so a one-element tile keeps the zero-padded reductions.
-        padded = np.zeros((batch, detectors * ports * group))
-        padded[:, :rows] = w[:, :, 0] * x[:, :, 0]
-        sums = padded.reshape(batch, detectors, ports, group).sum(axis=3).sum(axis=2)
-        return sums.reshape(batch, detectors, 1, 1)
-
-    level2 = np.empty((batch, detectors, cols, positions))
-    # outer[r, b, o] * inner[r, b, i] is written to out[b, d, o, i], inner the
-    # long axis. Even spans keep every block at least two elements wide, so
-    # no block is summed pairwise.
-    if positions < cols:
-        outer, inner, out = x, w, level2.transpose(0, 1, 3, 2)
-    else:
-        outer, inner, out = w, x, level2
-    outer, inner = outer.transpose(1, 0, 2), inner.transpose(1, 0, 2)
-    inner_spans, inner_width = _even_spans(inner.shape[2], _BLOCK)
-    outer_spans, outer_width = _even_spans(outer.shape[2], max(1, _BLOCK // inner_width))
-    # items share a block only while all of a bus's products fit in _BLOCK
-    # elements: a batch of small tiles saves numpy calls, and its scratch is
-    # no larger than one item's
-    batch_spans, batch_width = _even_spans(batch, max(1, _BLOCK // (group * outer_width * inner_width)))
-    block = batch_width * outer_width * inner_width
-    products_buf = np.empty(group * block)
-    sum_buf = np.empty(block)
-    bus_buf = np.empty(block)
-
-    # errstate restores the caller's buffer size on exit, also on an error
-    with np.errstate():
-        np.setbufsize(_UNBUFFERED_BUFSIZE)
-        for b0, b1 in batch_spans:
-            for o0, o1 in outer_spans:
-                for i0, i1 in inner_spans:
-                    shape = (b1 - b0, o1 - o0, i1 - i0)
-                    size = shape[0] * shape[1] * shape[2]
-                    level = sum_buf[:size].reshape(shape)
-                    bus = bus_buf[:size].reshape(shape)
-                    a = outer[:, b0:b1, o0:o1, None]
-                    b = inner[:, b0:b1, None, i0:i1]
-                    for d in range(detectors):
-                        first = d * ports * group
-                        for r0 in range(first, min(first + ports * group, rows), group):
-                            r1 = min(r0 + group, rows)
-                            products = products_buf[: (r1 - r0) * size].reshape((r1 - r0,) + shape)
-                            np.multiply(a[r0:r1], b[r0:r1], out=products)
-                            if r0 == first:
-                                np.add.reduce(products, axis=0, out=level)
-                            else:
-                                np.add.reduce(products, axis=0, out=bus)
-                                level += bus
-                        out[b0:b1, d, o0:o1, i0:i1] = level
+    span = tree.group_size * tree.pd_ports
+    level2 = np.empty((batch, -(-rows // span), cols, x.shape[2]))
+    for d, r0 in enumerate(range(0, rows, span)):
+        np.matmul(w[:, r0 : r0 + span].transpose(0, 2, 1), x[:, r0 : r0 + span], out=level2[:, d])
     return level2
 
 
