@@ -14,8 +14,12 @@ from wavecore.workload import ConvLayerSpec, lower_conv
 from clirunner import CliRunner
 from conftest import assert_same_bits
 
-# simulate's stdout and full-precision statistics, recorded from the
-# one-image-per-call simulator before batching; compared, never regenerated
+# simulate's stdout and full-precision statistics. The stdout and predictions
+# were recorded from the one-image-per-call simulator before batching. The
+# statistics' bits are those of the kernel's matrix products under numpy
+# 2.4.6's bundled scipy-openblas 0.3.31 (its SkylakeX kernels, picked on an
+# AVX-512 x86 host), and may move in the last bits with another BLAS build
+# or kernel. Compared, never regenerated.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_simulate.json").read_text())
 
 
