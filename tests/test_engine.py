@@ -220,9 +220,8 @@ def spread_operands(seed, rows, cols, positions, signed=False, decades=16):
     """Operands over ``decades`` decades with float32 significands, so every product is exact.
 
     ``signed`` gives each value a random sign and sets a fifth of each operand
-    to exact +0.0 or -0.0, so the signs of zero sums show too. Over 16
-    decades a sum is often dominated by its largest terms; few decades keep
-    every term in play.
+    to exact +0.0 or -0.0. Over 16 decades a sum is often dominated by its
+    largest terms; few decades keep every term in play.
     """
     rng = np.random.default_rng(seed)
     lo, hi = -decades // 2, decades // 2
