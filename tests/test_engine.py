@@ -381,6 +381,25 @@ class TestBatchedKernel:
             w = np.broadcast_to(w[0], w.shape)
         self.assert_items_alone(x, w, AccumulationTree(*tree))
 
+    @pytest.mark.parametrize("tree", [(9, 16), (3, 2)])
+    @pytest.mark.parametrize("cols_inner", [False, True])
+    @pytest.mark.parametrize("width", [15, 16, 17, 2047, 2048, 4095, 4096, 4097])
+    def test_inner_widths_around_powers_of_two(self, width, cols_inner, tree):
+        # widths on either side of 16, 2048 and 4096, where a BLAS kernel's
+        # micro-tiles and cache blocks leave a tail
+        batch, rows, outer = 3, 40, 5
+        cols, positions = (width, outer) if cols_inner else (outer, width)
+        items = [spread_operands(width + b, rows, cols, positions, True, 2) for b in range(batch)]
+        x = np.stack([item[0] for item in items])
+        w = np.stack([item[1] for item in items])
+        t = AccumulationTree(*tree)
+        self.assert_items_alone(x, w, t)
+        got = _detector_sums(x, w, t)
+        for b in range(batch):
+            assert_within_rounding_bound(got[b], x[b], w[b], detector_rows(rows, t))
+        xi, wi = integer_grid_operands(width, rows, cols, positions)
+        assert_same_bits(detector_sums(xi, wi, t), exact_detector_sums(xi, wi, t))
+
 
 # tiles of the benchmark's ResNet layers, the tinycnn tile and a partial last detector
 THREAD_TILES = [(1, 144, 256, 4096), (1, 144, 256, 64), (60, 9, 3, 36), (3, 150, 5, 7)]
