@@ -13,15 +13,19 @@ holds rows ``d*span`` up to ``(d+1)*span`` with ``span = group_size *
 pd_ports``. Each detector's sum is one matrix product, so its additions run
 in the order of the BLAS build numpy links, and the pinned bits are that
 build's. Sums on integer grids are exact in any order. Detector readings are
-summed digitally in detector order. Memory grows as detectors x cols x
-positions; the rows x cols x positions products are never built.
+summed digitally in detector order, in place into the first detector's.
+Memory grows as detectors x cols x positions; the rows x cols x positions
+products are never built.
 
 Every operation takes a batch: ``noisy_mvm``'s inputs are B x rows x
 positions (a single tile is a batch of one), and ``inject_noise`` draws each
 item of an array's leading axis from its own generator. Shared weights and
-the batch's inputs are quantized once per call; only the noise is drawn per item, item ``b`` from
-the streams of seed ``noise.seed + b``. Each item is its own matrix product
-in the kernel, so a batch is bit-identical to B separate calls.
+the batch's inputs are quantized once per call, a differential pair's two
+legs from one grid of weight magnitudes; only the noise is drawn per item,
+item ``b`` from the streams of seed ``noise.seed + b``. The engine adds the
+noise in place to the arrays it owns, in cache-sized blocks. Each item is
+its own matrix product in the kernel, so a batch is bit-identical to B
+separate calls.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -120,18 +125,16 @@ class AccumulationTree:
         check_number("pd_ports", self.pd_ports, integer=True, ge=1)
 
 
-def quantize(x, q: QuantSpec):
-    """Quantize an array to the nearest grid level.
-
-    Returns (level indices, dequantized values), two arrays of ``x``'s shape.
-    """
+def _grid_index(x, q: QuantSpec) -> np.ndarray:
+    """Nearest level of each element of ``x`` on ``q``'s grid, as a new float64 array."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 0:
         raise ValueError(f"quantize needs an array of at least one dimension, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("quantize requires finite inputs")
-    # In place where possible, so a batch holds two full-size temporaries:
-    # t is the position on the grid, then its fractional part.
+    # In place where possible, so besides the result it holds one full-size
+    # float temporary, t (the position on the grid, then its fractional
+    # part), and boolean masks.
     t = arr - q.lo
     t /= q.step
     idx = np.floor(t)
@@ -144,11 +147,81 @@ def quantize(x, q: QuantSpec):
     del t
     idx += up
     np.clip(idx, 0, q.levels - 1, out=idx)
+    return idx
+
+
+def _quantized_values(x, q: QuantSpec) -> np.ndarray:
+    """``quantize(x, q)[1]``, without building the level indices."""
+    value = _grid_index(x, q)
+    value *= q.step                                            # lo + level * step, in place
+    value += q.lo
+    return value
+
+
+def quantize(x, q: QuantSpec):
+    """Quantize an array to the nearest grid level.
+
+    Returns (level indices, dequantized values), two arrays of ``x``'s shape.
+    """
+    idx = _grid_index(x, q)
     levels = idx.astype(np.int64)
     value = idx                                                # lo + level * step, in place
     value *= q.step
     value += q.lo
     return levels, value
+
+
+# Elements per block of the noise stage: its two scratch buffers, 64 KiB
+# each, stay in cache while a block's draws are scaled and added.
+_NOISE_BLOCK = 2 ** 13
+
+
+def _add_noise(arr: np.ndarray, sigma: float, streams) -> np.ndarray:
+    """``arr + standard_normal * (sigma * |arr|)``, written over ``arr``; returns the result.
+
+    ``arr`` is a float64 array that the caller owns, with items along its
+    leading axis, and ``streams`` yields one generator per item. At sigma zero
+    ``arr`` is returned untouched and nothing is drawn. Otherwise the noise is
+    added in place, into a C-ordered copy first if ``arr`` is not C-contiguous
+    (each item draws in C order). Items are drawn in order, each generator
+    used up before the next is taken, into a block of scratch that holds
+    several whole items or part of one; each block is then scaled and added,
+    so the stage holds no full-size temporary.
+    """
+    if sigma == 0.0:
+        return arr
+    arr = np.ascontiguousarray(arr)
+    flat = arr.reshape(-1)
+    items = len(arr)
+    size = flat.size // items if items else 0
+    per_block = min(items, _NOISE_BLOCK // size) if size else items   # whole items per block
+    draws = np.empty(per_block * size if per_block else min(size, _NOISE_BLOCK))
+    scale = np.empty_like(draws)
+
+    def add(lo: int, hi: int) -> None:
+        z, s = draws[: hi - lo], scale[: hi - lo]
+        np.abs(flat[lo:hi], out=s)
+        s *= sigma
+        z *= s
+        flat[lo:hi] += z
+
+    gens = iter(streams)
+    if per_block:
+        rows = draws.reshape(per_block, size)
+        for b0 in range(0, items, per_block):
+            n = min(per_block, items - b0)
+            for row, gen in zip(rows[:n], islice(gens, n), strict=True):
+                gen.standard_normal(out=row)
+            add(b0 * size, (b0 + n) * size)
+    else:
+        for b, gen in zip(range(items), gens, strict=True):
+            for lo in range(b * size, (b + 1) * size, _NOISE_BLOCK):
+                hi = min(lo + _NOISE_BLOCK, (b + 1) * size)
+                gen.standard_normal(out=draws[: hi - lo])
+                add(lo, hi)
+    if next(gens, None) is not None:
+        raise ValueError(f"more streams than the {items} items")
+    return arr
 
 
 def inject_noise(q_value, sigma: float, streams):
@@ -159,11 +232,15 @@ def inject_noise(q_value, sigma: float, streams):
     noise is ``standard_normal`` of the item's shape from the ``i``-th
     generator. Items are drawn in order and each generator is used before the
     next is taken, so ``streams`` may hand out one generator re-keyed per item
-    (``rng.keyed_streams``), and at sigma zero it is not iterated at all.
+    (``rng.keyed_streams``), and at sigma zero it is not iterated at all. Too
+    few or too many streams raise ``ValueError``.
 
-    Exactly the identity when sigma is zero (no RNG draw is consumed), and
-    exactly zero-preserving since the noise scale is proportional to the
-    signal magnitude.
+    Returns a new array, ``q_value + draws * (sigma * |q_value|)`` bit for
+    bit, and leaves ``q_value`` unchanged; the noise is added to the copy in
+    cache-sized blocks, so besides it only a small scratch is held. Exactly
+    the identity when sigma is zero (no RNG draw is consumed, and ``q_value``
+    itself is returned), and exactly zero-preserving since the noise scale is
+    proportional to the signal magnitude.
     """
     check_number("sigma", sigma, ge=0.0)
     arr = np.asarray(q_value, dtype=np.float64)
@@ -171,15 +248,7 @@ def inject_noise(q_value, sigma: float, streams):
         raise ValueError(f"inject_noise needs a leading item axis (items, ...), got shape {arr.shape}")
     if sigma == 0.0:
         return arr
-    # arr + standard_normal * (sigma * |arr|), in two full-size buffers
-    out = np.empty(arr.shape)
-    for item, item_rng in zip(out, streams, strict=True):
-        item_rng.standard_normal(out=item)
-    scale = np.abs(arr)
-    scale *= sigma
-    out *= scale
-    out += arr
-    return out
+    return _add_noise(arr.copy(), sigma, streams)
 
 
 def _detector_sums(x: np.ndarray, w: np.ndarray, tree: AccumulationTree) -> np.ndarray:
@@ -227,10 +296,29 @@ def _mvm_non_negative(
     w_eq = inject_noise(w_batch, noise.sigma_w, _streams(noise, batch, layer, tile, w_role))
     level2 = _detector_sums(x_eq, w_eq, tree)
 
-    level2 = inject_noise(level2, noise.sigma_out, _streams(noise, batch, layer, tile, w_role + "/out"))
+    level2 = _add_noise(level2, noise.sigma_out, _streams(noise, batch, layer, tile, w_role + "/out"))
     if out_quant is not None:
-        _, level2 = quantize(level2, out_quant)
-    return level2.sum(axis=1)                                  # digital across detectors
+        level2 = _quantized_values(level2, out_quant)
+    # digital across detectors, in detector order, into the first detector's readings
+    acc = level2[:, 0]
+    for d in range(1, level2.shape[1]):
+        acc += level2[:, d]
+    return acc
+
+
+def _pair_legs(w: np.ndarray, w_quant: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The positive and negative legs of a differential pair, from one grid of magnitudes.
+
+    The weights' magnitudes are quantized once on the leg grid [0, span]; each
+    leg holds those of its sign's weights and +0.0 elsewhere, which is bit for
+    bit ``quantize(np.maximum(+-w, 0.0), leg)[1]``: a leg's zero, clamped or
+    not, reads +0.0 on a grid that starts at 0. Every magnitude is finite and
+    at least +0.0, so multiplying by the sign mask keeps or zeroes it exactly
+    (and runs several times faster than ``np.where``).
+    """
+    span = max(abs(w_quant.lo), abs(w_quant.hi))
+    mag = _quantized_values(np.abs(w), QuantSpec(bits=w_quant.bits, lo=0.0, hi=span))
+    return mag * (w > 0.0), mag * (w < 0.0)
 
 
 def noisy_mvm(
@@ -272,21 +360,18 @@ def noisy_mvm(
         raise ValueError("input intensities are non-negative; in_quant range must start at >= 0")
 
     # one input draw per item and tile: both weight legs see the same optical inputs
-    x_eq = inject_noise(
-        quantize(x_batch, in_quant)[1], noise.sigma_in, _streams(noise, len(x_batch), layer, tile, "in")
+    x_eq = _add_noise(
+        _quantized_values(x_batch, in_quant), noise.sigma_in, _streams(noise, len(x_batch), layer, tile, "in")
     )
 
     if w_quant.signed_mode == DIFFERENTIAL_PAIR:
-        span = max(abs(w_quant.lo), abs(w_quant.hi))
-        leg_quant = QuantSpec(bits=w_quant.bits, lo=0.0, hi=span)
-        _, w_pos = quantize(np.maximum(w_arr, 0.0), leg_quant)
-        _, w_neg = quantize(np.maximum(-w_arr, 0.0), leg_quant)
+        w_pos, w_neg = _pair_legs(w_arr, w_quant)
         y_pos = _mvm_non_negative(x_eq, w_pos, out_quant, noise, tree, layer, tile, "w+")
         y_neg = _mvm_non_negative(x_eq, w_neg, out_quant, noise, tree, layer, tile, "w-")
-        return y_pos - y_neg
+        return np.subtract(y_pos, y_neg, out=y_pos)             # y_pos is this call's own buffer
     if w_quant.lo < 0.0:
         raise ValueError("non_negative weight mode cannot represent a negative range")
-    _, w_values = quantize(w_arr, w_quant)
+    w_values = _quantized_values(w_arr, w_quant)
     return _mvm_non_negative(x_eq, w_values, out_quant, noise, tree, layer, tile, "w")
 
 

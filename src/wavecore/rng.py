@@ -15,9 +15,10 @@ from OS entropy and then discard it, so the key is handed to ``Philox`` as a
 fixed-key seed sequence instead. ``keyed_streams`` is the one path from
 digest to generator, and it serves a batch: it builds one Philox for its
 first seed and re-keys it for every later one by assigning its state (key,
-zero counter, empty buffer), lazily, so an unused role derives no key. Every
-stream (key, counter and buffer) is the same either way. ``keyed_rng`` is its
-first stream.
+zero counter, empty buffer), lazily, so an unused role derives no key. That
+state is built once per iterator, and each later seed swaps in only its key.
+Every stream (key, counter and buffer) is the same either way. ``keyed_rng``
+is its first stream.
 """
 
 from __future__ import annotations
@@ -85,7 +86,10 @@ def keyed_streams(seeds: Iterable[int], *parts: int | str) -> Iterator[np.random
     Each yielded generator equals ``keyed_rng(seed, *parts)``, state and
     draws, but every yield is the same generator re-keyed, so it is valid only
     until the next one is taken. A seed's key is derived when its generator is
-    taken, so an iterator that is never advanced hashes nothing.
+    taken, so an iterator that is never advanced hashes nothing. The state
+    assigned on a re-key (zero counter, empty buffer, no cached half word) is
+    one dict per iterator, of which each seed replaces only the key, so
+    however the previous stream was left, the next one starts fresh.
     """
     labels = _encode_labels(parts)
     gen = None
@@ -93,15 +97,20 @@ def keyed_streams(seeds: Iterable[int], *parts: int | str) -> Iterator[np.random
         words = _KEY_WORDS.unpack_from(_digest(seed, labels))
         if gen is None:
             gen = np.random.Generator(np.random.Philox(_FixedKey(words)))
-        else:
-            # the state of a fresh Philox with this key; tuples, because the
-            # setter reads them element by element faster than arrays
-            gen.bit_generator.state = {
+            bitgen = gen.bit_generator
+            # the state of a fresh Philox, built once: each later seed swaps
+            # in its key. Tuples, because the setter reads them element by
+            # element faster than arrays.
+            fresh = {"counter": (0, 0, 0, 0), "key": words}
+            state = {
                 "bit_generator": "Philox",
-                "state": {"counter": (0, 0, 0, 0), "key": words},
+                "state": fresh,
                 "buffer": (0, 0, 0, 0),
                 "buffer_pos": 4,
                 "has_uint32": 0,
                 "uinteger": 0,
             }
+        else:
+            fresh["key"] = words
+            bitgen.state = state
         yield gen

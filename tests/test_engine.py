@@ -22,7 +22,16 @@ from wavecore import (
     noisy_mvm,
     quantize,
 )
-from wavecore.engine import DIFFERENTIAL_PAIR, ZERO_NOISE, _detector_sums, unit_step_out_quant
+from wavecore.engine import (
+    DIFFERENTIAL_PAIR,
+    ZERO_NOISE,
+    _NOISE_BLOCK,
+    _add_noise,
+    _detector_sums,
+    _pair_legs,
+    _quantized_values,
+    unit_step_out_quant,
+)
 from wavecore.rng import keyed_rng, keyed_streams
 
 from conftest import assert_same_bits
@@ -72,6 +81,122 @@ class TestQuantize:
     def test_rejects_a_0d_input_naming_its_shape(self):
         with pytest.raises(ValueError, match=r"got shape \(\)$"):
             quantize(np.array(0.5), QuantSpec(bits=4))
+
+
+@st.composite
+def grid_cases(draw, lo=st.floats(-50.0, 10.0)):
+    """A grid and values on it, at exact midpoints of its levels, outside it and at +-0.0."""
+    low = draw(lo)
+    q = QuantSpec(bits=draw(st.integers(1, 16)), lo=low, hi=low + draw(st.floats(0.5, 60.0)))
+    on_grid = st.builds(
+        lambda k, f: q.lo + (k + f) * q.step, st.integers(-3, q.levels + 2), st.sampled_from([0.0, 0.5, -0.5, 0.25])
+    )
+    anywhere = st.floats(q.lo - 2 * (q.hi - q.lo), q.hi + 2 * (q.hi - q.lo))
+    values = st.one_of(on_grid, anywhere, st.sampled_from([0.0, -0.0]))
+    return q, np.array(draw(st.lists(values, min_size=1, max_size=40)))
+
+
+class TestValuesOnlyQuantizer:
+    """The engine's values-only quantizer and differential legs give quantize's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_cases())
+    def test_values_equal_quantize(self, case):
+        q, x = case
+        assert_same_bits(_quantized_values(x, q), quantize(x, q)[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_cases(lo=st.just(0.0)), symmetric=st.booleans(), data=st.data())
+    def test_pair_legs_equal_separate_leg_quantizations(self, case, symmetric, data):
+        leg, magnitudes = case
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(magnitudes), max_size=len(magnitudes)))
+        w = magnitudes * np.array(signs)
+        lo = -leg.hi if symmetric else -leg.hi / 2
+        w_pos, w_neg = _pair_legs(w, QuantSpec(bits=leg.bits, lo=lo, hi=leg.hi, signed_mode=DIFFERENTIAL_PAIR))
+        assert_same_bits(w_pos, quantize(np.maximum(w, 0.0), leg)[1])
+        assert_same_bits(w_neg, quantize(np.maximum(-w, 0.0), leg)[1])
+
+    def test_values_only_rejects_what_quantize_rejects(self):
+        with pytest.raises(ValueError, match="finite"):
+            _quantized_values(np.array([1.0, np.inf]), QuantSpec(bits=4))
+        with pytest.raises(ValueError, match=r"got shape \(\)$"):
+            _quantized_values(np.array(0.5), QuantSpec(bits=4))
+
+
+def expected_noise(arr, sigma, seed):
+    """``arr + draws * (sigma * |arr|)`` out of place, item b drawn whole from ``keyed_rng(seed + b, "blk")``."""
+    draws = np.empty(arr.shape)
+    for b, item in enumerate(draws):
+        item[...] = keyed_rng(seed + b, "blk").standard_normal(item.shape)
+    return arr + draws * (sigma * np.abs(arr))
+
+
+def noise_operand(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    arr = rng.uniform(-3.0, 3.0, shape) * 10.0 ** rng.integers(-4, 4, shape)
+    arr[rng.random(shape) < 0.1] = 0.0
+    arr[rng.random(shape) < 0.1] = -0.0
+    return arr
+
+
+# item shapes around the block: one element short of it, exactly it, one
+# over, two blocks and a tail; items that share a block; zero-size items
+BLOCK_EDGE_SHAPES = [
+    (2, _NOISE_BLOCK - 1),
+    (3, _NOISE_BLOCK),
+    (2, _NOISE_BLOCK + 1),
+    (2, 2 * _NOISE_BLOCK + 3),
+    (2, 1, 2 * _NOISE_BLOCK + 3),
+    (3000, 7),
+    (700, 3, 5),
+    (2, _NOISE_BLOCK // 2 + 1),
+    (1, 1),
+    (4, 0),
+    (0, 5),
+]
+
+
+class TestBlockedNoise:
+    """The blocked noise stage equals the out-of-place expression bit for bit."""
+
+    @pytest.mark.parametrize("shape", BLOCK_EDGE_SHAPES, ids=str)
+    def test_inject_noise_matches_expression(self, shape):
+        arr = noise_operand(shape)
+        before = arr.copy()
+        got = inject_noise(arr, 0.05, keyed_streams(range(11, 11 + len(arr)), "blk"))
+        assert_same_bits(got, expected_noise(arr, 0.05, 11))
+        assert_same_bits(arr, before)
+
+    @pytest.mark.parametrize("shape", BLOCK_EDGE_SHAPES, ids=str)
+    def test_in_place_stage_matches_expression(self, shape):
+        arr = noise_operand(shape, seed=1)
+        expected = expected_noise(arr, 0.3, 4)
+        got = _add_noise(arr, 0.3, keyed_streams(range(4, 4 + len(arr)), "blk"))
+        assert got is arr
+        assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (2, 150, 60)], ids=str)
+    def test_non_contiguous_items_draw_in_c_order(self, shape):
+        arr = np.asfortranarray(noise_operand(shape, seed=2))
+        got = _add_noise(arr, 0.1, keyed_streams(range(len(arr)), "blk"))
+        assert got.flags.c_contiguous
+        assert_same_bits(got, expected_noise(arr, 0.1, 0))
+
+    @pytest.mark.parametrize("items, shape", [(5, (9, 3)), (3, (150, 60)), (2, (_NOISE_BLOCK + 1,))], ids=str)
+    def test_broadcast_weights(self, items, shape):
+        w = noise_operand(shape, seed=3)
+        w_batch = np.broadcast_to(w, (items,) + shape)
+        got = inject_noise(w_batch, 0.01, keyed_streams(range(items), "blk"))
+        assert_same_bits(got, expected_noise(np.array(w_batch), 0.01, 0))
+        assert_same_bits(w_batch[0], w)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (3, 2 * _NOISE_BLOCK + 3), (3, 0), (3000, 7), (0, 4)], ids=str)
+    def test_wrong_stream_count_raises(self, shape):
+        items = shape[0]
+        for count in (items - 1, items + 1) if items else (1,):
+            for stage in (inject_noise, _add_noise):
+                with pytest.raises(ValueError, match="streams|zip"):
+                    stage(noise_operand(shape), 0.1, [keyed_rng(b, "blk") for b in range(count)])
 
 
 class TestInjectNoise:
@@ -547,6 +672,95 @@ class TestNoisyMvm:
         # 150 rows x 5 differential columns x 7 positions: two detectors and a
         # partial last bus
         assert_regression_fixture("regression_mvm_batch.json")
+
+
+def reference_mvm(x, weights, in_quant, w_quant, out_quant, noise, tree, layer=0, tile=0):
+    """The datapath step by step: full quantizations, out-of-place noise, ``np.sum`` over detectors."""
+    batch = len(x)
+
+    def noisy(arr, sigma, role):
+        if sigma == 0.0:
+            return arr
+        draws = np.stack([
+            keyed_rng(noise.seed + b, "mvm", layer, tile, role).standard_normal(arr.shape[1:]) for b in range(batch)
+        ])
+        return arr + draws * (sigma * np.abs(arr))
+
+    def leg(w_values, role):
+        w_eq = noisy(np.broadcast_to(w_values, (batch,) + w_values.shape), noise.sigma_w, role)
+        level2 = noisy(_detector_sums(x_eq, w_eq, tree), noise.sigma_out, role + "/out")
+        if out_quant is not None:
+            level2 = quantize(level2, out_quant)[1]
+        return level2.sum(axis=1)
+
+    x_eq = noisy(quantize(x, in_quant)[1], noise.sigma_in, "in")
+    if w_quant.signed_mode == DIFFERENTIAL_PAIR:
+        leg_q = QuantSpec(bits=w_quant.bits, lo=0.0, hi=max(abs(w_quant.lo), abs(w_quant.hi)))
+        w_pos = quantize(np.maximum(weights, 0.0), leg_q)[1]
+        w_neg = quantize(np.maximum(-weights, 0.0), leg_q)[1]
+        return leg(w_pos, "w+") - leg(w_neg, "w-")
+    return leg(quantize(weights, w_quant)[1], "w")
+
+
+class TestSplitPaths:
+    """noisy_mvm equals the datapath done step by step, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 3),
+        rows=st.sampled_from([1, 9, 144, 150, 300]),           # 1, 2 and 3 detectors on the default tree
+        cols=st.integers(1, 6),
+        positions=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        sigmas=st.tuples(*[st.sampled_from([0.0, 0.0031, 0.05])] * 3),
+        out_bits=st.sampled_from([None, 4, 12]),
+        differential=st.booleans(),
+    )
+    def test_matches_step_by_step_datapath(self, batch, rows, cols, positions, seed, sigmas, out_bits, differential):
+        rng = np.random.default_rng(seed)
+        x = rng.random((batch, rows, positions))
+        w = rng.uniform(-1.0, 1.0, (rows, cols)) if differential else rng.random((rows, cols))
+        w[rng.random(w.shape) < 0.1] = 0.0
+        w[rng.random(w.shape) < 0.1] = -0.0
+        in_q = QuantSpec(bits=6)
+        w_q = QuantSpec(bits=7, lo=-1.0, signed_mode=DIFFERENTIAL_PAIR) if differential else QuantSpec(bits=7)
+        out_q = None if out_bits is None else QuantSpec(bits=out_bits, lo=0.0, hi=float(min(rows, 144)))
+        noise = NoiseSpec(*sigmas, seed=seed % 1000)
+        tree = AccumulationTree()
+        got = noisy_mvm(x, w, in_q, w_q, out_q, noise, tree, layer=2, tile=5)
+        assert_same_bits(got, reference_mvm(x, w, in_q, w_q, out_q, noise, tree, layer=2, tile=5))
+
+    def test_detectors_add_in_detector_order(self):
+        # one row per detector and one output element: each reading is one
+        # product, and np.sum would add 20 of them pairwise, not in order;
+        # seed 4 gives a sum whose last bit depends on that order
+        rng = np.random.default_rng(4)
+        x, w = rng.random((1, 20, 1)), rng.random((20, 1))
+        q = QuantSpec(bits=16)
+        products = quantize(w, q)[1][:, 0] * quantize(x, q)[1][0, :, 0]
+        in_order = products[0]
+        for p in products[1:]:
+            in_order += p
+        assert np.sum(products) != in_order
+        y = noisy_mvm(x, w, q, q, noise=ZERO_NOISE, tree=AccumulationTree(1, 1))
+        assert_same_bits(y, np.array([[[in_order]]]))
+
+    def test_differential_tile_memory(self):
+        # The README's 144x256 differential tile at 4096 positions. Measured
+        # peak: 21.47 MiB of traced heap, within 0.01 MiB over noise seeds
+        # 0-2: the noisy inputs (4.5 MiB), one leg's result and the other
+        # leg's detector readings (8 MiB each), and the weights.
+        rng = np.random.default_rng(0)
+        x = rng.random((144, 4096))
+        w = rng.uniform(-1.0, 1.0, (144, 256))
+        w_q = QuantSpec(bits=7, lo=-1.0, hi=1.0, signed_mode=DIFFERENTIAL_PAIR)
+        tracemalloc.start()
+        try:
+            noisy_mvm(x[None], w, QuantSpec(bits=6), w_q, noise=NoiseSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 23 * 2**20
 
 
 class TestBatchContract:

@@ -60,17 +60,42 @@ def test_each_stream_equals_keyed_rng(parts, no_os_entropy):
         assert_same_stream(gen, keyed_rng(seed, *parts))
 
 
-def test_rekey_drops_a_cached_half_word():
+def leave_mid_buffer(gen):
+    # a Philox draws 64-bit words four at a time; stop with some left in the buffer
+    gen.bit_generator.random_raw()
+    if gen.bit_generator.state["buffer_pos"] == 4:
+        gen.bit_generator.random_raw()
+    assert gen.bit_generator.state["buffer_pos"] < 4
+
+
+def leave_half_word(gen):
     # an odd count of 32-bit draws leaves half a 64-bit word cached in the bit generator
-    streams = keyed_streams([5, 6, 5], "mvm", 0, 0, "w+")
-    first = next(streams)
-    first.integers(0, 2, size=3, dtype=np.uint32)
-    assert first.bit_generator.state["has_uint32"] == 1
-    for seed in (6, 5):
+    gen.integers(0, 2, size=3 - gen.bit_generator.state["has_uint32"], dtype=np.uint32)
+    assert gen.bit_generator.state["has_uint32"] == 1
+
+
+@pytest.mark.parametrize("leave", [leave_mid_buffer, leave_half_word])
+def test_rekey_starts_fresh_however_the_last_stream_was_left(leave):
+    streams = keyed_streams([5, 6, 5, 2**70], "mvm", 1, 2, "w-")
+    gen = next(streams)
+    for seed in (6, 5, 2**70):
+        leave(gen)
         gen = next(streams)
-        assert gen.bit_generator.state["has_uint32"] == 0
-        assert_same_stream(gen, keyed_rng(seed, "mvm", 0, 0, "w+"))
-        gen.integers(0, 2, dtype=np.uint32)
+        assert_same_stream(gen, keyed_rng(seed, "mvm", 1, 2, "w-"))
+
+
+def test_interleaved_iterators_keep_their_own_streams():
+    seeds = [3, 4, 3, 9]
+    a = keyed_streams(seeds, "mvm", 0, 0, "in")
+    b = keyed_streams(seeds, "mvm", 0, 0, "w+")
+    for seed in seeds:
+        gen_a = next(a)
+        gen_a.standard_normal(7)
+        gen_b = next(b)
+        assert_same_stream(gen_b, keyed_rng(seed, "mvm", 0, 0, "w+"))
+        expected = keyed_rng(seed, "mvm", 0, 0, "in")
+        expected.standard_normal(7)
+        assert_same_stream(gen_a, expected)
 
 
 def test_derives_no_key_before_an_item_is_taken():
