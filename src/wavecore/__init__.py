@@ -48,7 +48,7 @@ from .power import (
     total_power_cores,
     vcsel_program_energy,
 )
-from .area import AreaParams, AreaReport, crossbar_area
+from .area import AreaReport, crossbar_area
 from .workload import (
     ConvLayerSpec,
     PerfReport,

@@ -14,24 +14,19 @@ from dataclasses import dataclass
 from .linkbudget import CoreGeometry
 
 
-@dataclass(frozen=True)
-class AreaParams:
-    """Layout constants in micrometers (defaults reproduce the reference floorplan)."""
-
-    comb_strip_um: float = 500.0
-    awg_strip_um: float = 1000.0
-    voa_strip_um: float = 150.0
-    mzm_strip_um: float = 250.0
-    group_pitch_um: float = 700.0
-    cell_width_um: float = 100.0
-    cell_height_um: float = 200.0
-    pd_strip_um: float = 100.0
-    reticle_w_mm: float = 26.0
-    reticle_h_mm: float = 33.0
-
-    @property
-    def input_strip_um(self) -> float:
-        return self.comb_strip_um + self.awg_strip_um + self.voa_strip_um + self.mzm_strip_um
+# Layout constants of the reference floorplan, in micrometers
+COMB_STRIP_UM = 500.0
+AWG_STRIP_UM = 1000.0
+VOA_STRIP_UM = 150.0
+MZM_STRIP_UM = 250.0
+INPUT_STRIP_UM = COMB_STRIP_UM + AWG_STRIP_UM + VOA_STRIP_UM + MZM_STRIP_UM
+GROUP_PITCH_UM = 700.0
+CELL_WIDTH_UM = 100.0
+CELL_HEIGHT_UM = 200.0
+PD_STRIP_UM = 100.0
+# the lithography reticle, in millimeters
+RETICLE_W_MM = 26.0
+RETICLE_H_MM = 33.0
 
 
 @dataclass(frozen=True)
@@ -62,8 +57,8 @@ class AreaReport:
         }
 
 
-def _reticle_fit(w_mm: float, h_mm: float, params: AreaParams) -> tuple[bool, tuple[float, float] | None]:
-    rw, rh = params.reticle_w_mm, params.reticle_h_mm
+def _reticle_fit(w_mm: float, h_mm: float) -> tuple[bool, tuple[float, float] | None]:
+    rw, rh = RETICLE_W_MM, RETICLE_H_MM
     # Orientation swap is allowed: try both mountings.
     if (w_mm <= rw and h_mm <= rh) or (w_mm <= rh and h_mm <= rw):
         return True, None
@@ -74,38 +69,36 @@ def _reticle_fit(w_mm: float, h_mm: float, params: AreaParams) -> tuple[bool, tu
     return False, short
 
 
-def crossbar_area(geom: CoreGeometry, params: AreaParams = AreaParams()) -> AreaReport:
+def crossbar_area(geom: CoreGeometry) -> AreaReport:
     """Floorplan footprint of a core; any valid geometry can be sized, even
     one too large for the reticle."""
     bundles = geom.mmi_bundles
-    width_um = params.input_strip_um + bundles * params.group_pitch_um
-    height_um = geom.rows * params.cell_height_um + params.pd_strip_um
+    width_um = INPUT_STRIP_UM + bundles * GROUP_PITCH_UM
+    height_um = geom.rows * CELL_HEIGHT_UM + PD_STRIP_UM
     w_mm = width_um / 1000.0
     h_mm = height_um / 1000.0
     total = w_mm * h_mm
 
-    fits, shortfall = _reticle_fit(w_mm, h_mm, params)
-    reticle_area = params.reticle_w_mm * params.reticle_h_mm
-    residual = reticle_area - total if fits else None
+    fits, shortfall = _reticle_fit(w_mm, h_mm)
+    residual = RETICLE_W_MM * RETICLE_H_MM - total if fits else None
 
     strips = (
-        ("comb", params.comb_strip_um / 1000.0),
-        ("awg", params.awg_strip_um / 1000.0),
-        ("voa", params.voa_strip_um / 1000.0),
-        ("sl_mzm", params.mzm_strip_um / 1000.0),
-        ("column_groups", bundles * params.group_pitch_um / 1000.0),
-        ("pd_strip", params.pd_strip_um / 1000.0),
+        ("comb", COMB_STRIP_UM / 1000.0),
+        ("awg", AWG_STRIP_UM / 1000.0),
+        ("voa", VOA_STRIP_UM / 1000.0),
+        ("sl_mzm", MZM_STRIP_UM / 1000.0),
+        ("column_groups", bundles * GROUP_PITCH_UM / 1000.0),
+        ("pd_strip", PD_STRIP_UM / 1000.0),
     )
     return AreaReport(
         crossbar_w_mm=w_mm,
         crossbar_h_mm=h_mm,
         total_area_mm2=total,
-        reticle_w_mm=params.reticle_w_mm,
-        reticle_h_mm=params.reticle_h_mm,
+        reticle_w_mm=RETICLE_W_MM,
+        reticle_h_mm=RETICLE_H_MM,
         residual_mm2=residual,
         fits_reticle=fits,
         strips=strips,
-        unit_cell_um=(params.cell_width_um, params.cell_height_um),
+        unit_cell_um=(CELL_WIDTH_UM, CELL_HEIGHT_UM),
         shortfall_mm=shortfall,
     )
-

@@ -314,7 +314,6 @@ class DeviceCatalog:
     converters: ConverterCoeffs
     vcsel: VcselSpec
     thermo: ThermalSpec
-    schema_version: int = SCHEMA_VERSION
     defaulted: tuple[str, ...] = ()
     source_sha256: str = ""
 

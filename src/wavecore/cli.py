@@ -343,6 +343,7 @@ def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_
     import numpy as np
 
     from .engine import NoiseSpec
+    from .rng import SEED_MAX, SEED_MIN
     from .synth import DATA_SEED, make_dataset, run_tinycnn
 
     if model != "tinycnn":
@@ -350,6 +351,9 @@ def simulate(model: str, core_text: str, sigma_in: float, sigma_w: float, sigma_
     geom = _model("core", CoreGeometry.parse, core_text)
     noise = _model("noise", NoiseSpec, sigma_in=sigma_in, sigma_w=sigma_w, sigma_out=sigma_out, seed=seed)
     _model("samples", check_number, "sample count", samples, integer=True, ge=1)
+    if not SEED_MIN <= seed <= SEED_MAX - (samples - 1):
+        raise ScenarioError(f"noise: image seeds seed to seed + {samples - 1} must lie in "
+                            f"[-2**127, 2**127 - 1], got seed {seed}")
     too_many = f"samples: {samples} samples do not fit in memory"
     try:
         images, labels = make_dataset(samples, seed=DATA_SEED)

@@ -410,21 +410,22 @@ class PcmProgrammer:
         """Quantize ``weights`` (values in [0, 1]) to cell levels with programming noise.
 
         Returns (levels, programmed values). Raises :class:`PcmRefreshError`
-        if any cell would be rewritten before its cycle time has elapsed.
+        if any cell would be rewritten before its cycle time has elapsed. A
+        call that raises leaves the bank's write times and events unchanged.
         """
+        check_number("t_ns", t_ns)
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 2:
             raise ValueError(f"weights must be 2-D, got shape {w.shape}")
-        if np.any(w < 0.0) or np.any(w > 1.0):
-            raise ValueError("weights must lie in [0, 1] (cell transmission range)")
+        if not np.all((w >= 0.0) & (w <= 1.0)):     # NaN fails both tests
+            raise ValueError("weights must be finite and lie in [0, 1] (cell transmission range)")
 
-        if self._last_write_ns is None:
-            self._last_write_ns = np.full(w.shape, -np.inf)
-        elif self._last_write_ns.shape != w.shape:
-            raise ValueError(
-                f"bank holds {self._last_write_ns.shape} cells, cannot program {w.shape}"
-            )
-        elapsed = t_ns - self._last_write_ns
+        last = self._last_write_ns
+        if last is None:
+            last = np.full(w.shape, -np.inf)
+        elif last.shape != w.shape:
+            raise ValueError(f"weights must have the bank's shape {last.shape}, got {w.shape}")
+        elapsed = t_ns - last
         cycle = self.pcm.cycle_time_ns
         if np.any(elapsed < cycle):
             idx = tuple(np.argwhere(elapsed < cycle)[0])
@@ -432,12 +433,13 @@ class PcmProgrammer:
                 f"cell {idx} rewritten {elapsed[idx]:.0f} ns after previous write; "
                 f"minimum interval is {cycle:.0f} ns"
             )
-        self._last_write_ns.fill(t_ns)
 
         spec = QuantSpec(bits=self.pcm.levels_bits, lo=0.0, hi=1.0)
         levels, values = quantize(w, spec)
         values = inject_noise(values[None], self.pcm.program_std, keyed_streams((self.seed,), "pcm", layer, tile))[0]
 
+        last.fill(t_ns)
+        self._last_write_ns = last
         self.events.append(
             ProgramEvent(
                 t_ns=t_ns,

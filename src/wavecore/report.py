@@ -21,7 +21,8 @@ def canonical_json(obj: Any) -> str:
     writes the text. The result, errors included, is that of ``json.dumps``
     with ``indent=2`` and ``allow_nan=False`` on a copy of ``obj`` whose
     floats are rounded, plus a newline: strings are ASCII-escaped, tuples are
-    lists, dict keys are not rounded, and NaN and infinities raise ValueError.
+    lists, and NaN and infinities raise ValueError. Dict keys must be ``str``;
+    any other key raises TypeError, where ``json.dumps`` would convert it.
     """
     parts: list[str] = []
     _emit(obj, "\n", parts.append)
@@ -51,7 +52,9 @@ def _emit(obj: Any, newline: str, write: Callable[[str], Any]) -> None:
         sep = "{" + inner
         for key, value in obj.items():
             write(sep)
-            write(_quote(key if isinstance(key, str) else _key_text(key)))
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            write(_quote(key))
             write(": ")
             _emit(value, inner, write)
             sep = "," + inner
@@ -75,21 +78,6 @@ def _float_text(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
     return float.__repr__(value)
-
-
-def _key_text(key: Any) -> str:
-    """A dict key that is not a str, as ``json`` writes it."""
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def render_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

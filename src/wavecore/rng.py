@@ -8,11 +8,12 @@ work is parallelized across columns, batch items or design points. The
 simulator gives batch item ``b`` the streams of seed ``seed + b``, so a batch
 draws exactly what one call per item would.
 
-A stream's key is the first 16 bytes of one SHA-256 over the seed and the
-labels, encoded once by ``_encode_labels``. A Philox stream is built from its
-128-bit key alone: ``Philox(key=...)`` would first build a ``SeedSequence``
-from OS entropy and then discard it, so the key is handed to ``Philox`` as a
-fixed-key seed sequence instead. ``keyed_streams`` is the one path from
+A stream's key is the first 16 bytes of one SHA-256 over the seed, as a
+signed 128-bit integer, and the labels, encoded once by ``_encode_labels``;
+a seed outside ``SEED_MIN``..``SEED_MAX`` raises ValueError. A Philox stream
+is built from its 128-bit key alone: ``Philox(key=...)`` would first build a
+``SeedSequence`` from OS entropy and then discard it, so the key is handed to
+``Philox`` as a fixed-key seed sequence instead. ``keyed_streams`` is the one path from
 digest to generator, and it serves a batch: it builds one Philox for its
 first seed and re-keys it for every later one by assigning its state (key,
 zero counter, empty buffer), lazily, so an unused role derives no key. That
@@ -30,6 +31,8 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+# a seed is hashed as a signed 128-bit integer
+SEED_MIN, SEED_MAX = -2**127, 2**127 - 1
 # a 128-bit key as Philox's two little-endian 64-bit key words
 _KEY_WORDS = struct.Struct("<2Q")
 
@@ -59,7 +62,10 @@ def _encode_labels(parts: tuple[int | str, ...]) -> bytes:
 
 
 def _digest(seed: int, labels: bytes) -> bytes:
-    return hashlib.sha256(int(seed).to_bytes(16, "little", signed=True) + labels).digest()
+    try:
+        return hashlib.sha256(int(seed).to_bytes(16, "little", signed=True) + labels).digest()
+    except OverflowError:
+        raise ValueError(f"seed must be an integer in [-2**127, 2**127 - 1], got {seed!r}") from None
 
 
 def stream_key(seed: int, *parts: int | str) -> int:

@@ -126,12 +126,11 @@ class TileSchedule:
     """Tile walk totals for one inference pass of a workload on one core.
 
     ``total_tile_loads`` and ``total_stream_cycles`` come from the shape
-    table of :func:`schedule_cores`; ``total_programmed_cells``, ``macs`` (the
-    sum of programmed cells times output positions) and ``flagged_ops`` do
-    not depend on the core. The per-layer view is ``entries``: one
-    :class:`LayerSchedule` per layer of ``workload``, in its order, with
-    zero counts for a flagged non-conv layer, built from :func:`lower_conv`
-    each time it is read. Each count summed over ``entries`` is its total.
+    table of :func:`schedule_cores`; ``total_programmed_cells`` and
+    ``flagged_ops`` do not depend on the core. The per-layer view is
+    ``entries``: one :class:`LayerSchedule` per layer of ``workload``, in its
+    order, with zero counts for a flagged non-conv layer, built from
+    :func:`lower_conv` each time it is read. Each count summed over ``entries`` is its total.
     """
 
     geometry: CoreGeometry
@@ -140,7 +139,6 @@ class TileSchedule:
     total_tile_loads: int
     total_stream_cycles: int
     total_programmed_cells: int
-    macs: int
     flagged_ops: tuple[str, ...]
 
     @property
@@ -166,8 +164,8 @@ def schedule_cores(
 
     One pass over the layers builds a table of the conv layers' tile shapes,
     (kernel, c_in, c_out), each with its layer count and summed output
-    positions, and sums the programmed cells and MACs, which do not depend on
-    the core. Each core's totals then come from the table: a shape costs
+    positions, and sums the programmed cells, which do not depend on the
+    core. Each core's totals then come from the table: a shape costs
     ``ceil(c_in / channels_per_pass) * ceil(c_out / cols)`` loads per layer,
     and each load streams the shape's positions. The table lives for this
     call only. It takes no ``pcm``: nothing in a schedule depends on the cell.
@@ -176,15 +174,14 @@ def schedule_cores(
         raise ValueError("workload is empty")
     layers = tuple(workload)
     shapes: dict[tuple[int, int, int], list[int]] = {}   # shape -> [layer count, summed positions]
-    cells = macs = 0
+    cells = 0
     flagged = []
     for layer in layers:
         if layer.kind != "conv":
             flagged.append(layer.name)
             continue
-        weights, positions = layer.weight_count, layer.positions
-        cells += weights
-        macs += weights * positions
+        positions = layer.positions
+        cells += layer.weight_count
         shape = (layer.kernel, layer.c_in, layer.c_out)
         group = shapes.get(shape)
         if group is None:
@@ -210,7 +207,6 @@ def schedule_cores(
             total_tile_loads=loads,
             total_stream_cycles=cycles,
             total_programmed_cells=cells,
-            macs=macs,
             flagged_ops=flagged_ops,
         ))
     return tuple(scheds)

@@ -1,7 +1,6 @@
 import pytest
 
 from wavecore import CoreGeometry, crossbar_area
-from wavecore.area import AreaParams
 
 
 class TestFootprint:
@@ -32,10 +31,6 @@ class TestFootprint:
         assert crossbar_area(CoreGeometry(153, 256)).total_area_mm2 > a
         assert crossbar_area(CoreGeometry(144, 264)).total_area_mm2 > a
 
-    def test_cell_width_override(self, core_144x256):
-        report = crossbar_area(core_144x256, AreaParams(cell_width_um=75.0))
-        assert report.unit_cell_um[0] == 75.0
-
 
 class TestReticle:
     def test_reference_core_fits_with_residual(self, core_144x256):
@@ -45,15 +40,17 @@ class TestReticle:
         assert report.residual_mm2 == pytest.approx(26 * 33 - 24.3 * 28.9, rel=1e-12)
 
     def test_orientation_swap(self):
-        geom = CoreGeometry(144, 256)
-        swapped = crossbar_area(geom, AreaParams(reticle_w_mm=10.0, reticle_h_mm=27.0))
-        # 24.3 x 28.9 cannot mount either way in 10 x 27
+        swapped = crossbar_area(CoreGeometry(135, 288))
+        # 27.1 x 27.1 cannot mount either way in 26 x 33
+        assert (swapped.crossbar_w_mm, swapped.crossbar_h_mm) == pytest.approx((27.1, 27.1), abs=1e-9)
         assert not swapped.fits_reticle
         assert swapped.residual_mm2 is None
-        tall = crossbar_area(geom, AreaParams(reticle_w_mm=29.0, reticle_h_mm=25.0))
-        # swap allowed: 24.3 <= 25 and 28.9 <= 29
+        assert swapped.shortfall_mm == pytest.approx((1.1, 0.0), abs=1e-9)
+        tall = crossbar_area(CoreGeometry(126, 288))
+        # swap allowed: 27.1 <= 33 and 25.3 <= 26
+        assert (tall.crossbar_w_mm, tall.crossbar_h_mm) == pytest.approx((27.1, 25.3), abs=1e-9)
         assert tall.fits_reticle
-        assert tall.residual_mm2 == pytest.approx(29.0 * 25.0 - 24.3 * 28.9, rel=1e-12)
+        assert tall.residual_mm2 == pytest.approx(26.0 * 33.0 - 27.1 * 25.3, rel=1e-12)
 
     def test_oversized_core_reports_shortfall(self):
         report = crossbar_area(CoreGeometry(297, 512))
@@ -63,8 +60,8 @@ class TestReticle:
         assert report.residual_mm2 is None
 
     def test_narrow_die_fits_after_swap(self):
-        # 27 mm x 1.9 mm footprint: width over 26 but under 33 after rotation
-        report = crossbar_area(CoreGeometry(9, 8), AreaParams(group_pitch_um=25100.0))
-        assert report.crossbar_w_mm == pytest.approx(27.0, abs=1e-9)
+        # 27.1 mm x 1.9 mm footprint: width over 26 but under 33 after rotation
+        report = crossbar_area(CoreGeometry(9, 288))
+        assert report.crossbar_w_mm == pytest.approx(27.1, abs=1e-9)
         assert report.crossbar_h_mm == pytest.approx(1.9, abs=1e-9)
         assert report.fits_reticle

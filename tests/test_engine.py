@@ -885,3 +885,30 @@ class TestPcmProgramming:
     def test_out_of_range_weights_rejected(self, catalog):
         with pytest.raises(ValueError, match="0, 1"):
             PcmProgrammer(catalog.pcm).program(np.array([[1.5]]))
+
+    @pytest.mark.parametrize(
+        "weights, t_ns",
+        [([[0.5, math.nan]], 1000.0), ([[math.inf, 0.5]], 1000.0), ([[-math.inf, 0.5]], 1000.0),
+         ([[0.5, 0.5]], math.nan), ([[0.5, 0.5, 0.5]], 1000.0), ([0.5, 0.5], 1000.0)],
+        ids=["nan_weight", "inf_weight", "neg_inf_weight", "nan_time", "other_shape", "one_dim"],
+    )
+    def test_rejected_call_leaves_the_bank_unchanged(self, catalog, weights, t_ns):
+        bank = PcmProgrammer(catalog.pcm)
+        w = np.full((1, 2), 0.5)
+        bank.program(w, t_ns=0.0)
+        with pytest.raises(ValueError, match="^(weights|t_ns) "):
+            bank.program(np.array(weights), t_ns=t_ns)
+        # the rejected call wrote no cell: a write 500 ns after it succeeds
+        bank.program(w, t_ns=1500.0)
+        assert [e.t_ns for e in bank.events] == [0.0, 1500.0]
+        # and a write 500 ns after a successful one is still refused
+        with pytest.raises(PcmRefreshError, match="500"):
+            bank.program(w, t_ns=2000.0)
+
+    def test_rejected_first_call_leaves_the_bank_empty(self, catalog):
+        bank = PcmProgrammer(catalog.pcm)
+        with pytest.raises(ValueError, match="^weights "):
+            bank.program(np.array([[math.nan]]), t_ns=0.0)
+        # no shape or write time was recorded: any shape may be written at once
+        bank.program(np.zeros((2, 3)), t_ns=500.0)
+        assert [e.t_ns for e in bank.events] == [500.0]

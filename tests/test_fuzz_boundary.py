@@ -261,3 +261,18 @@ def test_simulate_options(data, wild, fmt):
     elif field is not None:
         assert field == ("samples" if wild == "--samples" else "noise"), output
         assert (value if wild == "--samples" else wild.removeprefix("--").replace("-", "_")) in output, output
+
+
+# seeds at the ends of the 128-bit key range, which the drawn huge integers
+# rarely reach: image i draws from seed + i, so each item's seed must fit
+@pytest.mark.parametrize(
+    "seed, samples, code",
+    [(2**127 - 1, 2, 1), (-2**127 - 1, 1, 1), (10**39, 1, 1), (2**127 - 1, 1, 0), (-2**127, 2, 0)],
+    ids=["second_item_past_max", "below_min", "10**39", "max", "min"],
+)
+def test_simulate_seed_at_the_key_range_ends(seed, samples, code):
+    field, output = invoke(["simulate", "--core", "9x8", "--seed", str(seed), "--samples", str(samples)], "json")
+    if code == 1:
+        assert field == "noise" and "seed" in output, output
+    else:
+        assert field is None and json.loads(output)["noise"]["seed"] == seed

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wavecore.catalog import ComponentSpec, check_number, default_catalog
-from wavecore.engine import AccumulationTree, NoiseSpec, QuantSpec
+from wavecore.engine import AccumulationTree, NoiseSpec, PcmProgrammer, QuantSpec, noisy_mvm
 from wavecore.linkbudget import CoherentCombining, CoreGeometry, MrrAccumulation, Planar2D, SoaAssisted, fanout_loss
 from wavecore.power import PrecisionSpec, dac_power, laser_power, total_power, vcsel_program_energy
 from wavecore.workload import ConvLayerSpec, estimate_perf, peak_tops, resnet50_workload, schedule
@@ -78,6 +78,25 @@ def test_component_area_elements_are_checked(value):
 def test_modulator_energy_entries_are_checked(value):
     with pytest.raises(ValueError, match=r"sl_mzm\.energy_per_switch_fj\[6\]"):
         dataclasses.replace(CATALOG.modulator, energy_per_switch_fj={4: 131.6, 6: value})
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=value_id)
+def test_pcm_write_time_is_checked(value):
+    with pytest.raises(ValueError, match="^t_ns must be a finite number"):
+        PcmProgrammer(CATALOG.pcm).program(np.zeros((2, 2)), t_ns=value)
+
+
+@pytest.mark.parametrize(
+    "seed, batch", [(2**127, 1), (-2**127 - 1, 1), (10**39, 1), (2**127 - 1, 2)],
+    ids=["2**127", "-2**127 - 1", "10**39", "second_item_at_2**127"],
+)
+def test_simulator_seed_past_the_key_range_is_named(seed, batch):
+    # NoiseSpec rejects NaN, infinite and non-integer seeds; a seed of any
+    # size is an integer, and the stream keys take 128 bits of it
+    noise = NoiseSpec(seed=seed)
+    with pytest.raises(ValueError, match="^seed must be an integer in"):
+        noisy_mvm(np.full((batch, 9, 1), 0.5), np.full((9, 8), 0.5), QuantSpec(bits=6), QuantSpec(bits=6),
+                  noise=noise)
 
 
 def test_component_loss_and_area_are_stored_as_floats():

@@ -143,7 +143,7 @@ class TestScheduleColumns:
         assert sched.total_programmed_cells == sum(entry.programmed_cells for entry in entries)
 
         # the seed's walk: one LoweredDims per conv layer, totals summed from it
-        loads = cycles = cells = macs = 0
+        loads = cycles = cells = 0
         flagged = []
         for layer, entry in zip(layers, sched.entries):
             assert entry.layer is layer
@@ -163,10 +163,8 @@ class TestScheduleColumns:
             loads += dims.tiles_row * dims.tiles_col
             cycles += dims.tiles_row * dims.tiles_col * layer.positions
             cells += layer.weight_count
-            macs += layer.weight_count * layer.positions
         totals = (sched.total_tile_loads, sched.total_stream_cycles, sched.total_programmed_cells)
         assert totals == (loads, cycles, cells)
-        assert sched.macs == macs
         assert sched.flagged_ops == tuple(flagged)
 
 
@@ -211,7 +209,7 @@ class TestScheduleCores:
             assert sched.total_programmed_cells == sum(entry.programmed_cells for entry in entries)
 
             # reference: one lower_conv per conv layer, summed in layer order
-            loads = cycles = cells = macs = 0
+            loads = cycles = cells = 0
             for layer in layers:
                 if layer.kind != "conv":
                     continue
@@ -219,10 +217,8 @@ class TestScheduleCores:
                 loads += dims.tiles_row * dims.tiles_col
                 cycles += dims.tiles_row * dims.tiles_col * layer.positions
                 cells += layer.weight_count
-                macs += layer.weight_count * layer.positions
             totals = (sched.total_tile_loads, sched.total_stream_cycles, sched.total_programmed_cells)
             assert totals == (loads, cycles, cells)
-            assert sched.macs == macs
             assert sched.flagged_ops == tuple(layer.name for layer in layers if layer.kind != "conv")
 
     def test_no_cores_give_no_schedules(self, resnet):
