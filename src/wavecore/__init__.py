@@ -68,7 +68,6 @@ __version__ = "0.1.0"
 # The simulator's names load numpy, which the analytic commands never use, so
 # they resolve from ``engine`` on first access (PEP 562).
 _ENGINE_NAMES = frozenset({
-    "AccumulationTree",
     "NoiseSpec",
     "PcmProgrammer",
     "PcmRefreshError",

@@ -90,10 +90,11 @@ def run_conv(
     Tiles, numbered row-major, are :func:`lower_conv`'s ``channels_per_pass``
     input channels by ``geom.cols`` output channels. Partial sums accumulate
     digitally across row tiles, and column tiles are evaluated independently
-    (the engine handles each tile's columns in one call, on its default
-    ``AccumulationTree``). Each tile is one engine call for the whole batch,
-    and image ``b`` draws the noise of seed ``noise.seed + b``, so it equals a
-    call on that image alone with that seed.
+    (the engine handles each tile's columns in one call, with its default
+    detector span of ``ROWS_PER_DETECTOR`` rows). Each tile is one engine
+    call for the whole batch, and image ``b`` draws the noise of seed
+    ``noise.seed + b``, so it equals a call on that image alone with that
+    seed.
     """
     check_number("stride", stride, integer=True, ge=1)
     if activations.ndim not in (3, 4):

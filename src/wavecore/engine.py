@@ -7,13 +7,13 @@ quantization, and digital accumulation of partial sums. At zero noise and on
 integer-aligned grids the pipeline is exact, which is what the reference
 integer oracle in the test suite checks against.
 
-The accumulation tree sets which rows share a detector: a bus carries
-``group_size`` rows and a detector sums ``pd_ports`` buses, so detector ``d``
-holds rows ``d*span`` up to ``(d+1)*span`` with ``span = group_size *
-pd_ports``. Each detector's sum is one matrix product, so its additions run
-in the order of the BLAS build numpy links, and the pinned bits are that
-build's. Sums on integer grids are exact in any order. Detector readings are
-summed digitally in detector order, in place into the first detector's.
+A detector sums ``detector_rows`` consecutive rows (by default
+``ROWS_PER_DETECTOR``, sixteen buses of nine wavelengths), so detector ``d``
+holds rows ``d*detector_rows`` up to ``(d+1)*detector_rows``. Each detector's
+sum is one matrix product, so its additions run in the order of the BLAS
+build numpy links, and the pinned bits are that build's. Sums on integer
+grids are exact in any order. Detector readings are summed digitally in
+detector order, in place into the first detector's.
 Memory grows as detectors x cols x positions; the rows x cols x positions
 products are never built.
 
@@ -46,7 +46,7 @@ DIFFERENTIAL_PAIR = "differential_pair"
 
 
 class PcmRefreshError(RuntimeError):
-    """A weight cell was rewritten faster than its update cycle allows."""
+    """A weight bank was rewritten faster than its update cycle allows."""
 
 
 @dataclass(frozen=True)
@@ -105,24 +105,10 @@ class NoiseSpec:
 ZERO_NOISE = NoiseSpec(sigma_in=0.0, sigma_w=0.0, sigma_out=0.0, seed=0)
 
 
-@dataclass(frozen=True)
-class AccumulationTree:
-    """Hierarchical summation shape: wavelengths per bus, buses per detector.
-
-    Level 1 sums ``group_size`` row products on a shared bus (by default one
-    wavelength group, ``WAVELENGTHS_PER_GROUP`` rows), level 2 sums up to
-    ``pd_ports`` buses in one detector's photocurrent, level 3 adds detector
-    readings digitally. The simulator sums each detector's rows in one matrix
-    product, so of the bus level only the detector span ``group_size *
-    pd_ports`` shapes its results: trees of equal span give the same bits.
-    """
-
-    group_size: int = WAVELENGTHS_PER_GROUP
-    pd_ports: int = 16
-
-    def __post_init__(self) -> None:
-        check_number("group_size", self.group_size, integer=True, ge=1)
-        check_number("pd_ports", self.pd_ports, integer=True, ge=1)
+# Hierarchical accumulation: a WDM bus carries nine wavelengths (one row
+# each), a multi-port detector sums sixteen buses in its photocurrent, and
+# detector readings add digitally.
+ROWS_PER_DETECTOR = WAVELENGTHS_PER_GROUP * 16
 
 
 def _grid_index(x, q: QuantSpec) -> np.ndarray:
@@ -251,27 +237,26 @@ def inject_noise(q_value, sigma: float, streams):
     return _add_noise(arr.copy(), sigma, streams)
 
 
-def _detector_sums(x: np.ndarray, w: np.ndarray, tree: AccumulationTree) -> np.ndarray:
+def _detector_sums(x: np.ndarray, w: np.ndarray, detector_rows: int) -> np.ndarray:
     """Per-detector sums of ``w[b, r, c] * x[b, r, p]``, shape (batch, detectors, cols, positions).
 
     ``x`` is (batch, rows, positions) and ``w`` (batch, rows, cols). Detector
-    ``d`` sums rows ``d*span`` up to ``(d+1)*span``, where ``span`` is
-    ``group_size * pd_ports``; the last detector may hold fewer. Each
-    detector is one ``np.matmul`` of its rows' weights, transposed, with its
-    rows' inputs, written in place into the result, so its additions run in
-    BLAS's order: the bits are those of the BLAS build numpy links, and the
-    bus level matters only through the span. Sums of integers are exact in
-    any order, and a zero sum reads +0.0. Each item of the batch is its own
-    matrix product, so a batch gives the bits of its items' calls alone.
-    OpenBLAS gives the same bits on any thread count, except for a one-element
-    tile whose detector holds over 10000 rows: it splits that dot product
-    over its threads.
+    ``d`` sums rows ``d*detector_rows`` up to ``(d+1)*detector_rows``; the
+    last detector may hold fewer. Each detector is one ``np.matmul`` of its
+    rows' weights, transposed, with its rows' inputs, written in place into
+    the result, so its additions run in BLAS's order: the bits are those of
+    the BLAS build numpy links. Sums of integers are exact in any order, and
+    a zero sum reads +0.0. Each item of the batch is its own matrix product,
+    so a batch gives the bits of its items' calls alone. OpenBLAS gives the
+    same bits on any thread count, except for a one-element tile whose
+    detector holds over 10000 rows: it splits that dot product over its
+    threads.
     """
     batch, rows, cols = w.shape
-    span = tree.group_size * tree.pd_ports
-    level2 = np.empty((batch, -(-rows // span), cols, x.shape[2]))
-    for d, r0 in enumerate(range(0, rows, span)):
-        np.matmul(w[:, r0 : r0 + span].transpose(0, 2, 1), x[:, r0 : r0 + span], out=level2[:, d])
+    level2 = np.empty((batch, -(-rows // detector_rows), cols, x.shape[2]))
+    for d, r0 in enumerate(range(0, rows, detector_rows)):
+        r1 = r0 + detector_rows
+        np.matmul(w[:, r0:r1].transpose(0, 2, 1), x[:, r0:r1], out=level2[:, d])
     return level2
 
 
@@ -285,7 +270,7 @@ def _mvm_non_negative(
     w_values: np.ndarray,
     out_quant: QuantSpec | None,
     noise: NoiseSpec,
-    tree: AccumulationTree,
+    detector_rows: int,
     layer: int,
     tile: int,
     w_role: str,
@@ -294,7 +279,7 @@ def _mvm_non_negative(
     # the shared weight grid, perturbed per item (a broadcast view at sigma_w = 0)
     w_batch = np.broadcast_to(w_values, (batch,) + w_values.shape)
     w_eq = inject_noise(w_batch, noise.sigma_w, _streams(noise, batch, layer, tile, w_role))
-    level2 = _detector_sums(x_eq, w_eq, tree)
+    level2 = _detector_sums(x_eq, w_eq, detector_rows)
 
     level2 = _add_noise(level2, noise.sigma_out, _streams(noise, batch, layer, tile, w_role + "/out"))
     if out_quant is not None:
@@ -328,7 +313,7 @@ def noisy_mvm(
     w_quant: QuantSpec,
     out_quant: QuantSpec | None = None,
     noise: NoiseSpec = ZERO_NOISE,
-    tree: AccumulationTree = AccumulationTree(),
+    detector_rows: int = ROWS_PER_DETECTOR,
     *,
     layer: int = 0,
     tile: int = 0,
@@ -338,18 +323,19 @@ def noisy_mvm(
     ``x`` is a B x R x P batch of R x P input matrices (P positions evaluated
     together; one tile is a batch of one), ``weights`` is R x C and the result
     is B x C x P. Inputs and weights are quantized on their grids, perturbed
-    by signal-proportional noise, multiplied per cell, summed per wavelength
-    group, then per detector; each detector reading picks up readout noise
-    and, when ``out_quant`` is given, is digitized before the final digital
-    sum. Results are a deterministic function of (seed, layer, tile,
-    operands). Batch item ``b`` draws its noise from the streams of seed
-    ``noise.seed + b``, so it equals, bit for bit, a call on ``x[b:b+1]``
-    alone with that seed.
+    by signal-proportional noise, multiplied per cell and summed per
+    detector of ``detector_rows`` rows; each detector reading picks up
+    readout noise and, when ``out_quant`` is given, is digitized before the
+    final digital sum. Results are a deterministic function of (seed, layer,
+    tile, operands). Batch item ``b`` draws its noise from the streams of
+    seed ``noise.seed + b``, so it equals, bit for bit, a call on
+    ``x[b:b+1]`` alone with that seed.
 
     In ``differential_pair`` weight mode, signed weights are carried by a
     positive/negative column pair on the magnitude grid and subtracted after
     readout, matching a two-column physical encoding.
     """
+    check_number("detector_rows", detector_rows, integer=True, ge=1)
     x_batch = np.asarray(x, dtype=np.float64)
     w_arr = np.asarray(weights, dtype=np.float64)
     if w_arr.ndim != 2:
@@ -366,13 +352,13 @@ def noisy_mvm(
 
     if w_quant.signed_mode == DIFFERENTIAL_PAIR:
         w_pos, w_neg = _pair_legs(w_arr, w_quant)
-        y_pos = _mvm_non_negative(x_eq, w_pos, out_quant, noise, tree, layer, tile, "w+")
-        y_neg = _mvm_non_negative(x_eq, w_neg, out_quant, noise, tree, layer, tile, "w-")
+        y_pos = _mvm_non_negative(x_eq, w_pos, out_quant, noise, detector_rows, layer, tile, "w+")
+        y_neg = _mvm_non_negative(x_eq, w_neg, out_quant, noise, detector_rows, layer, tile, "w-")
         return np.subtract(y_pos, y_neg, out=y_pos)             # y_pos is this call's own buffer
     if w_quant.lo < 0.0:
         raise ValueError("non_negative weight mode cannot represent a negative range")
     w_values = _quantized_values(w_arr, w_quant)
-    return _mvm_non_negative(x_eq, w_values, out_quant, noise, tree, layer, tile, "w")
+    return _mvm_non_negative(x_eq, w_values, out_quant, noise, detector_rows, layer, tile, "w")
 
 
 # ---------------------------------------------------------------------------
@@ -391,27 +377,30 @@ class ProgramEvent:
 
 @dataclass
 class PcmProgrammer:
-    """Tracks per-cell write times to enforce the refresh ceiling and logs energy.
+    """Tracks the bank's last write time to enforce the refresh ceiling and logs energy.
 
     One instance models one physical bank of cells; programming a weight
     matrix writes every cell of the matrix in parallel (the optical
     programming array addresses all cells at once), taking one full
-    erase+program cycle.
+    erase+program cycle. So all cells share one write time: the bank keeps
+    that time and its shape, which the first write sets.
     """
 
     pcm: PcmSpec
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self._last_write_ns: np.ndarray | None = None
+        check_number("seed", self.seed, integer=True)
+        self._shape: tuple[int, ...] | None = None
+        self._last_write_ns = -math.inf
         self.events: list[ProgramEvent] = []
 
     def program(self, weights, *, t_ns: float = 0.0, layer: int = 0, tile: int = 0):
         """Quantize ``weights`` (values in [0, 1]) to cell levels with programming noise.
 
         Returns (levels, programmed values). Raises :class:`PcmRefreshError`
-        if any cell would be rewritten before its cycle time has elapsed. A
-        call that raises leaves the bank's write times and events unchanged.
+        if the bank would be rewritten before its cycle time has elapsed. A
+        call that raises leaves the bank's write time and events unchanged.
         """
         check_number("t_ns", t_ns)
         w = np.asarray(weights, dtype=np.float64)
@@ -420,26 +409,21 @@ class PcmProgrammer:
         if not np.all((w >= 0.0) & (w <= 1.0)):     # NaN fails both tests
             raise ValueError("weights must be finite and lie in [0, 1] (cell transmission range)")
 
-        last = self._last_write_ns
-        if last is None:
-            last = np.full(w.shape, -np.inf)
-        elif last.shape != w.shape:
-            raise ValueError(f"weights must have the bank's shape {last.shape}, got {w.shape}")
-        elapsed = t_ns - last
+        if self._shape not in (None, w.shape):
+            raise ValueError(f"weights must have the bank's shape {self._shape}, got {w.shape}")
+        elapsed = t_ns - self._last_write_ns
         cycle = self.pcm.cycle_time_ns
-        if np.any(elapsed < cycle):
-            idx = tuple(np.argwhere(elapsed < cycle)[0])
+        if elapsed < cycle:
             raise PcmRefreshError(
-                f"cell {idx} rewritten {elapsed[idx]:.0f} ns after previous write; "
-                f"minimum interval is {cycle:.0f} ns"
+                f"bank rewritten {elapsed:.0f} ns after its previous write; minimum interval is {cycle:.0f} ns"
             )
 
         spec = QuantSpec(bits=self.pcm.levels_bits, lo=0.0, hi=1.0)
         levels, values = quantize(w, spec)
         values = inject_noise(values[None], self.pcm.program_std, keyed_streams((self.seed,), "pcm", layer, tile))[0]
 
-        last.fill(t_ns)
-        self._last_write_ns = last
+        self._shape = w.shape
+        self._last_write_ns = t_ns
         self.events.append(
             ProgramEvent(
                 t_ns=t_ns,

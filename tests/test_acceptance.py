@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from wavecore import (
-    AccumulationTree,
     CoreGeometry,
     KclOnly,
     MrrAccumulation,
@@ -237,9 +236,9 @@ def test_criterion_7_functional_correctness():
     x = rng.integers(0, 16, size=36).astype(float)
     wmat = rng.integers(0, 16, size=(36, 6)).astype(float)
     out_q = unit_step_out_quant(36 * 225)
-    baseline_y = noisy_mvm(x[None, :, None], wmat, in_q, w_q, out_q, ZERO_NOISE, AccumulationTree(9, 16))
-    for tree in (AccumulationTree(9, 2), AccumulationTree(3, 4), AccumulationTree(1, 1), AccumulationTree(36, 1)):
-        assert np.array_equal(noisy_mvm(x[None, :, None], wmat, in_q, w_q, out_q, ZERO_NOISE, tree), baseline_y)
+    baseline_y = noisy_mvm(x[None, :, None], wmat, in_q, w_q, out_q, ZERO_NOISE, 144)
+    for span in (18, 12, 1, 36):
+        assert np.array_equal(noisy_mvm(x[None, :, None], wmat, in_q, w_q, out_q, ZERO_NOISE, span), baseline_y)
 
     # Monte-Carlo: relative noise std within 2 percent at 1e5 samples
     for sigma in (0.0031, 0.01):

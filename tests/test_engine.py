@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavecore import (
-    AccumulationTree,
     NoiseSpec,
     PcmProgrammer,
     PcmRefreshError,
@@ -24,6 +23,7 @@ from wavecore import (
 )
 from wavecore.engine import (
     DIFFERENTIAL_PAIR,
+    ROWS_PER_DETECTOR,
     ZERO_NOISE,
     _NOISE_BLOCK,
     _add_noise,
@@ -271,21 +271,20 @@ class TestNoiseSpec:
             NoiseSpec(**{field: value})
 
 
-def detector_sums(x, w, tree):
+def detector_sums(x, w, span):
     """The kernel on one (rows x positions, rows x cols) tile: a batch of one."""
-    return _detector_sums(x[None], w[None], tree)[0]
+    return _detector_sums(x[None], w[None], span)[0]
 
 
-def detector_rows(rows, tree):
+def detector_ranges(rows, span):
     """Each detector's (first, end) rows: detector d holds ``span`` rows from ``d * span``."""
-    span = tree.group_size * tree.pd_ports
     return [(r0, min(r0 + span, rows)) for r0 in range(0, rows, span)]
 
 
-def exact_detector_sums(x, w, tree):
+def exact_detector_sums(x, w, span):
     """Per-detector sums of integer-valued operands, in int64 arithmetic, which is exact."""
     xi, wi = x.astype(np.int64), w.astype(np.int64)
-    return np.stack([wi[r0:r1].T @ xi[r0:r1] for r0, r1 in detector_rows(len(x), tree)]).astype(float)
+    return np.stack([wi[r0:r1].T @ xi[r0:r1] for r0, r1 in detector_ranges(len(x), span)]).astype(float)
 
 
 U = 2.0**-53
@@ -319,7 +318,7 @@ def assert_within_rounding_bound(got, x, w, detectors):
         assert np.all(np.abs(level - exact) <= bound), (r0, r1)
 
 
-TREES = [(1, 1), (3, 2), (8, 8), (9, 16), (27, 4)]
+SPANS = [1, 6, 64, 144, 108]
 EDGE_SHAPES = [
     (150, 1, 1),     # one output element per detector
     (300, 1, 1),
@@ -373,62 +372,47 @@ def integer_grid_operands(seed, rows, cols, positions):
 class TestDetectorSums:
     """Each detector sums its own rows: exactly on integer grids, within the rounding bound elsewhere."""
 
-    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize("span", SPANS)
     @pytest.mark.parametrize("rows, cols, positions", EDGE_SHAPES)
-    def test_edge_shapes_exact_on_integers(self, rows, cols, positions, tree):
+    def test_edge_shapes_exact_on_integers(self, rows, cols, positions, span):
         x, w = integer_grid_operands(rows * cols + positions, rows, cols, positions)
-        t = AccumulationTree(*tree)
-        assert_same_bits(detector_sums(x, w, t), exact_detector_sums(x, w, t))
+        assert_same_bits(detector_sums(x, w, span), exact_detector_sums(x, w, span))
 
-    @pytest.mark.parametrize("tree", [(9, 16), (3, 2)])
+    @pytest.mark.parametrize("span", [144, 6])
     @pytest.mark.parametrize("rows, cols, positions", WIDE_SHAPES)
-    def test_wide_shapes_exact_on_integers(self, rows, cols, positions, tree):
+    def test_wide_shapes_exact_on_integers(self, rows, cols, positions, span):
         x, w = integer_grid_operands(rows + cols + positions, rows, cols, positions)
-        t = AccumulationTree(*tree)
-        assert_same_bits(detector_sums(x, w, t), exact_detector_sums(x, w, t))
+        assert_same_bits(detector_sums(x, w, span), exact_detector_sums(x, w, span))
 
     @settings(max_examples=150, deadline=None)
     @given(
         rows=st.integers(1, 300),
         cols=st.integers(1, 40),
         positions=st.integers(1, 60),
-        tree=st.sampled_from(TREES),
+        span=st.sampled_from(SPANS),
         seed=st.integers(0, 2**32 - 1),
         signed=st.booleans(),
         decades=st.sampled_from([2, 16]),
     )
-    def test_within_rounding_bound(self, rows, cols, positions, tree, seed, signed, decades):
+    def test_within_rounding_bound(self, rows, cols, positions, span, seed, signed, decades):
         x, w = spread_operands(seed, rows, cols, positions, signed, decades)
-        t = AccumulationTree(*tree)
-        assert_within_rounding_bound(detector_sums(x, w, t), x, w, detector_rows(rows, t))
+        assert_within_rounding_bound(detector_sums(x, w, span), x, w, detector_ranges(rows, span))
 
-    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize("span", SPANS)
     @pytest.mark.parametrize("rows, cols, positions", EDGE_SHAPES + [(144, 256, 64)])
-    def test_edge_shapes_within_rounding_bound(self, rows, cols, positions, tree):
+    def test_edge_shapes_within_rounding_bound(self, rows, cols, positions, span):
         x, w = spread_operands(rows * cols + positions, rows, cols, positions, signed=True)
-        t = AccumulationTree(*tree)
-        assert_within_rounding_bound(detector_sums(x, w, t), x, w, detector_rows(rows, t))
+        assert_within_rounding_bound(detector_sums(x, w, span), x, w, detector_ranges(rows, span))
 
     @pytest.mark.parametrize("decades", [2, 16])
     def test_bound_catches_a_row_in_the_wrong_detector(self, decades):
         x, w = spread_operands(decades, 150, 5, 7, signed=True, decades=decades)
-        t = AccumulationTree()
-        got = detector_sums(x, w, t)
+        got = detector_sums(x, w, ROWS_PER_DETECTOR)
         assert_within_rounding_bound(got, x, w, [(0, 144), (144, 150)])
         shifted = [(0, 143), (143, 150)]
         moved = np.stack([w[r0:r1].T @ x[r0:r1] for r0, r1 in shifted])
         with pytest.raises(AssertionError):
             assert_within_rounding_bound(moved, x, w, [(0, 144), (144, 150)])
-
-    @pytest.mark.parametrize(
-        "trees", [[(9, 16), (16, 9), (144, 1), (1, 144)], [(3, 2), (6, 1), (1, 6), (2, 3)]]
-    )
-    @pytest.mark.parametrize("rows, cols, positions", [(300, 5, 7), (150, 1, 1), (290, 256, 64)])
-    def test_equal_spans_give_equal_bits(self, trees, rows, cols, positions):
-        x, w = spread_operands(rows, rows, cols, positions, signed=True, decades=2)
-        first, *others = [detector_sums(x, w, AccumulationTree(*tree)) for tree in trees]
-        for got in others:
-            assert_same_bits(got, first)
 
     def test_scratch_fits_in_cache(self):
         rng = np.random.default_rng(0)
@@ -436,7 +420,7 @@ class TestDetectorSums:
         w = rng.random((144, 256))
         tracemalloc.start()
         try:
-            level2 = _detector_sums(x[None], w[None], AccumulationTree())
+            level2 = _detector_sums(x[None], w[None], ROWS_PER_DETECTOR)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -461,10 +445,10 @@ class TestBatchedKernel:
     """A batch through the kernel equals each item through it alone, bit for bit."""
 
     @staticmethod
-    def assert_items_alone(x, w, t):
-        got = _detector_sums(x, w, t)
+    def assert_items_alone(x, w, span):
+        got = _detector_sums(x, w, span)
         for b in range(len(x)):
-            assert_same_bits(got[b : b + 1], _detector_sums(x[b : b + 1], w[b : b + 1], t))
+            assert_same_bits(got[b : b + 1], _detector_sums(x[b : b + 1], w[b : b + 1], span))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -472,11 +456,11 @@ class TestBatchedKernel:
         rows=st.integers(1, 160),
         cols=st.integers(1, 12),
         positions=st.integers(1, 20),
-        tree=st.sampled_from(TREES),
+        span=st.sampled_from(SPANS),
         seed=st.integers(0, 2**32 - 1),
         broadcast=st.booleans(),
     )
-    def test_matches_per_item_calls(self, batch, rows, cols, positions, tree, seed, broadcast):
+    def test_matches_per_item_calls(self, batch, rows, cols, positions, span, seed, broadcast):
         items = [spread_operands(seed + b, rows, cols, positions, True, 2) for b in range(batch)]
         x = np.stack([item[0] for item in items])
         if broadcast:
@@ -484,10 +468,10 @@ class TestBatchedKernel:
             w = np.broadcast_to(items[0][1], (batch, rows, cols))
         else:
             w = np.stack([item[1] for item in items])
-        self.assert_items_alone(x, w, AccumulationTree(*tree))
+        self.assert_items_alone(x, w, span)
 
     @pytest.mark.parametrize("broadcast", [False, True])
-    @pytest.mark.parametrize("tree", [(9, 16), (3, 2)])
+    @pytest.mark.parametrize("span", [144, 6])
     @pytest.mark.parametrize(
         "batch, rows, cols, positions",
         [
@@ -498,18 +482,18 @@ class TestBatchedKernel:
             (2, 144, 256, 64),   # the core's full tile
         ],
     )
-    def test_batch_shapes(self, batch, rows, cols, positions, tree, broadcast):
+    def test_batch_shapes(self, batch, rows, cols, positions, span, broadcast):
         rng = np.random.default_rng(batch + rows)
         x = rng.random((batch, rows, positions)) * 10.0 ** rng.integers(-1, 1, (batch, rows, positions))
         w = rng.random((batch, rows, cols)) * 10.0 ** rng.integers(-1, 1, (batch, rows, cols))
         if broadcast:
             w = np.broadcast_to(w[0], w.shape)
-        self.assert_items_alone(x, w, AccumulationTree(*tree))
+        self.assert_items_alone(x, w, span)
 
-    @pytest.mark.parametrize("tree", [(9, 16), (3, 2)])
+    @pytest.mark.parametrize("span", [144, 6])
     @pytest.mark.parametrize("cols_inner", [False, True])
     @pytest.mark.parametrize("width", [15, 16, 17, 2047, 2048, 4095, 4096, 4097])
-    def test_inner_widths_around_powers_of_two(self, width, cols_inner, tree):
+    def test_inner_widths_around_powers_of_two(self, width, cols_inner, span):
         # widths on either side of 16, 2048 and 4096, where a BLAS kernel's
         # micro-tiles and cache blocks leave a tail
         batch, rows, outer = 3, 40, 5
@@ -517,13 +501,12 @@ class TestBatchedKernel:
         items = [spread_operands(width + b, rows, cols, positions, True, 2) for b in range(batch)]
         x = np.stack([item[0] for item in items])
         w = np.stack([item[1] for item in items])
-        t = AccumulationTree(*tree)
-        self.assert_items_alone(x, w, t)
-        got = _detector_sums(x, w, t)
+        self.assert_items_alone(x, w, span)
+        got = _detector_sums(x, w, span)
         for b in range(batch):
-            assert_within_rounding_bound(got[b], x[b], w[b], detector_rows(rows, t))
+            assert_within_rounding_bound(got[b], x[b], w[b], detector_ranges(rows, span))
         xi, wi = integer_grid_operands(width, rows, cols, positions)
-        assert_same_bits(detector_sums(xi, wi, t), exact_detector_sums(xi, wi, t))
+        assert_same_bits(detector_sums(xi, wi, span), exact_detector_sums(xi, wi, span))
 
 
 # tiles of the benchmark's ResNet layers, the tinycnn tile and a partial last detector
@@ -545,7 +528,7 @@ def hash_tiles():
     for batch, rows, cols, positions in THREAD_TILES:
         rng = np.random.default_rng(rows * cols + positions)
         x, w = rng.random((batch, rows, positions)), rng.random((batch, rows, cols))
-        digest.update(_detector_sums(x, w, AccumulationTree()).tobytes())
+        digest.update(_detector_sums(x, w, ROWS_PER_DETECTOR).tobytes())
     return digest.hexdigest()
 
 
@@ -594,17 +577,10 @@ class TestNoisyMvm:
     def test_grouping_invariance_zero_noise(self):
         rng = np.random.default_rng(11)
         x, w, in_q, w_q = integer_operands(rng, 27, 5)
-        trees = [
-            AccumulationTree(group_size=9, pd_ports=16),
-            AccumulationTree(group_size=9, pd_ports=1),
-            AccumulationTree(group_size=3, pd_ports=2),
-            AccumulationTree(group_size=1, pd_ports=1),
-            AccumulationTree(group_size=27, pd_ports=4),
-        ]
         outputs = [
             noisy_mvm(x[None, :, None], w, in_q, w_q, out_quant=unit_step_out_quant(27 * 225), noise=ZERO_NOISE,
-                      tree=t)
-            for t in trees
+                      detector_rows=span)
+            for span in (144, 9, 6, 1, 108)
         ]
         for y in outputs[1:]:
             assert np.array_equal(y, outputs[0])
@@ -674,7 +650,7 @@ class TestNoisyMvm:
         assert_regression_fixture("regression_mvm_batch.json")
 
 
-def reference_mvm(x, weights, in_quant, w_quant, out_quant, noise, tree, layer=0, tile=0):
+def reference_mvm(x, weights, in_quant, w_quant, out_quant, noise, span, layer=0, tile=0):
     """The datapath step by step: full quantizations, out-of-place noise, ``np.sum`` over detectors."""
     batch = len(x)
 
@@ -688,7 +664,7 @@ def reference_mvm(x, weights, in_quant, w_quant, out_quant, noise, tree, layer=0
 
     def leg(w_values, role):
         w_eq = noisy(np.broadcast_to(w_values, (batch,) + w_values.shape), noise.sigma_w, role)
-        level2 = noisy(_detector_sums(x_eq, w_eq, tree), noise.sigma_out, role + "/out")
+        level2 = noisy(_detector_sums(x_eq, w_eq, span), noise.sigma_out, role + "/out")
         if out_quant is not None:
             level2 = quantize(level2, out_quant)[1]
         return level2.sum(axis=1)
@@ -708,7 +684,7 @@ class TestSplitPaths:
     @settings(max_examples=80, deadline=None)
     @given(
         batch=st.integers(1, 3),
-        rows=st.sampled_from([1, 9, 144, 150, 300]),           # 1, 2 and 3 detectors on the default tree
+        rows=st.sampled_from([1, 9, 144, 150, 300]),           # 1, 2 and 3 detectors of the default span
         cols=st.integers(1, 6),
         positions=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
@@ -726,9 +702,8 @@ class TestSplitPaths:
         w_q = QuantSpec(bits=7, lo=-1.0, signed_mode=DIFFERENTIAL_PAIR) if differential else QuantSpec(bits=7)
         out_q = None if out_bits is None else QuantSpec(bits=out_bits, lo=0.0, hi=float(min(rows, 144)))
         noise = NoiseSpec(*sigmas, seed=seed % 1000)
-        tree = AccumulationTree()
-        got = noisy_mvm(x, w, in_q, w_q, out_q, noise, tree, layer=2, tile=5)
-        assert_same_bits(got, reference_mvm(x, w, in_q, w_q, out_q, noise, tree, layer=2, tile=5))
+        got = noisy_mvm(x, w, in_q, w_q, out_q, noise, ROWS_PER_DETECTOR, layer=2, tile=5)
+        assert_same_bits(got, reference_mvm(x, w, in_q, w_q, out_q, noise, ROWS_PER_DETECTOR, layer=2, tile=5))
 
     def test_detectors_add_in_detector_order(self):
         # one row per detector and one output element: each reading is one
@@ -742,7 +717,7 @@ class TestSplitPaths:
         for p in products[1:]:
             in_order += p
         assert np.sum(products) != in_order
-        y = noisy_mvm(x, w, q, q, noise=ZERO_NOISE, tree=AccumulationTree(1, 1))
+        y = noisy_mvm(x, w, q, q, noise=ZERO_NOISE, detector_rows=1)
         assert_same_bits(y, np.array([[[in_order]]]))
 
     def test_differential_tile_memory(self):
@@ -772,7 +747,7 @@ class TestBatchContract:
         rows=st.integers(1, 160),
         cols=st.integers(1, 10),
         positions=st.integers(1, 12),
-        tree=st.sampled_from(TREES),
+        span=st.sampled_from(SPANS),
         sigmas=st.tuples(*[st.sampled_from([0.0, 0.02]) for _ in range(3)]),
         differential=st.booleans(),
         digitize=st.booleans(),
@@ -781,7 +756,7 @@ class TestBatchContract:
         tile=st.integers(0, 3),
     )
     def test_batch_equals_separate_calls(
-        self, batch, rows, cols, positions, tree, sigmas, differential, digitize, seed, layer, tile
+        self, batch, rows, cols, positions, span, sigmas, differential, digitize, seed, layer, tile
     ):
         rng = np.random.default_rng(seed)
         x = rng.random((batch, rows, positions))
@@ -794,13 +769,12 @@ class TestBatchContract:
             w = rng.random((rows, cols))
             w_q = QuantSpec(bits=7, lo=0.0, hi=1.0)
         out_q = QuantSpec(bits=12, lo=0.0, hi=16.0) if digitize else None
-        t = AccumulationTree(*tree)
         noise = NoiseSpec(*sigmas, seed=seed)
-        got = noisy_mvm(x, w, in_q, w_q, out_q, noise, t, layer=layer, tile=tile)
+        got = noisy_mvm(x, w, in_q, w_q, out_q, noise, span, layer=layer, tile=tile)
         assert got.shape == (batch, cols, positions)
         for b in range(batch):
             alone = NoiseSpec(*sigmas, seed=seed + b)
-            alone_y = noisy_mvm(x[b : b + 1], w, in_q, w_q, out_q, alone, t, layer=layer, tile=tile)
+            alone_y = noisy_mvm(x[b : b + 1], w, in_q, w_q, out_q, alone, span, layer=layer, tile=tile)
             assert_same_bits(got[b : b + 1], alone_y)
 
     # the rows disagree, or x has no batch axis: a vector or one R x P matrix is not a batch
@@ -858,6 +832,13 @@ class TestPcmProgramming:
         bank.program(w, t_ns=0.0)
         with pytest.raises(PcmRefreshError, match="500"):
             bank.program(w, t_ns=500.0)
+        with pytest.raises(PcmRefreshError, match="^bank rewritten 500 ns after its previous write"):
+            bank.program(w, t_ns=500.0)
+
+    def test_bank_keeps_no_per_cell_state(self, catalog):
+        bank = PcmProgrammer(catalog.pcm)
+        bank.program(np.zeros((144, 256)))
+        assert not [name for name, value in vars(bank).items() if isinstance(value, np.ndarray)]
 
     def test_full_cycle_interval_is_legal(self, catalog):
         bank = PcmProgrammer(pcm=catalog.pcm)

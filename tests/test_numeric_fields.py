@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wavecore.catalog import ComponentSpec, check_number, default_catalog
-from wavecore.engine import AccumulationTree, NoiseSpec, PcmProgrammer, QuantSpec, noisy_mvm
+from wavecore.engine import NoiseSpec, PcmProgrammer, QuantSpec, noisy_mvm
 from wavecore.linkbudget import CoherentCombining, CoreGeometry, MrrAccumulation, Planar2D, SoaAssisted, fanout_loss
 from wavecore.power import PrecisionSpec, dac_power, laser_power, total_power, vcsel_program_energy
 from wavecore.workload import ConvLayerSpec, estimate_perf, peak_tops, resnet50_workload, schedule
@@ -35,7 +35,7 @@ SPECS = [
     PrecisionSpec(),
     QuantSpec(bits=6),
     NoiseSpec(),
-    AccumulationTree(),
+    PcmProgrammer(CATALOG.pcm),
     ConvLayerSpec(name="l"),
 ]
 NUMERIC_TYPES = {"float": False, "float | None": False, "int": True, "int | None": True}
@@ -84,6 +84,13 @@ def test_modulator_energy_entries_are_checked(value):
 def test_pcm_write_time_is_checked(value):
     with pytest.raises(ValueError, match="^t_ns must be a finite number"):
         PcmProgrammer(CATALOG.pcm).program(np.zeros((2, 2)), t_ns=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0, 1.5, True], ids=value_id)
+def test_detector_rows_is_checked(value):
+    with pytest.raises(ValueError, match="^detector_rows must be an integer >= 1, got"):
+        noisy_mvm(np.full((1, 9, 1), 0.5), np.full((9, 8), 0.5), QuantSpec(bits=6), QuantSpec(bits=6),
+                  detector_rows=value)
 
 
 @pytest.mark.parametrize(
@@ -170,11 +177,13 @@ def design_point(catalog):
         lambda cat, geom, power, sched, x: laser_power(x, 30.0, 8, 1.17, 1.0),
         lambda cat, geom, power, sched, x: dac_power(8, 1e9, x),
         lambda cat, geom, power, sched, x: laser_power(-25.0, 30.0, x, 1.17, 1.0),
+        lambda cat, geom, power, sched, x: noisy_mvm(np.full((1, 9, 1), 0.5), np.full((9, 8), 0.5),
+                                                      QuantSpec(bits=6), QuantSpec(bits=6), detector_rows=x),
     ],
     ids=["peak_tops.f_hz", "dac_power.f_hz", "dac_power.bits", "total_power.f_hz", "laser_power.er_db",
          "laser_power.wpe", "vcsel_program_energy.e_opt_pj", "vcsel_program_energy.eta_vcsel", "fanout_loss.w",
          "estimate_perf.f_hz", "vcsel_program_energy.gc_loss_db", "laser_power.il_db",
-         "laser_power.sensitivity_dbm", "dac_power.p0_ws", "laser_power.b_out"],
+         "laser_power.sensitivity_dbm", "dac_power.p0_ws", "laser_power.b_out", "noisy_mvm.detector_rows"],
 )
 def test_roll_up_arguments_reject_nan(catalog, design_point, call):
     geom, power, sched = design_point
