@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 SCHEMA_VERSION = 1
 
@@ -111,7 +111,8 @@ class ComponentSpec:
     def __post_init__(self) -> None:
         name = self.name
         check_number(f"{name}.insertion_loss_db", self.insertion_loss_db, ge=0.0)
-        object.__setattr__(self, "insertion_loss_db", float(self.insertion_loss_db))
+        if type(self.insertion_loss_db) is not float:
+            object.__setattr__(self, "insertion_loss_db", float(self.insertion_loss_db))
         if self.area_um is not None:
             if not (isinstance(self.area_um, (tuple, list)) and len(self.area_um) == 2):
                 raise ValueError(f"{name}.area_um must be a [width, height] pair, got {self.area_um!r}")
@@ -288,12 +289,19 @@ _ENTRY_FIELDS = {
 }
 
 
+class _Shipped(NamedTuple):
+    entries: dict[str, dict[str, Any]]
+    components: frozenset[str]
+
+
 @functools.cache
-def _shipped() -> dict[str, dict[str, Any]]:
-    """The shipped file's entries by name. Every catalog has exactly these
-    entries; an entry or field a catalog leaves out takes the value here."""
+def _shipped() -> _Shipped:
+    """The shipped file's entries by name, and the names of those that are
+    components, not subsystems. Every catalog has exactly these entries; an
+    entry or field a catalog leaves out takes the value here."""
     data = json.loads(_SHIPPED_PATH.read_bytes())
-    return {name: entry for name, entry in data.items() if name != "schema_version"}
+    entries = {name: entry for name, entry in data.items() if name != "schema_version"}
+    return _Shipped(entries, frozenset(entries.keys() - _SUBSYSTEMS.keys()))
 
 
 @dataclass(frozen=True)
@@ -319,8 +327,9 @@ class DeviceCatalog:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
-        missing = sorted(_shipped().keys() - _SUBSYSTEMS.keys() - self.components.keys())
-        if missing:
+        required = _shipped().components
+        if not required <= self.components.keys():
+            missing = sorted(required - self.components.keys())
             raise CatalogError(f"catalog is missing required components: {', '.join(missing)}")
 
     def loss_db(self, name: str) -> float:
@@ -357,10 +366,10 @@ def _energy_table(raw: Any) -> dict[int, Any]:
 def _build_entry(name: str, raw: Mapping[str, Any]) -> Any:
     """The entry ``name``: its shipped fields with those of ``raw`` laid over them."""
     cls = _SUBSYSTEMS.get(name, ComponentSpec)
-    unknown = raw.keys() - _ENTRY_FIELDS[cls]
-    if unknown:
-        raise CatalogError(f"{name}: unknown fields {sorted(unknown)}")
-    kwargs = {**_shipped()[name], **raw}
+    allowed = _ENTRY_FIELDS[cls]
+    if not raw.keys() <= allowed:
+        raise CatalogError(f"{name}: unknown fields {sorted(raw.keys() - allowed)}")
+    kwargs = {**_shipped().entries[name], **raw}
     if cls is ComponentSpec:
         kwargs.update(name=name, notes=str(kwargs.get("notes", "")))
     elif name == "sl_mzm":
@@ -392,7 +401,7 @@ def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
     if version != SCHEMA_VERSION:
         raise CatalogError(f"unsupported catalog schema_version {version!r} (expected {SCHEMA_VERSION})")
 
-    shipped = _shipped()
+    shipped = _shipped().entries
     entries: dict[str, Any] = {}
     for name, raw in data.items():
         if name == "schema_version":

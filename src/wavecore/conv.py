@@ -79,7 +79,7 @@ def run_conv(
     noise: NoiseSpec = ZERO_NOISE,
     *,
     stride: int = 1,
-    pack_pointwise: bool = False,
+    pack_pointwise: bool = True,
     layer_index: int = 0,
 ) -> np.ndarray:
     """Execute one conv layer through the lowered, tiled analog datapath.

@@ -333,7 +333,8 @@ def noisy_mvm(
 
     In ``differential_pair`` weight mode, signed weights are carried by a
     positive/negative column pair on the magnitude grid and subtracted after
-    readout, matching a two-column physical encoding.
+    readout, matching a two-column physical encoding. Only ``w_quant`` may
+    take that mode; an ``in_quant`` or ``out_quant`` in it raises ValueError.
     """
     check_number("detector_rows", detector_rows, integer=True, ge=1)
     x_batch = np.asarray(x, dtype=np.float64)
@@ -342,6 +343,10 @@ def noisy_mvm(
         raise ValueError(f"weights must be 2-D (rows x cols), got shape {w_arr.shape}")
     if x_batch.ndim != 3 or x_batch.shape[1] != w_arr.shape[0]:
         raise ValueError(f"operand shapes do not agree: x {x_batch.shape} (B x R x P), weights {w_arr.shape} (R x C)")
+    for where, quant in (("in_quant", in_quant), ("out_quant", out_quant)):
+        if quant is not None and quant.signed_mode == DIFFERENTIAL_PAIR:
+            raise ValueError(f"{where}.signed_mode must be {NON_NEGATIVE!r}; only w_quant may be "
+                             f"{DIFFERENTIAL_PAIR!r}")
     if in_quant.lo < 0.0:
         raise ValueError("input intensities are non-negative; in_quant range must start at >= 0")
 

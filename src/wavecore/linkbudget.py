@@ -11,12 +11,10 @@ be plotted or diffed between variants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .catalog import DeviceCatalog, LaserSpec, PdSpec, check_number
-
-_TOL_SUM_DB = 1e-9
 
 # The array's fixed structure: a 3x3 kernel's nine taps ride one comb group of
 # nine wavelengths, and each 1x8 MMI feeds a bundle of eight columns.
@@ -212,21 +210,21 @@ VARIANTS: dict[str, type[ArchitectureVariant]] = {
 
 @dataclass(frozen=True)
 class LinkBudgetReport:
-    """Ordered per-term insertion-loss breakdown; total equals the term sum."""
+    """Ordered per-term insertion-loss breakdown. ``total_db`` is not passed
+    in: it is the sum of ``terms``, made once when the report is built."""
 
-    total_db: float
     terms: tuple[tuple[str, float], ...]
     geometry: CoreGeometry
     variant_label: str
+    total_db: float = field(init=False)
 
     def __post_init__(self) -> None:
+        total = sum(db for _, db in self.terms)
+        object.__setattr__(self, "total_db", total)
         try:
-            check_number("total_db", self.total_db)
+            check_number("total_db", total)
         except ValueError as exc:
             raise ValueError(f"{exc} (largest term {self.largest_term[0]})") from None
-        total = sum(db for _, db in self.terms)
-        if not (abs(total - self.total_db) <= _TOL_SUM_DB):
-            raise ValueError(f"report total {self.total_db} != term sum {total}")
         for name, db in self.terms:
             if db < 0.0:
                 raise ValueError(f"term {name} is negative ({db})")
@@ -267,15 +265,17 @@ _ESCALATORS = 5
 
 
 def _baseline_terms(geom: CoreGeometry, cat: DeviceCatalog, fanout_cols: int) -> list[tuple[str, float]]:
+    # every catalog holds these components, so they are read without loss_db's lookup guard
+    comps = cat.components
     return [
-        ("awg", cat.loss_db("awg")),
-        ("escalators", _ESCALATORS * cat.loss_db("escalator")),
-        ("mmi_1x8", cat.loss_db("mmi_1x8")),
+        ("awg", comps["awg"].insertion_loss_db),
+        ("escalators", _ESCALATORS * comps["escalator"].insertion_loss_db),
+        ("mmi_1x8", comps["mmi_1x8"].insertion_loss_db),
         ("sl_mzm", cat.modulator.insertion_loss_db),
-        ("splitter_stages", max(-(-fanout_cols // COLS_PER_MMI) - 1, 0) * cat.loss_db("splitter_1x2")),
-        ("wsc_chain", (WAVELENGTHS_PER_GROUP - 1) * cat.loss_db("wsc")),
-        ("pcm_cell", cat.loss_db("pcm_cell")),
-        ("voa", cat.loss_db("voa")),
+        ("splitter_stages", max(-(-fanout_cols // COLS_PER_MMI) - 1, 0) * comps["splitter_1x2"].insertion_loss_db),
+        ("wsc_chain", (WAVELENGTHS_PER_GROUP - 1) * comps["wsc"].insertion_loss_db),
+        ("pcm_cell", comps["pcm_cell"].insertion_loss_db),
+        ("voa", comps["voa"].insertion_loss_db),
         ("fanout", fanout_loss(fanout_cols)),
     ]
 
@@ -296,11 +296,7 @@ def critical_path_il(
     couplers. Variants that abandon coupler-based optical accumulation drop
     that term and substitute their own summation penalty.
     """
-    terms = variant.loss_terms(geom, cat)
-    total = sum(db for _, db in terms)
-    return LinkBudgetReport(
-        total_db=total, terms=tuple(terms), geometry=geom, variant_label=variant.label
-    )
+    return LinkBudgetReport(terms=tuple(variant.loss_terms(geom, cat)), geometry=geom, variant_label=variant.label)
 
 
 def variant_feasibility(report: LinkBudgetReport, laser: LaserSpec, pd: PdSpec) -> FeasibilityVerdict:

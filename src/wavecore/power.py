@@ -16,8 +16,7 @@ Two wall-plug accounting modes are first-class:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .catalog import DeviceCatalog, check_number
@@ -29,8 +28,6 @@ from .linkbudget import (
     _link_margin_db,
     critical_path_il,
 )
-
-_TOL_FRACTION = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,10 +45,12 @@ class PrecisionSpec:
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Per-subsystem power breakdown with fractions; total equals the entry sum."""
+    """Per-subsystem power breakdown. ``entry_watts`` holds the (name, watts)
+    pairs; ``total_w`` is not passed in: it is their sum, made once when the
+    report is built. Each entry's fraction of the total is computed when
+    ``entries``, ``fraction`` or ``top_contributor`` is read."""
 
-    total_w: float
-    entries: tuple[tuple[str, float, float], ...]
+    entry_watts: tuple[tuple[str, float], ...]
     geometry: CoreGeometry
     variant_label: str
     b_in: int
@@ -61,38 +60,40 @@ class PowerReport:
     link: LinkBudgetReport
     feasible: bool
     infeasible_reason: str = ""
+    total_w: float = field(init=False)
 
     def __post_init__(self) -> None:
+        total = sum([w for _, w in self.entry_watts])
+        object.__setattr__(self, "total_w", total)
         try:
-            check_number("total_w", self.total_w)
+            check_number("total_w", total)
         except ValueError as exc:
             raise ValueError(f"{exc} (largest entry {self.top_contributor[0]})") from None
-        total = sum(w for _, w, _ in self.entries)
-        if not math.isclose(total, self.total_w, rel_tol=_TOL_FRACTION, abs_tol=0.0):
-            raise ValueError(f"total {self.total_w} != entry sum {total}")
-        frac_sum = sum(f for _, _, f in self.entries)
-        if not (abs(frac_sum - 1.0) <= _TOL_FRACTION):
-            raise ValueError(f"fractions sum to {frac_sum}, expected 1")
-        for name, w, _ in self.entries:
+        for name, w in self.entry_watts:
             if w < 0.0:
                 raise ValueError(f"entry {name} is negative ({w})")
+        if total == 0.0:
+            raise ValueError("total_w is 0, so the entries have no fractions")
+
+    @property
+    def entries(self) -> tuple[tuple[str, float, float], ...]:
+        """(name, watts, fraction of the total) per entry, in order."""
+        total = self.total_w
+        return tuple([(name, w, w / total) for name, w in self.entry_watts])
 
     def watts(self, label: str) -> float:
-        for name, w, _ in self.entries:
+        for name, w in self.entry_watts:
             if name == label:
                 return w
         raise KeyError(label)
 
     def fraction(self, label: str) -> float:
-        for name, _, f in self.entries:
-            if name == label:
-                return f
-        raise KeyError(label)
+        return self.watts(label) / self.total_w
 
     @property
     def top_contributor(self) -> tuple[str, float]:
-        name, _, frac = max(self.entries, key=lambda e: e[1])
-        return name, frac
+        name, w = max(self.entry_watts, key=lambda e: e[1])
+        return name, w / self.total_w
 
     def to_jsonable(self) -> dict:
         return {
@@ -225,12 +226,10 @@ def total_power_cores(
                 ("tia", cols * tia_mw * 1e-3),
                 *variant.extra_power(geom, cat),
             ]
-            total = sum([w for _, w in entries])
             margin = _link_margin_db(channel_dbm, link.total_db, sensitivity)
             feasible = margin >= 0.0
             yield PowerReport(
-                total_w=total,
-                entries=tuple([(name, w, w / total) for name, w in entries]),
+                entry_watts=tuple(entries),
                 geometry=geom,
                 variant_label=variant.label,
                 b_in=precision.b_in,

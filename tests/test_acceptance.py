@@ -91,9 +91,7 @@ def test_criterion_3_laser_power_formula():
     assert watts == pytest.approx(495.5, abs=0.5)
     assert abs(watts / 500.0 - 1.0) <= 0.02
 
-    extreme = LinkBudgetReport(
-        total_db=296.3, terms=(("path", 296.3),), geometry=CORE, variant_label="mrr"
-    )
+    extreme = LinkBudgetReport(terms=(("path", 296.3),), geometry=CORE, variant_label="mrr")
     verdict = variant_feasibility(extreme, CAT.laser, CAT.pd)
     assert not verdict.feasible
 

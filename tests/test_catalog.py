@@ -242,6 +242,13 @@ class TestShippedDefaults:
         assert cat.pcm.erase_energy_pj == 700.0 and cat.pcm.program_std == 0.02
         assert cat.loss_db("awg") == 2.0
 
+    def test_required_components_follow_the_shipped_file(self, shipped_copy, catalog):
+        doc = json.loads(shipped_copy.read_text())
+        doc["extra_splitter"] = doc["splitter_1x2"]
+        shipped_copy.write_text(json.dumps(doc))
+        with pytest.raises(CatalogError, match="^catalog is missing required components: extra_splitter$"):
+            dataclasses.replace(catalog, components=dict(catalog.components))
+
     def test_defaults_ignore_the_environment(self, tmp_path, monkeypatch, shipped_copy, catalog):
         doc = json.loads(shipped_copy.read_text())
         doc["pcm"]["erase_energy_pj"] = 700.0

@@ -5,6 +5,7 @@ import wavecore.conv
 from wavecore import CoreGeometry, NoiseSpec, QuantSpec
 from wavecore.conv import conv_oracle, im2col, integer_out_quant, lowered_weight_matrix, run_conv
 from wavecore.engine import DIFFERENTIAL_PAIR, ZERO_NOISE
+from wavecore.workload import ConvLayerSpec, schedule
 
 
 def random_instance(rng, k, c_in_max=4, c_out_max=4, spatial_max=6, levels=16):
@@ -139,6 +140,22 @@ class TestRunConvTiles:
         y = run_conv(acts, weights, CoreGeometry(144, 256), QuantSpec(bits=6), w_q)
         assert y.shape == (600, 1, 1)
         assert calls == [(0, 144, 256), (1, 144, 256), (2, 144, 88), (3, 36, 256), (4, 36, 256), (5, 36, 88)]
+
+    def test_pointwise_default_makes_the_scheduled_tile_loads(self, monkeypatch, catalog):
+        # 32 channels of 1x1 on 144 rows: one packed pass, as schedule counts it
+        tiles = []
+        real_mvm = wavecore.conv.noisy_mvm
+
+        def recording_mvm(*args, tile, **kwargs):
+            tiles.append(tile)
+            return real_mvm(*args, tile=tile, **kwargs)
+
+        monkeypatch.setattr(wavecore.conv, "noisy_mvm", recording_mvm)
+        geom = CoreGeometry(144, 256)
+        rng = np.random.default_rng(17)
+        run_conv(rng.random((32, 4, 4)), rng.random((8, 32, 1, 1)), geom, QuantSpec(bits=6), QuantSpec(bits=7))
+        sched = schedule([ConvLayerSpec("pointwise", 32, 8, 1, 4, 4)], geom, catalog.pcm)
+        assert len(tiles) == sched.total_tile_loads
 
     @pytest.mark.parametrize(
         "weight_shape, message",

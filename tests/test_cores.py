@@ -79,11 +79,9 @@ def _reference_power(geom, cat, variant, precision, f_hz, wpe):
         ("tia", geom.cols * (cat.component("tia").static_power_mw or 0.0) * 1e-3),
         *variant.extra_power(geom, cat),
     ]
-    total = sum(w for _, w in entries)
     verdict = variant_feasibility(link, cat.laser, cat.pd)
     return PowerReport(
-        total_w=total,
-        entries=tuple((name, w, w / total) for name, w in entries),
+        entry_watts=tuple(entries),
         geometry=geom,
         variant_label=variant.label,
         b_in=precision.b_in,
@@ -107,24 +105,17 @@ def _reference_perf(sched, power, f_hz, cat, allow_overclock):
         )
     pcm = cat.pcm
     latency = sched.total_tile_loads * pcm.cycle_time_ns * 1e-9 + sched.total_stream_cycles / f_hz
-    fps = 1.0 / latency
     gc_loss = cat.loss_db("grating_coupler")
     cells = sched.total_programmed_cells
     program_j = cells * vcsel_program_energy(pcm.program_energy_pj, gc_loss, cat.vcsel.efficiency) * 1e-12
     erase_j = cells * vcsel_program_energy(pcm.erase_energy_pj, gc_loss, cat.vcsel.efficiency) * 1e-12
     steady_j = power.total_w * latency
-    peak = peak_tops(sched.geometry, f_hz)
     return PerfReport(
         latency_s=latency,
-        fps=fps,
-        peak_tops=peak,
-        tops_per_w=peak / power.total_w,
-        fps_per_w=fps / power.total_w,
-        energy_per_inference_j=steady_j + program_j,
+        peak_tops=peak_tops(sched.geometry, f_hz),
         energy_steady_j=steady_j,
         energy_program_j=program_j,
         energy_erase_j=erase_j,
-        energy_with_erase_j=steady_j + program_j + erase_j,
         total_power_w=power.total_w,
         f_hz=f_hz,
         tile_loads=sched.total_tile_loads,

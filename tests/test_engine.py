@@ -641,6 +641,14 @@ class TestNoisyMvm:
         with pytest.raises(ValueError, match="shapes"):
             noisy_mvm(np.ones((1, 4, 1)), np.ones((5, 2)), QuantSpec(bits=4), QuantSpec(bits=4))
 
+    @pytest.mark.parametrize("where", ["in_quant", "out_quant"])
+    def test_differential_mode_is_for_the_weights_only(self, where):
+        x, w, in_q, w_q = integer_operands(np.random.default_rng(13), 9, 3)
+        quants = {"in_quant": in_q, "out_quant": unit_step_out_quant(9 * 225)}
+        quants[where] = dataclasses.replace(quants[where], signed_mode=DIFFERENTIAL_PAIR)
+        with pytest.raises(ValueError, match=f"^{where}.signed_mode must be 'non_negative'"):
+            noisy_mvm(x[None, :, None], w, quants["in_quant"], w_q, quants["out_quant"], ZERO_NOISE)
+
     def test_regression_vector(self):
         assert_regression_fixture("regression_mvm.json")
 
@@ -839,6 +847,20 @@ class TestPcmProgramming:
         bank = PcmProgrammer(catalog.pcm)
         bank.program(np.zeros((144, 256)))
         assert not [name for name, value in vars(bank).items() if isinstance(value, np.ndarray)]
+
+    def test_energy_totals_count_accepted_writes_only(self, catalog):
+        pcm = catalog.pcm
+        bank = PcmProgrammer(pcm)
+        w = np.zeros((4, 4))
+        bank.program(w, t_ns=0.0)
+        bank.program(w, t_ns=1000.0)
+        totals = (bank.total_program_pj, bank.total_erase_pj)
+        assert totals == (2 * 16 * pcm.program_energy_pj, 2 * 16 * pcm.erase_energy_pj)
+        with pytest.raises(PcmRefreshError):
+            bank.program(w, t_ns=1500.0)
+        with pytest.raises(ValueError, match="^weights "):
+            bank.program(np.full((4, 4), 2.0), t_ns=5000.0)
+        assert (bank.total_program_pj, bank.total_erase_pj) == totals
 
     def test_full_cycle_interval_is_legal(self, catalog):
         bank = PcmProgrammer(pcm=catalog.pcm)

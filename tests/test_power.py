@@ -133,13 +133,17 @@ class TestTotalPower:
         big = total_power(CoreGeometry(144, 256), catalog, f_hz=PARETO_CLOCK_HZ)
         assert big.total_w > small.total_w
 
-    @pytest.mark.parametrize("field", [1, 2], ids=["watts", "fraction"])
-    def test_invariants_fail_on_nan(self, catalog, core_9x8, field):
+    def test_invariants_fail_on_nan(self, catalog, core_9x8):
         report = total_power(core_9x8, catalog, f_hz=PARETO_CLOCK_HZ)
-        entries = [list(e) for e in report.entries]
-        entries[1][field] = math.nan
+        entries = list(report.entry_watts)
+        entries[1] = (entries[1][0], math.nan)
         with pytest.raises(ValueError):
-            dataclasses.replace(report, entries=tuple(map(tuple, entries)))
+            dataclasses.replace(report, entry_watts=tuple(entries))
+
+    def test_zero_total_is_rejected(self, catalog, core_9x8):
+        report = total_power(core_9x8, catalog, f_hz=PARETO_CLOCK_HZ)
+        with pytest.raises(ValueError, match="^total_w is 0"):
+            dataclasses.replace(report, entry_watts=tuple((name, 0.0) for name, _ in report.entry_watts))
 
     def test_precision_validation(self):
         with pytest.raises(ValueError):

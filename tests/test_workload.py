@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import re
 
 import pytest
@@ -41,7 +43,7 @@ class TestLowering:
         assert dims.tiles_row == 4 and dims.tiles_col == 1
 
     def test_pointwise_default_one_tap_per_group(self, core_144x256):
-        dims = lower_conv(ConvLayerSpec("l", 16, 16, 1, 4, 4), core_144x256)
+        dims = lower_conv(ConvLayerSpec("l", 16, 16, 1, 4, 4), core_144x256, pack_pointwise=False)
         assert dims.channels_per_pass == 16
         assert dims.utilization == pytest.approx(16 / 144)
 
@@ -288,6 +290,16 @@ class TestPerf:
         power = total_power(core_144x256, catalog, f_hz=PARETO_CLOCK_HZ)
         with pytest.raises(ValueError, match="ceiling"):
             estimate_perf(sched, power, PARETO_CLOCK_HZ, catalog)
+
+    @pytest.mark.parametrize(
+        "field, value", [("total_power_w", math.nan), ("total_power_w", 0.0), ("latency_s", 0.0)]
+    )
+    def test_report_rejects_a_rate_it_cannot_derive(self, catalog, core_144x256, field, value):
+        layers = (ConvLayerSpec("l", 1, 1, 1, 1, 1),)
+        sched = schedule(layers, core_144x256, catalog.pcm)
+        perf = estimate_perf(sched, total_power(core_144x256, catalog, f_hz=1e9), 1e9, catalog)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            dataclasses.replace(perf, **{field: value})
 
     def test_zero_frequency_rejected(self, catalog, core_144x256):
         layers = (ConvLayerSpec("l", 1, 1, 1, 1, 1),)
