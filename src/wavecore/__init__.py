@@ -19,7 +19,6 @@ from .catalog import (
     PdSpec,
     db_to_linear,
     default_catalog,
-    linear_to_db,
     load_catalog,
     pd_min_power,
     snr_required,

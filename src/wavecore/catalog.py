@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
@@ -26,6 +26,13 @@ SCHEMA_VERSION = 1
 _SHIPPED_PATH = Path(__file__).parent / "data" / "default_catalog.json"
 
 _Q_ELECTRON = 1.602176634e-19  # C
+
+# The array's fixed structure: a 3x3 kernel's nine taps ride one comb group of
+# nine wavelengths, and a multi-port detector sums sixteen buses. The models
+# size the array from these constants, so a catalog's ``laser.channels_per_comb``
+# and ``pd.max_ports`` must equal them.
+WAVELENGTHS_PER_GROUP = 9
+BUSES_PER_DETECTOR = 16
 
 
 class CatalogError(ValueError):
@@ -83,14 +90,16 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(ratio: float) -> float:
-    check_number("power ratio", ratio, gt=0.0)
-    return 10.0 * math.log10(ratio)
-
-
 # ---------------------------------------------------------------------------
 # Component specs
 # ---------------------------------------------------------------------------
+
+def _check_structure(where: str, value: Any, fixed: int, meaning: str) -> None:
+    """Raise a ValueError naming ``where`` unless ``value`` is the integer ``fixed``."""
+    check_number(where, value, integer=True)
+    if value != fixed:
+        raise ValueError(f"{where} must be {fixed}, {meaning}, got {value}")
+
 
 @dataclass(frozen=True)
 class ComponentSpec:
@@ -133,7 +142,8 @@ class LaserSpec:
 
     def __post_init__(self) -> None:
         check_number("laser.channel_power_dbm", self.channel_power_dbm)
-        check_number("laser.channels_per_comb", self.channels_per_comb, integer=True, ge=1)
+        _check_structure("laser.channels_per_comb", self.channels_per_comb, WAVELENGTHS_PER_GROUP,
+                         "the wavelengths of one comb group")
         check_number("laser.wpe", self.wpe, gt=0.0, le=1.0)
 
 
@@ -152,7 +162,7 @@ class PdSpec:
         check_number("pd.dark_current_a", self.dark_current_a, ge=0.0)
         check_number("pd.bandwidth_hz", self.bandwidth_hz, gt=0.0)
         check_number("pd.sensitivity_dbm", self.sensitivity_dbm, lt=0.0)
-        check_number("pd.max_ports", self.max_ports, integer=True, ge=1)
+        _check_structure("pd.max_ports", self.max_ports, BUSES_PER_DETECTOR, "the buses one detector sums")
 
 
 @dataclass(frozen=True)
@@ -174,6 +184,9 @@ class ModulatorSpec:
         check_number("sl_mzm.max_rate_hz", self.max_rate_hz, gt=0.0)
         table = {}
         for bits, energy in self.energy_per_switch_fj.items():
+            if type(bits) is not int or not 1 <= bits <= 16:  # the widths PrecisionSpec allows
+                raise ValueError(f"sl_mzm.energy_per_switch_fj keys must be bit counts 1 to 16, "
+                                 f"written in decimal, got {bits!r}")
             check_number(f"sl_mzm.energy_per_switch_fj[{bits}]", energy, ge=0.0)
             table[bits] = float(energy)
         object.__setattr__(self, "energy_per_switch_fj", MappingProxyType(table))
@@ -341,26 +354,18 @@ class DeviceCatalog:
         except KeyError:
             raise CatalogError(f"unknown component {name!r}") from None
 
-    def with_losses(self, **loss_db: float) -> "DeviceCatalog":
-        """Copy with selected component losses replaced (for sensitivity studies)."""
-        comps = dict(self.components)
-        for name, value in loss_db.items():
-            comps[name] = replace(self.component(name), insertion_loss_db=value)
-        return replace(self, components=comps)
+
+# Each bit count's one decimal spelling as a JSON key.
+_BITS_KEYS = {str(bits): bits for bits in range(1, 17)}
 
 
-def _energy_table(raw: Any) -> dict[int, Any]:
-    """The modulator's {bits: fJ} table from its JSON object (keys are strings there)."""
-    where = "sl_mzm.energy_per_switch_fj"
+def _energy_table(raw: Any) -> dict[Any, Any]:
+    """The modulator's {bits: fJ} table from its JSON object (keys are strings
+    there). A key that is not a bit count in decimal stays a string, and
+    :class:`ModulatorSpec` rejects it."""
     if not (isinstance(raw, dict) and raw):
-        raise CatalogError(f"{where} must be a non-empty object of bits: fJ, got {raw!r}")
-    table = {}
-    for key, value in raw.items():
-        try:
-            table[int(key)] = value
-        except ValueError:
-            raise CatalogError(f"{where} keys must be integer bit counts, got {key!r}") from None
-    return table
+        raise CatalogError(f"sl_mzm.energy_per_switch_fj must be a non-empty object of bits: fJ, got {raw!r}")
+    return {_BITS_KEYS.get(key, key): value for key, value in raw.items()}
 
 
 def _build_entry(name: str, raw: Mapping[str, Any]) -> Any:

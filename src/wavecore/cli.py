@@ -295,15 +295,20 @@ def evaluate(area_only: bool, **kwargs) -> int:
     return EXIT_OK
 
 
+def _entries(field: str, text: str) -> list[tuple[str, str]]:
+    """The non-blank entries of a comma-separated list, each named
+    ``field[i]`` by its position ``i`` as typed; no entry exits 1."""
+    entries = [(f"{field}[{i}]", item.strip()) for i, item in enumerate(text.split(",")) if item.strip()]
+    if not entries:
+        raise ScenarioError(f"{field}: empty list")
+    return entries
+
+
 def ablate(variants_text: str, **kwargs) -> None:
     """One row per architecture variant: loss, power, dominant contributor."""
     scenario = _build_scenario(**kwargs)
-    names = [v.strip() for v in variants_text.split(",") if v.strip()]
-    if not names:
-        raise ScenarioError("variants: empty list")
-    variants = [parse_variant(name, f"variants[{i}]") for i, name in enumerate(names)]
-    reports = [_model(f"variants[{i}]", _power, scenario, scenario.geometry, variant)
-               for i, variant in enumerate(variants)]
+    variants = [(where, parse_variant(text, where)) for where, text in _entries("variants", variants_text)]
+    reports = [_model(where, _power, scenario, scenario.geometry, variant) for where, variant in variants]
     header = ("variant", "il_db", "total_w", "top_contributor", "fraction", "feasible")
     rows = [(rep.variant_label, rep.link.total_db, rep.total_w, *rep.top_contributor, rep.feasible)
             for rep in reports]
@@ -316,10 +321,7 @@ def sweep(cores_text: str, **kwargs) -> None:
     if kwargs.get("workload") is None:
         kwargs["workload"] = "resnet50"
     scenario = _build_scenario(**kwargs)
-    core_texts = [c.strip() for c in cores_text.split(",") if c.strip()]
-    if not core_texts:
-        raise ScenarioError("cores: empty list")
-    geometries = [_model(f"cores[{i}]", CoreGeometry.parse, text) for i, text in enumerate(core_texts)]
+    geometries = [_model(where, CoreGeometry.parse, text) for where, text in _entries("cores", cores_text)]
     layers = _model("workload", load_workload, scenario.workload)
     # one walk of the workload and one check of the core-independent inputs for every
     # core; the power iterator is lazy, so each core still runs power, then perf

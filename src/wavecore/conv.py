@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .catalog import check_number
-from .engine import NoiseSpec, QuantSpec, ZERO_NOISE, noisy_mvm, unit_step_out_quant
+from .engine import NoiseSpec, QuantSpec, ZERO_NOISE, noisy_mvm
 from .linkbudget import CoreGeometry
 from .workload import ConvLayerSpec, lower_conv
 
@@ -129,14 +129,3 @@ def run_conv(
     y = y.reshape(batch, c_out, h_out, w_out)
     return y if batched else y[0]
 
-
-def integer_out_quant(in_quant: QuantSpec, w_quant: QuantSpec, rows: int) -> QuantSpec:
-    """Unit-step output quantizer wide enough for any integer-grid partial sum.
-
-    It sizes for the largest |y| a ``rows``-row dot product can reach:
-    ``rows * max|x| * max|w|``, with each maximum taken over its quantizer's
-    ``lo`` and ``hi``.
-    """
-    x_max = max(abs(in_quant.lo), abs(in_quant.hi))
-    w_max = max(abs(w_quant.lo), abs(w_quant.hi))
-    return unit_step_out_quant(rows * x_max * w_max)

@@ -37,8 +37,7 @@ from itertools import islice
 
 import numpy as np
 
-from .catalog import PcmSpec, check_number
-from .linkbudget import WAVELENGTHS_PER_GROUP
+from .catalog import BUSES_PER_DETECTOR, WAVELENGTHS_PER_GROUP, PcmSpec, check_number
 from .rng import keyed_streams
 
 NON_NEGATIVE = "non_negative"
@@ -108,7 +107,7 @@ ZERO_NOISE = NoiseSpec(sigma_in=0.0, sigma_w=0.0, sigma_out=0.0, seed=0)
 # Hierarchical accumulation: a WDM bus carries nine wavelengths (one row
 # each), a multi-port detector sums sixteen buses in its photocurrent, and
 # detector readings add digitally.
-ROWS_PER_DETECTOR = WAVELENGTHS_PER_GROUP * 16
+ROWS_PER_DETECTOR = WAVELENGTHS_PER_GROUP * BUSES_PER_DETECTOR
 
 
 def _grid_index(x, q: QuantSpec) -> np.ndarray:

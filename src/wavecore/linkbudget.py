@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .catalog import DeviceCatalog, LaserSpec, PdSpec, check_number
+from .catalog import WAVELENGTHS_PER_GROUP, DeviceCatalog, LaserSpec, PdSpec, check_number
 
-# The array's fixed structure: a 3x3 kernel's nine taps ride one comb group of
-# nine wavelengths, and each 1x8 MMI feeds a bundle of eight columns.
-WAVELENGTHS_PER_GROUP = 9
+# Each 1x8 MMI feeds a bundle of eight columns.
 COLS_PER_MMI = 8
 
 

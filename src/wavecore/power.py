@@ -165,7 +165,12 @@ def vcsel_program_energy(e_opt_pj: float, gc_loss_db: float, eta_vcsel: float) -
     check_number("eta_vcsel", eta_vcsel, gt=0.0, le=1.0)
     check_number("e_opt_pj", e_opt_pj, ge=0.0)
     check_number("gc_loss_db", gc_loss_db)
-    return e_opt_pj * 10.0 ** (gc_loss_db / 10.0) / eta_vcsel
+    try:
+        return e_opt_pj * 10.0 ** (gc_loss_db / 10.0) / eta_vcsel
+    except OverflowError:
+        raise ValueError(
+            f"a result is out of float range: the write energy through a {gc_loss_db:.6g} dB grating_coupler loss"
+        ) from None
 
 
 def total_power_cores(

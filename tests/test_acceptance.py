@@ -38,7 +38,7 @@ from wavecore import (
     variant_feasibility,
     vcsel_program_energy,
 )
-from wavecore.conv import conv_oracle, integer_out_quant, run_conv
+from wavecore.conv import conv_oracle, run_conv
 from wavecore.engine import ZERO_NOISE, unit_step_out_quant
 from wavecore.linkbudget import LinkBudgetReport
 from wavecore.power import PrecisionSpec
@@ -225,7 +225,7 @@ def test_criterion_7_functional_correctness():
         w = int(rng.integers(3, 7))
         acts = rng.integers(0, 16, size=(c_in, h, w)).astype(float)
         weights = rng.integers(0, 16, size=(c_out, c_in, 3, 3)).astype(float)
-        out_q = integer_out_quant(in_q, w_q, rows=9 * c_in)
+        out_q = unit_step_out_quant(9 * c_in * 225)
         got = run_conv(acts, weights, geom, in_q, w_q, out_q, ZERO_NOISE, layer_index=trial)
         expected = conv_oracle(acts, weights)
         assert np.array_equal(got, expected), f"trial {trial} diverged from the oracle"

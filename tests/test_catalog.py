@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from hypothesis import given, strategies as st
 from wavecore import (
     CatalogError,
     db_to_linear,
-    linear_to_db,
     load_catalog,
     pd_min_power,
     snr_required,
@@ -44,7 +44,7 @@ class TestConversions:
 
     @given(st.floats(min_value=-300.0, max_value=300.0, allow_nan=False))
     def test_round_trip(self, x):
-        assert linear_to_db(db_to_linear(x)) == pytest.approx(x, abs=1e-12 * max(1.0, abs(x)))
+        assert 10.0 * math.log10(db_to_linear(x)) == pytest.approx(x, abs=1e-12 * max(1.0, abs(x)))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
@@ -89,6 +89,18 @@ class TestLoader:
         with pytest.raises(CatalogError) as info:
             load_catalog(path)
         assert field in str(info.value)
+
+    @pytest.mark.parametrize("bits", [0, 17, -6, True, "6", 6.0])
+    def test_energy_table_keys_are_bit_counts(self, catalog, bits):
+        with pytest.raises(ValueError, match=r"sl_mzm\.energy_per_switch_fj keys must be bit counts 1 to 16"):
+            dataclasses.replace(catalog.modulator, energy_per_switch_fj={bits: 1.0})
+
+    def test_detector_span_is_built_from_the_structure(self, catalog):
+        from wavecore.engine import ROWS_PER_DETECTOR
+
+        assert catalog.laser.channels_per_comb == catalog_module.WAVELENGTHS_PER_GROUP
+        assert catalog.pd.max_ports == catalog_module.BUSES_PER_DETECTOR
+        assert ROWS_PER_DETECTOR == catalog_module.WAVELENGTHS_PER_GROUP * catalog_module.BUSES_PER_DETECTOR == 144
 
     def test_unknown_component_rejected(self, tmp_path):
         path = tmp_path / "cat.json"

@@ -261,6 +261,47 @@ class TestEvaluate:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"Error: {message}\n" in result.output
 
+    @pytest.mark.parametrize("args", [["evaluate", "--workload", "resnet50"], ["sweep"]])
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_write_energy_out_of_float_range_names_the_grating_coupler(self, runner, tmp_path, args, fmt):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"schema_version": 1, "grating_coupler": {"insertion_loss_db": 1e308}}))
+        result = runner.invoke(main, [*args, "--catalog", str(path), "--format", fmt])
+        assert result.exit_code == 1
+        section = "sweep" if args == ["sweep"] else "perf"
+        assert result.stderr == (f"Error: {section}: a result is out of float range: the write energy through"
+                                 " a 1e+308 dB grating_coupler loss\n")
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"laser": {"channels_per_comb": 12}},
+             "laser.channels_per_comb must be 9, the wavelengths of one comb group"),
+            ({"pd": {"max_ports": 8}}, "pd.max_ports must be 16, the buses one detector sums"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_other_array_structure_exits_1_naming_the_field(self, runner, tmp_path, entry, message, fmt):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"schema_version": 1, **entry}))
+        result = runner.invoke(main, ["evaluate", "--catalog", str(path), "--format", fmt])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"Error: catalog: {message}, got ")
+
+    @pytest.mark.parametrize(
+        "table",
+        [{"-6": 1.0}, {"0": 1.0}, {" 6": 1.0}, {"+6": 1.0}, {"1_6": 1.0}, {"17": 1.0}, {"06": 1.0},
+         {" 6": 1.0, "6": 2.0}],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_energy_table_key_not_a_bit_count_exits_1_naming_it(self, runner, tmp_path, table, fmt):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"schema_version": 1, "sl_mzm": {"energy_per_switch_fj": table}}))
+        result = runner.invoke(main, ["evaluate", "--catalog", str(path), "--format", fmt])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("Error: catalog: sl_mzm.energy_per_switch_fj keys must be bit counts 1 to 16")
+
     @pytest.mark.parametrize(
         "variant, message",
         [
@@ -567,6 +608,13 @@ class TestAblate:
         assert result.exit_code == 1
         assert "nope" in result.output
 
+    @pytest.mark.parametrize("variants, field", [("soa,,nope", "variants[2]"), (",nope", "variants[1]"),
+                                                 ("nope, ,soa", "variants[0]")])
+    def test_bad_entry_is_named_by_its_typed_position(self, runner, variants, field):
+        result = runner.invoke(main, ["ablate", "--variants", variants])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"Error: {field}: unknown name 'nope'")
+
 
 class TestSweep:
     def test_monotone_columns(self, runner):
@@ -581,6 +629,12 @@ class TestSweep:
     def test_empty_cores_rejected(self, runner):
         result = runner.invoke(main, ["sweep", "--cores", ""])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("cores, field", [("9x8,,10x8", "cores[2]"), (" ,10x8,9x8", "cores[1]")])
+    def test_bad_entry_is_named_by_its_typed_position(self, runner, cores, field):
+        result = runner.invoke(main, ["sweep", "--cores", cores])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"Error: {field}: cannot parse core geometry '10x8'")
 
 
 class TestSimulate:

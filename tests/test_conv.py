@@ -3,8 +3,8 @@ import pytest
 
 import wavecore.conv
 from wavecore import CoreGeometry, NoiseSpec, QuantSpec
-from wavecore.conv import conv_oracle, im2col, integer_out_quant, lowered_weight_matrix, run_conv
-from wavecore.engine import DIFFERENTIAL_PAIR, ZERO_NOISE
+from wavecore.conv import conv_oracle, im2col, lowered_weight_matrix, run_conv
+from wavecore.engine import DIFFERENTIAL_PAIR, ZERO_NOISE, unit_step_out_quant
 from wavecore.workload import ConvLayerSpec, schedule
 
 
@@ -64,7 +64,7 @@ class TestEngineConvMatchesOracle:
         in_q, w_q = grids()
         for _ in range(25):
             acts, weights = random_instance(rng, k=k)
-            out_q = integer_out_quant(in_q, w_q, rows=acts.shape[0] * k * k)
+            out_q = unit_step_out_quant(acts.shape[0] * k * k * 225)
             got = run_conv(acts, weights, geom, in_q, w_q, out_q, ZERO_NOISE, pack_pointwise=pack)
             assert np.array_equal(got, conv_oracle(acts, weights))
 
@@ -74,7 +74,7 @@ class TestEngineConvMatchesOracle:
         in_q, w_q = grids()
         acts = rng.integers(0, 16, size=(3, 7, 7)).astype(float)
         weights = rng.integers(0, 16, size=(5, 3, 3, 3)).astype(float)
-        out_q = integer_out_quant(in_q, w_q, rows=27)
+        out_q = unit_step_out_quant(27 * 225)
         got = run_conv(acts, weights, geom, in_q, w_q, out_q, ZERO_NOISE, stride=2)
         assert np.array_equal(got, conv_oracle(acts, weights, stride=2))
 
@@ -83,7 +83,7 @@ class TestEngineConvMatchesOracle:
         rng = np.random.default_rng(23)
         acts, weights = random_instance(rng, k=3, c_in_max=8, spatial_max=5)
         in_q, w_q = grids()
-        out_q = integer_out_quant(in_q, w_q, rows=acts.shape[0] * 9)
+        out_q = unit_step_out_quant(acts.shape[0] * 9 * 225)
         outputs = [
             run_conv(acts, weights, CoreGeometry(groups * 9, 8), in_q, w_q, out_q, ZERO_NOISE)
             for groups in (1, 2, 4, 16)
@@ -96,7 +96,7 @@ class TestEngineConvMatchesOracle:
         acts = rng.integers(0, 16, size=(2, 5, 5)).astype(float)
         weights = rng.integers(0, 16, size=(20, 2, 3, 3)).astype(float)
         in_q, w_q = grids()
-        out_q = integer_out_quant(in_q, w_q, rows=18)
+        out_q = unit_step_out_quant(18 * 225)
         got = run_conv(acts, weights, CoreGeometry(18, 8), in_q, w_q, out_q, ZERO_NOISE)
         assert np.array_equal(got, conv_oracle(acts, weights))
 
