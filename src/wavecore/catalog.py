@@ -296,10 +296,10 @@ _SUBSYSTEMS = {
     "thermo": ThermalSpec,
 }
 
-# The fields a catalog entry may set, per entry class; a component's name is its key.
-_ENTRY_FIELDS = {
-    cls: frozenset(f.name for f in fields(cls)) - {"name"} for cls in (ComponentSpec, *_SUBSYSTEMS.values())
-}
+# An entry's class and the fields a catalog entry may set, by subsystem name;
+# every other entry is a component, whose name is its key.
+_SUBSYSTEM_SPECS = {name: (cls, frozenset(f.name for f in fields(cls))) for name, cls in _SUBSYSTEMS.items()}
+_COMPONENT_SPEC = (ComponentSpec, frozenset(f.name for f in fields(ComponentSpec)) - {"name"})
 
 
 class _Shipped(NamedTuple):
@@ -368,18 +368,32 @@ def _energy_table(raw: Any) -> dict[Any, Any]:
     return {_BITS_KEYS.get(key, key): value for key, value in raw.items()}
 
 
-def _build_entry(name: str, raw: Mapping[str, Any]) -> Any:
-    """The entry ``name``: its shipped fields with those of ``raw`` laid over them."""
-    cls = _SUBSYSTEMS.get(name, ComponentSpec)
-    allowed = _ENTRY_FIELDS[cls]
+def _build_entry(name: str, shipped: Mapping[str, Any], raw: Mapping[str, Any]) -> Any:
+    """The entry ``name``: the fields of its ``shipped`` entry with those of ``raw`` laid over them."""
+    cls, allowed = _SUBSYSTEM_SPECS.get(name, _COMPONENT_SPEC)
     if not raw.keys() <= allowed:
         raise CatalogError(f"{name}: unknown fields {sorted(raw.keys() - allowed)}")
-    kwargs = {**_shipped().entries[name], **raw}
+    kwargs = {**shipped, **raw}
     if cls is ComponentSpec:
-        kwargs.update(name=name, notes=str(kwargs.get("notes", "")))
-    elif name == "sl_mzm":
+        return ComponentSpec(name, notes=str(kwargs.pop("notes", "")), **kwargs)
+    if name == "sl_mzm":
         kwargs["energy_per_switch_fj"] = _energy_table(kwargs["energy_per_switch_fj"])
     return cls(**kwargs)
+
+
+def _read_file(path: str | os.PathLike[str], mode: str = "rb") -> Any:
+    """The contents of the file at ``path``, read with one ``open()`` and no
+    :class:`~pathlib.Path`. Only when that fails is the path normalized as
+    ``Path(path)`` spells it (no repeated or trailing slashes, no ``.``
+    parts) and opened again, so the file read, and the path an ``OSError``
+    names, are those of ``Path(path)``. A NUL byte in the path raises
+    ``ValueError``."""
+    try:
+        file = open(os.fspath(path), mode)
+    except (OSError, ValueError):
+        file = open(Path(path), mode)
+    with file:
+        return file.read()
 
 
 def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
@@ -390,14 +404,14 @@ def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
     entry's. Unknown component names are rejected so that typos cannot
     silently drop a loss term.
     """
-    path = Path(path)
     try:
-        raw_bytes = path.read_bytes()
+        raw_bytes = _read_file(path)
+    except (OSError, ValueError) as exc:                       # unreadable, or a NUL byte in the path
+        raise CatalogError(f"cannot read catalog file {Path(path)}: {exc}") from None
+    try:
         data = json.loads(raw_bytes)
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog file {path}: {exc}") from None
     except ValueError as exc:                                  # bad JSON, UTF-8 or integer literal
-        raise CatalogError(f"catalog file {path} is not valid JSON: {exc}") from None
+        raise CatalogError(f"catalog file {Path(path)} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise CatalogError("catalog root must be a JSON object")
     if "schema_version" not in data:
@@ -413,15 +427,16 @@ def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
             continue
         if not isinstance(raw, dict):
             raise CatalogError(f"{name}: entry must be a JSON object")
-        if name not in shipped:
+        entry = shipped.get(name)
+        if entry is None:
             raise CatalogError(f"unknown component name {name!r}")
         try:
-            entries[name] = _build_entry(name, raw)
+            entries[name] = _build_entry(name, entry, raw)
         except ValueError as exc:                              # the specs' checks name component.field
             raise CatalogError(str(exc)) from None
     defaulted = [name for name in shipped if name not in entries]
     for name in defaulted:
-        entries[name] = _build_entry(name, {})
+        entries[name] = _build_entry(name, shipped[name], {})
 
     return DeviceCatalog(
         components={name: spec for name, spec in entries.items() if name not in _SUBSYSTEMS},

@@ -25,14 +25,12 @@ from . import __version__
 from .area import crossbar_area
 from .catalog import DeviceCatalog, check_number, default_catalog_path, load_catalog
 from .linkbudget import VARIANTS, ArchitectureVariant, CoreGeometry, critical_path_il
-from .options import HELP, Option, UsageError, run
+from .options import HELP, Option, Options, UsageError, run
 from .power import PowerReport, PrecisionSpec, total_power, total_power_cores
 from .report import canonical_json, render_csv, render_table
 from .workload import (
     DEFAULT_CLOCK_HZ,
     PARETO_CLOCK_HZ,
-    PerfReport,
-    TileSchedule,
     estimate_perf,
     estimate_perf_cores,
     load_workload,
@@ -64,20 +62,27 @@ def _model(field: str, fn, *args, **kwargs):
         raise ScenarioError(f"{field}: a result is out of float range") from None
 
 
+# Each variant's (field, caster) by parameter name; a ``_db`` field also goes without the suffix.
+_VARIANT_PARAMS = {
+    label: {alias: (param.name, int if param.type.startswith("int") else float)  # annotations are strings here
+            for param in fields(cls) for alias in (param.name, param.name.removesuffix("_db"))}
+    for label, cls in VARIANTS.items()
+}
+
+
 def parse_variant(text: str, field: str = "variant") -> ArchitectureVariant:
     """``NAME[:k=v,...]`` to a variant; parameters are the class's fields, and
     a ``_db`` field also takes its name without the suffix. An error exits 1
     naming ``field``."""
     name, _, params_text = text.partition(":")
     name = name.strip().lower()
-    cls = VARIANTS.get("baseline3d" if name == "baseline" else name)
+    label = "baseline3d" if name == "baseline" else name
+    cls = VARIANTS.get(label)
     if cls is None:
         raise ScenarioError(
             f"{field}: unknown name {name!r} (choose from {', '.join(sorted([*VARIANTS, 'baseline']))})"
         )
-    params = {}
-    for param in fields(cls):
-        params[param.name] = params[param.name.removesuffix("_db")] = param
+    params = _VARIANT_PARAMS[label]
     kwargs = {}
     if params_text:
         for item in params_text.split(","):
@@ -89,11 +94,11 @@ def parse_variant(text: str, field: str = "variant") -> ArchitectureVariant:
             if param is None:
                 accepted = ", ".join(sorted(params)) or "none"
                 raise ScenarioError(f"{field}: {cls.label} has no parameter {key!r} (accepts: {accepted})")
-            if param.name in kwargs:
-                raise ScenarioError(f"{field}: {cls.label} parameter {param.name!r} given twice ({key!r} repeats it)")
-            caster = int if param.type.startswith("int") else float  # annotations are strings here
+            param_name, caster = param
+            if param_name in kwargs:
+                raise ScenarioError(f"{field}: {cls.label} parameter {param_name!r} given twice ({key!r} repeats it)")
             try:
-                kwargs[param.name] = caster(value)
+                kwargs[param_name] = caster(value)
             except ValueError:
                 raise ScenarioError(f"{field}: cannot parse {item!r}") from None
     return _model(field, cls, **kwargs)
@@ -145,14 +150,14 @@ SCENARIO_OPTIONS = (
     Option(("--seed",), "seed", int, 0),
     Option(("--format",), "fmt", default="table", choices=("json", "csv", "table")),
 )
-LINKBUDGET_OPTIONS = (*SCENARIO_OPTIONS, HELP)
-EVALUATE_OPTIONS = (*SCENARIO_OPTIONS, Option(("--area",), "area_only", None, False,
-                                              help="Print only the area section."), HELP)
-ABLATE_OPTIONS = (*SCENARIO_OPTIONS, Option(("--variants",), "variants_text", default=",".join(ABLATION_VARIANTS),
-                                            help="Comma-separated variant list."), HELP)
-SWEEP_OPTIONS = (*SCENARIO_OPTIONS, Option(("--cores",), "cores_text", default=DEFAULT_SWEEP_CORES,
-                                           help="Comma-separated core sizes HxW."), HELP)
-SIMULATE_OPTIONS = (
+LINKBUDGET_OPTIONS = Options(*SCENARIO_OPTIONS, HELP)
+EVALUATE_OPTIONS = Options(*SCENARIO_OPTIONS, Option(
+    ("--area",), "area_only", None, False, help="Print only the area section."), HELP)
+ABLATE_OPTIONS = Options(*SCENARIO_OPTIONS, Option(
+    ("--variants",), "variants_text", default=",".join(ABLATION_VARIANTS), help="Comma-separated variant list."), HELP)
+SWEEP_OPTIONS = Options(*SCENARIO_OPTIONS, Option(
+    ("--cores",), "cores_text", default=DEFAULT_SWEEP_CORES, help="Comma-separated core sizes HxW."), HELP)
+SIMULATE_OPTIONS = Options(
     Option(("--model",), "model", default="tinycnn", help="Bundled model name."),
     Option(("--core",), "core_text", default="144x256", help="Geometry HxW; sets how the model's layers are tiled."),
     Option(("--sigma-in",), "sigma_in", float, 0.0031, help="Input modulation noise: std relative to each input."),
@@ -187,44 +192,31 @@ def _build_scenario(catalog_path, core_text, variant_text, profile, freq, allow_
     )
 
 
-def _header(scenario: Scenario) -> dict:
-    return {
-        "tool": "wavecore",
-        "version": __version__,
-        "schema_version": 1,
-        "catalog_sha256": scenario.catalog.source_sha256,
-        "seed": scenario.seed,
-    }
-
-
-def _stamp(scenario: Scenario) -> str:
-    """Tool version + catalog hash line embedded in table and CSV output."""
-    return f"wavecore {__version__} catalog sha256:{scenario.catalog.source_sha256}"
-
-
 def _emit(scenario: Scenario, doc: dict, *tables) -> None:
     """One report in the scenario's format: ``doc`` under the JSON header, or
-    the stamp and the ``(header, rows, title)`` tables, as titled text tables
-    or, for exactly one table, as CSV with lower-case column names."""
+    a stamp of the tool version and catalog hash and the ``(header, rows,
+    title)`` tables, as titled text tables or, for exactly one table, as CSV
+    with lower-case column names."""
     write = sys.stdout.write
+    sha256 = scenario.catalog.source_sha256
     if scenario.fmt == "json":
-        write(canonical_json({"header": _header(scenario), **doc}))
-    elif scenario.fmt == "csv":
+        header = {"tool": "wavecore", "version": __version__, "schema_version": 1, "catalog_sha256": sha256,
+                  "seed": scenario.seed}
+        write(canonical_json({"header": header, **doc}))
+        return
+    stamp = f"wavecore {__version__} catalog sha256:{sha256}\n"
+    if scenario.fmt == "csv":
         ((header, rows, _),) = tables
-        write(f"# {_stamp(scenario)}\n")
+        write(f"# {stamp}")
         write(render_csv([name.lower() for name in header], rows))
     else:
-        write(f"{_stamp(scenario)}\n")
+        write(stamp)
         for header, rows, title in tables:
             write(render_table(header, rows, title=title))
 
 
 def _power(scenario: Scenario, geom: CoreGeometry, variant: ArchitectureVariant) -> PowerReport:
     return total_power(geom, scenario.catalog, variant, scenario.precision, scenario.f_hz, wpe=scenario.wpe)
-
-
-def _perf(scenario: Scenario, sched: TileSchedule, power: PowerReport) -> PerfReport:
-    return estimate_perf(sched, power, scenario.f_hz, scenario.catalog, allow_overclock=scenario.allow_overclock)
 
 
 def linkbudget(**kwargs) -> None:
@@ -245,7 +237,8 @@ def evaluate(area_only: bool, **kwargs) -> int:
     if scenario.workload:
         layers = _model("workload", load_workload, scenario.workload)
         sched = schedule(layers, scenario.geometry, scenario.catalog.pcm, pack_pointwise=scenario.pack_pointwise)
-        perf = _model("perf", _perf, scenario, sched, power).to_jsonable()
+        perf = _model("perf", estimate_perf, sched, power, scenario.f_hz, scenario.catalog,
+                      allow_overclock=scenario.allow_overclock).to_jsonable()
     area_table = (("area", "value"), [
         ("crossbar", f"{area['crossbar_w_mm']:.3f} x {area['crossbar_h_mm']:.3f} mm"),
         ("total", f"{area['total_area_mm2']:.2f} mm^2"),

@@ -1,6 +1,7 @@
 """Command-line options read against one table per command.
 
-An option table is a tuple of :class:`Option` entries. :func:`run` reads a
+An option table is an :class:`Options` tuple of :class:`Option` entries,
+which indexes them by flag when it is made. :func:`run` reads a
 command line of a group of commands and calls the command: :func:`parse`
 reads the text against a table in one loop, :func:`convert` turns it into
 each entry's type over the entry's default, and :func:`render_help` renders
@@ -35,8 +36,20 @@ class Option(NamedTuple):
     help: str = ""
 
 
+class Options(tuple):
+    """An option table: its :class:`Option` entries, in order, and
+    ``by_flag``, each flag's entry, built once with the table."""
+
+    by_flag: dict[str, Option]
+
+    def __new__(cls, *options: Option) -> Options:
+        table = super().__new__(cls, options)
+        table.by_flag = {flag: opt for opt in options for flag in opt.flags}
+        return table
+
+
 HELP = Option(("--help",), "help", None, help="Show this message and exit.")
-_GROUP_OPTIONS = (Option(("--version",), "version", None, help="Show the version and exit."), HELP)
+_GROUP_OPTIONS = Options(Option(("--version",), "version", None, help="Show the version and exit."), HELP)
 
 
 def did_you_mean(name: str, known) -> str:
@@ -49,14 +62,14 @@ def did_you_mean(name: str, known) -> str:
     return f" (Did you mean one of: {', '.join(map(repr, matches))}?)" if matches else ""
 
 
-def parse(options: tuple[Option, ...], argv: list[str], *, interspersed: bool = True) -> tuple[dict, list[str]]:
+def parse(options: Options, argv: list[str], *, interspersed: bool = True) -> tuple[dict, list[str]]:
     """Read ``argv`` against an option table, as ``--opt value``, ``--opt=value``
     or a bare flag. Returns ``{dest: (option, text or flag value)}`` in the order
     the options were first given, the last given value winning, and the
     arguments that are not options. Reading stops at ``--``, and, without
     ``interspersed`` (a command group's options), also at the first argument
     that is not an option, which is returned with all that follow it."""
-    by_flag = {flag: opt for opt in options for flag in opt.flags}
+    by_flag = options.by_flag
     given, rest = {}, []
     i = 0
     while i < len(argv):

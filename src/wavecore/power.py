@@ -16,6 +16,7 @@ Two wall-plug accounting modes are first-class:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -168,9 +169,25 @@ def vcsel_program_energy(e_opt_pj: float, gc_loss_db: float, eta_vcsel: float) -
     try:
         return e_opt_pj * 10.0 ** (gc_loss_db / 10.0) / eta_vcsel
     except OverflowError:
-        raise ValueError(
-            f"a result is out of float range: the write energy through a {gc_loss_db:.6g} dB grating_coupler loss"
-        ) from None
+        raise ValueError(_write_out_of_range(gc_loss_db)) from None
+
+
+def _write_out_of_range(gc_loss_db: float) -> str:
+    return f"a result is out of float range: the write energy through a {gc_loss_db:.6g} dB grating_coupler loss"
+
+
+def _write_energies_j(cells: int, cat: DeviceCatalog) -> tuple[float, float]:
+    """Electrical program and erase energies (J) of writing ``cells`` weight
+    cells once, each through :func:`vcsel_program_energy`. Their sum out of
+    float range, in mJ, names the grating-coupler loss if the same write
+    without that loss is in range."""
+    pcm, gc_loss, eta = cat.pcm, cat.loss_db("grating_coupler"), cat.vcsel.efficiency
+    program_j = cells * vcsel_program_energy(pcm.program_energy_pj, gc_loss, eta) * 1e-12
+    erase_j = cells * vcsel_program_energy(pcm.erase_energy_pj, gc_loss, eta) * 1e-12
+    if (math.isinf((program_j + erase_j) * 1e3)
+            and math.isfinite(cells * (pcm.program_energy_pj + pcm.erase_energy_pj) / eta * 1e-9)):
+        raise ValueError(_write_out_of_range(gc_loss))
+    return program_j, erase_j
 
 
 def total_power_cores(

@@ -14,15 +14,16 @@ parallel), then every output position streams through at the symbol clock.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .catalog import DeviceCatalog, PcmSpec, check_number
+from .catalog import DeviceCatalog, PcmSpec, _read_file, check_number
 from .linkbudget import CoreGeometry
-from .power import PowerReport, vcsel_program_energy
+from .power import PowerReport, _write_energies_j
 
 # Calibrated operating clock of the reference 144x256 design point: the symbol
 # rate at which that core's peak throughput is 342.1 TOPS. Above the tabulated
@@ -335,18 +336,17 @@ def estimate_perf_cores(
 
     ``scheds`` and ``powers`` are walked in step and must have the same
     length. The clock is checked, and the write-cycle time read, once, when
-    this is called; the overclock check and the electrical program and
-    erase energies per cell are made once, at the first core, where a
-    one-core call makes them. Each core's latency, energies and
-    :class:`PerfReport` are its own. With ``powers`` from
-    :func:`~wavecore.power.total_power_cores`, each core's power is computed
-    just before its perf, so the error raised is the first failing core's,
-    as in a loop of one-core calls.
+    this is called, the overclock check at the first core, where a one-core
+    call makes it, and a workload's write energies once. Each core's
+    latency, steady energy and :class:`PerfReport` are its own. With
+    ``powers`` from :func:`~wavecore.power.total_power_cores`, each core's
+    power is computed just before its perf, so the error raised is the
+    first failing core's, as in a loop of one-core calls.
     """
     check_number("f_hz", f_hz, gt=0.0)
-    pcm = cat.pcm
-    cycle_ns = pcm.cycle_time_ns
+    cycle_ns = cat.pcm.cycle_time_ns
     perfs: list[PerfReport] = []
+    write_cells = None
     for sched, power in zip(scheds, powers, strict=True):
         if not sched.workload:
             raise ValueError("schedule is empty")
@@ -362,13 +362,10 @@ def estimate_perf_cores(
             raise ValueError("workload has no photonic work to schedule")
         check_number("latency_s", latency)
 
-        if not perfs:
-            gc_loss = cat.loss_db("grating_coupler")
-            program_pj = vcsel_program_energy(pcm.program_energy_pj, gc_loss, cat.vcsel.efficiency)
-            erase_pj = vcsel_program_energy(pcm.erase_energy_pj, gc_loss, cat.vcsel.efficiency)
         cells = sched.total_programmed_cells
-        program_j = cells * program_pj * 1e-12
-        erase_j = cells * erase_pj * 1e-12
+        if cells != write_cells:  # once per workload, not per core
+            write_cells = cells
+            program_j, erase_j = _write_energies_j(cells, cat)
         steady_j = power.total_w * latency
 
         perfs.append(PerfReport(
@@ -451,6 +448,7 @@ def resnet50_workload(input_hw: int = 256) -> tuple[ConvLayerSpec, ...]:
 
 _BUNDLED_WORKLOADS = {"resnet50": lambda: resnet50_workload(256)}
 _LAYER_FIELDS = frozenset(field.name for field in fields(ConvLayerSpec))
+_NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)  # Path.exists() read these as no file
 
 
 def workload_to_jsonable(layers: Iterable[ConvLayerSpec]) -> list[dict]:
@@ -475,13 +473,13 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
     """
     if ref in _BUNDLED_WORKLOADS:
         return _BUNDLED_WORKLOADS[ref]()
-    path = Path(ref)
-    if not path.exists():
-        raise ValueError(f"workload {ref!r} is neither a bundled name {sorted(_BUNDLED_WORKLOADS)} nor a file")
     try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:                     # unreadable, not UTF-8 or not JSON
-        raise ValueError(f"workload file {path} is not readable JSON: {exc}") from None
+        data = json.loads(_read_file(ref, "r"))
+    except (OSError, ValueError) as exc:  # no file, unreadable, not UTF-8 or not JSON
+        if getattr(exc, "errno", None) in _NO_FILE or "\0" in str(ref):
+            raise ValueError(f"workload {ref!r} is neither a bundled name {sorted(_BUNDLED_WORKLOADS)} "
+                             "nor a file") from None
+        raise ValueError(f"workload file {Path(ref)} is not readable JSON: {exc}") from None
     if not (isinstance(data, list) and data):
         raise ValueError("workload file must contain a non-empty JSON list of layers")
     layers = []
@@ -491,9 +489,8 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
             raise ValueError(f"workload entry {i} must be an object with a 'name'")
         name = raw["name"]
         where = f"workload entry {i} ({name!r})" if isinstance(name, str) and name else f"workload entry {i}"
-        unknown = raw.keys() - _LAYER_FIELDS
-        if unknown:
-            raise ValueError(f"{where}: unknown fields {sorted(unknown)}")
+        if not raw.keys() <= _LAYER_FIELDS:
+            raise ValueError(f"{where}: unknown fields {sorted(raw.keys() - _LAYER_FIELDS)}")
         try:
             layer = ConvLayerSpec(**raw)
         except ValueError as exc:

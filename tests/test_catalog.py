@@ -1,9 +1,10 @@
 import dataclasses
 import hashlib
+import io
 import json
 import math
+import os
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -155,17 +156,18 @@ class TestLoader:
         path.write_bytes(versions[0])
         reads = []
 
-        def rewriting(read):
-            def wrapped(self, *args, **kwargs):
-                data = read(self, *args, **kwargs)
-                if self == path:
-                    reads.append(data)
-                    path.write_bytes(versions[len(reads)])
-                return data
-            return wrapped
+        def rewriting_open(file, *args, **kwargs):
+            handle = real_open(file, *args, **kwargs)
+            if os.fspath(file) != str(path):
+                return handle
+            with handle:
+                data = handle.read()
+            reads.append(data)
+            path.write_bytes(versions[len(reads)])
+            return io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
 
-        monkeypatch.setattr(Path, "read_bytes", rewriting(Path.read_bytes))
-        monkeypatch.setattr(Path, "read_text", rewriting(Path.read_text))
+        real_open = open
+        monkeypatch.setattr("builtins.open", rewriting_open)
         cat = load_catalog(path)
         assert len(reads) == 1
         assert cat.loss_db("wsc") == 0.25

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -261,16 +263,20 @@ class TestEvaluate:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"Error: {message}\n" in result.output
 
+    # 1e308 dB overflows the loss factor itself, 3080 dB the per-cell energy
+    # and 3000 dB the energy of all the cells of an inference
+    @pytest.mark.parametrize("loss, shown", [(1e308, "1e+308"), (3080, "3080"), (3000, "3000")])
     @pytest.mark.parametrize("args", [["evaluate", "--workload", "resnet50"], ["sweep"]])
     @pytest.mark.parametrize("fmt", ["json", "table"])
-    def test_write_energy_out_of_float_range_names_the_grating_coupler(self, runner, tmp_path, args, fmt):
+    def test_write_energy_out_of_float_range_names_the_grating_coupler(self, runner, tmp_path, args, fmt, loss,
+                                                                       shown):
         path = tmp_path / "cat.json"
-        path.write_text(json.dumps({"schema_version": 1, "grating_coupler": {"insertion_loss_db": 1e308}}))
+        path.write_text(json.dumps({"schema_version": 1, "grating_coupler": {"insertion_loss_db": loss}}))
         result = runner.invoke(main, [*args, "--catalog", str(path), "--format", fmt])
         assert result.exit_code == 1
         section = "sweep" if args == ["sweep"] else "perf"
         assert result.stderr == (f"Error: {section}: a result is out of float range: the write energy through"
-                                 " a 1e+308 dB grating_coupler loss\n")
+                                 f" a {shown} dB grating_coupler loss\n")
 
     @pytest.mark.parametrize(
         "entry, message",
@@ -826,3 +832,28 @@ def test_empty_env_var_means_shipped_catalog(runner, monkeypatch):
     result = runner.invoke(main, ["evaluate", "--format", "json"])
     assert result.exit_code == 0
     assert json.loads(result.output)["header"]["catalog_sha256"] == GOLDEN_CATALOG_SHA256
+
+
+@pytest.mark.parametrize("workload", ["resnet50", str(REPO_ROOT / "src" / "wavecore" / "data" / "resnet50_256.json")],
+                         ids=["bundled-name", "bundled-file"])
+def test_success_path_parses_no_path_and_reads_no_dataclass_fields(monkeypatch, workload):
+    # The catalog and the workload file are read with open() alone, and the
+    # variant parameter and option flag tables are built at import.
+    monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    calls = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.add((os.path.basename(frame.f_code.co_filename), frame.f_code.co_name))
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        sys.setprofile(profile)
+        try:
+            code = main(["evaluate", "--workload", workload, "--format", "json"], standalone_mode=False)
+        finally:
+            sys.setprofile(None)
+    assert code == 0 and json.loads(out.getvalue())["perf"] is not None
+    assert ("catalog.py", "load_catalog") in calls and ("workload.py", "estimate_perf_cores") in calls
+    assert not calls & {("pathlib.py", "_parse_args"), ("pathlib.py", "parse_parts")}
+    assert ("dataclasses.py", "fields") not in calls
