@@ -27,7 +27,6 @@ from .linkbudget import (
     Baseline3D,
     CoherentCombining,
     CoreGeometry,
-    FeasibilityVerdict,
     KclOnly,
     LinkBudgetReport,
     MrrAccumulation,
@@ -36,7 +35,6 @@ from .linkbudget import (
     ThermoOpticWeights,
     critical_path_il,
     fanout_loss,
-    variant_feasibility,
 )
 from .power import (
     PowerReport,

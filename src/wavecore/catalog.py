@@ -396,6 +396,19 @@ def _read_file(path: str | os.PathLike[str], mode: str = "rb") -> Any:
         return file.read()
 
 
+def _parse_json(text: str | bytes) -> Any:
+    """``json.loads``, but a key repeated in one object is a ValueError naming it, not its last value."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(key for key in obj if keys.count(key) > 1)!r}")
+    return obj
+
+
 def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
     """Load and validate a catalog JSON file.
 
@@ -409,8 +422,8 @@ def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
     except (OSError, ValueError) as exc:                       # unreadable, or a NUL byte in the path
         raise CatalogError(f"cannot read catalog file {Path(path)}: {exc}") from None
     try:
-        data = json.loads(raw_bytes)
-    except ValueError as exc:                                  # bad JSON, UTF-8 or integer literal
+        data = _parse_json(raw_bytes)
+    except ValueError as exc:                                  # bad JSON, UTF-8 or integer literal, repeated key
         raise CatalogError(f"catalog file {Path(path)} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise CatalogError("catalog root must be a JSON object")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .catalog import WAVELENGTHS_PER_GROUP, DeviceCatalog, LaserSpec, PdSpec, check_number
+from .catalog import WAVELENGTHS_PER_GROUP, DeviceCatalog, check_number
 
 # Each 1x8 MMI feeds a bundle of eight columns.
 COLS_PER_MMI = 8
@@ -246,12 +246,6 @@ class LinkBudgetReport:
         }
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    feasible: bool
-    margin_db: float
-
-
 def fanout_loss(w: int) -> float:
     """Ideal power-division loss of a 1-to-w broadcast: 10log10(w)."""
     check_number("fanout width", w, ge=1)
@@ -296,18 +290,3 @@ def critical_path_il(
     """
     return LinkBudgetReport(terms=tuple(variant.loss_terms(geom, cat)), geometry=geom, variant_label=variant.label)
 
-
-def variant_feasibility(report: LinkBudgetReport, laser: LaserSpec, pd: PdSpec) -> FeasibilityVerdict:
-    """Single-channel launch check: does one comb line survive the path?
-
-    Margin is launched channel power minus path loss minus detector
-    sensitivity, all in dB. A negative margin means the design point cannot
-    close the link even before resolution scaling is considered.
-    """
-    margin = _link_margin_db(laser.channel_power_dbm, report.total_db, pd.sensitivity_dbm)
-    return FeasibilityVerdict(feasible=margin >= 0.0, margin_db=margin)
-
-
-def _link_margin_db(channel_power_dbm: float, total_db: float, sensitivity_dbm: float) -> float:
-    """The margin formula of :func:`variant_feasibility`."""
-    return channel_power_dbm - total_db - sensitivity_dbm

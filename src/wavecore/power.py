@@ -26,7 +26,6 @@ from .linkbudget import (
     Baseline3D,
     CoreGeometry,
     LinkBudgetReport,
-    _link_margin_db,
     critical_path_il,
 )
 
@@ -49,18 +48,17 @@ class PowerReport:
     """Per-subsystem power breakdown. ``entry_watts`` holds the (name, watts)
     pairs; ``total_w`` is not passed in: it is their sum, made once when the
     report is built. Each entry's fraction of the total is computed when
-    ``entries``, ``fraction`` or ``top_contributor`` is read."""
+    ``entries``, ``fraction`` or ``top_contributor`` is read. ``margin_db`` is
+    the single-channel link margin, from which ``feasible`` and its reason
+    are derived; the geometry and variant are ``link``'s."""
 
     entry_watts: tuple[tuple[str, float], ...]
-    geometry: CoreGeometry
-    variant_label: str
     b_in: int
     b_out: int
     f_hz: float
     wpe: float
     link: LinkBudgetReport
-    feasible: bool
-    infeasible_reason: str = ""
+    margin_db: float
     total_w: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -75,6 +73,25 @@ class PowerReport:
                 raise ValueError(f"entry {name} is negative ({w})")
         if total == 0.0:
             raise ValueError("total_w is 0, so the entries have no fractions")
+        check_number("link margin_db", self.margin_db)
+
+    @property
+    def geometry(self) -> CoreGeometry:
+        return self.link.geometry
+
+    @property
+    def variant_label(self) -> str:
+        return self.link.variant_label
+
+    @property
+    def feasible(self) -> bool:
+        return self.margin_db >= 0.0
+
+    @property
+    def infeasible_reason(self) -> str:
+        if self.feasible:
+            return ""
+        return f"single-channel link margin {self.margin_db:.1f} dB at {self.link.total_db:.1f} dB path loss"
 
     @property
     def entries(self) -> tuple[tuple[str, float, float], ...]:
@@ -206,7 +223,7 @@ def total_power_cores(
     sensitivity, modulation depth and 2^b_out, both converter powers, the
     driver's switch energy and the VOA and TIA static powers; so a bad
     ``wpe`` is reported before any core's link budget is built. Each core's
-    link budget, laser power, entries and feasibility are computed when the
+    link budget, laser power, entries and link margin are computed when the
     iterator reaches it, so a caller that interleaves other per-core work
     (as :func:`~wavecore.workload.estimate_perf_cores` does) sees the first
     failing core's error first.
@@ -248,21 +265,14 @@ def total_power_cores(
                 ("tia", cols * tia_mw * 1e-3),
                 *variant.extra_power(geom, cat),
             ]
-            margin = _link_margin_db(channel_dbm, link.total_db, sensitivity)
-            feasible = margin >= 0.0
             yield PowerReport(
                 entry_watts=tuple(entries),
-                geometry=geom,
-                variant_label=variant.label,
                 b_in=precision.b_in,
                 b_out=precision.b_out,
                 f_hz=f_hz,
                 wpe=effective_wpe,
                 link=link,
-                feasible=feasible,
-                infeasible_reason="" if feasible else (
-                    f"single-channel link margin {margin:.1f} dB at {link.total_db:.1f} dB path loss"
-                ),
+                margin_db=channel_dbm - link.total_db - sensitivity,
             )
 
     return reports()

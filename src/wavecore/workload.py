@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import errno
 import functools
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .catalog import DeviceCatalog, PcmSpec, _read_file, check_number
+from .catalog import DeviceCatalog, PcmSpec, _parse_json, _read_file, check_number
 from .linkbudget import CoreGeometry
 from .power import PowerReport, _write_energies_j
 
@@ -259,13 +258,12 @@ class PerfReport:
     every cell written during the tile walk; ``energy_erase_j`` is the
     matching erase-pulse energy, carried as a separate reconfiguration line.
     The headline ``energy_per_inference_j`` is steady + program;
-    ``energy_with_erase_j`` folds the erase line in. Those two and the rates
+    ``energy_with_erase_j`` folds the erase line in. Those three and the rates
     (``fps``, ``fps_per_w``, ``tops_per_w``) are computed when read.
     """
 
     latency_s: float
     peak_tops: float
-    energy_steady_j: float
     energy_program_j: float
     energy_erase_j: float
     total_power_w: float
@@ -294,6 +292,10 @@ class PerfReport:
     @property
     def tops_per_w(self) -> float:
         return self.peak_tops / self.total_power_w
+
+    @property
+    def energy_steady_j(self) -> float:
+        return self.total_power_w * self.latency_s
 
     @property
     def energy_per_inference_j(self) -> float:
@@ -338,10 +340,10 @@ def estimate_perf_cores(
     length. The clock is checked, and the write-cycle time read, once, when
     this is called, the overclock check at the first core, where a one-core
     call makes it, and a workload's write energies once. Each core's
-    latency, steady energy and :class:`PerfReport` are its own. With
-    ``powers`` from :func:`~wavecore.power.total_power_cores`, each core's
-    power is computed just before its perf, so the error raised is the
-    first failing core's, as in a loop of one-core calls.
+    latency and :class:`PerfReport` are its own. With ``powers`` from
+    :func:`~wavecore.power.total_power_cores`, each core's power is computed
+    just before its perf, so the error raised is the first failing core's,
+    as in a loop of one-core calls.
     """
     check_number("f_hz", f_hz, gt=0.0)
     cycle_ns = cat.pcm.cycle_time_ns
@@ -366,12 +368,9 @@ def estimate_perf_cores(
         if cells != write_cells:  # once per workload, not per core
             write_cells = cells
             program_j, erase_j = _write_energies_j(cells, cat)
-        steady_j = power.total_w * latency
-
         perfs.append(PerfReport(
             latency_s=latency,
             peak_tops=_peak_tops(sched.geometry.cells, f_hz),
-            energy_steady_j=steady_j,
             energy_program_j=program_j,
             energy_erase_j=erase_j,
             total_power_w=power.total_w,
@@ -474,7 +473,7 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
     if ref in _BUNDLED_WORKLOADS:
         return _BUNDLED_WORKLOADS[ref]()
     try:
-        data = json.loads(_read_file(ref, "r"))
+        data = _parse_json(_read_file(ref, "r"))
     except (OSError, ValueError) as exc:  # no file, unreadable, not UTF-8 or not JSON
         if getattr(exc, "errno", None) in _NO_FILE or "\0" in str(ref):
             raise ValueError(f"workload {ref!r} is neither a bundled name {sorted(_BUNDLED_WORKLOADS)} "

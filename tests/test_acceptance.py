@@ -35,12 +35,10 @@ from wavecore import (
     schedule,
     total_power,
     total_power_cores,
-    variant_feasibility,
     vcsel_program_energy,
 )
 from wavecore.conv import conv_oracle, run_conv
 from wavecore.engine import ZERO_NOISE, unit_step_out_quant
-from wavecore.linkbudget import LinkBudgetReport
 from wavecore.power import PrecisionSpec
 from wavecore.rng import keyed_rng
 from wavecore.workload import PARETO_CLOCK_HZ
@@ -91,16 +89,17 @@ def test_criterion_3_laser_power_formula():
     assert watts == pytest.approx(495.5, abs=0.5)
     assert abs(watts / 500.0 - 1.0) <= 0.02
 
-    extreme = LinkBudgetReport(terms=(("path", 296.3),), geometry=CORE, variant_label="mrr")
-    verdict = variant_feasibility(extreme, CAT.laser, CAT.pd)
-    assert not verdict.feasible
-
     ring_power = total_power(CORE, CAT, MrrAccumulation(), f_hz=PARETO_CLOCK_HZ)
+    assert ring_power.link.total_db == pytest.approx(296.3, abs=1.0)
+    assert ring_power.margin_db == pytest.approx(
+        CAT.laser.channel_power_dbm - ring_power.link.total_db - CAT.pd.sensitivity_dbm, abs=1e-12
+    )
+    assert ring_power.margin_db < 0.0
     assert not ring_power.feasible
     assert ring_power.total_w >= 1e27
     _report(
         "3 laser power formula",
-        f"{watts:.2f} W at 51.6 dB; 296.3 dB point infeasible "
+        f"{watts:.2f} W at 51.6 dB; {ring_power.link.total_db:.1f} dB ring path infeasible "
         f"(ring-variant total {ring_power.total_w:.3g} W)",
     )
 

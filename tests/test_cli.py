@@ -251,6 +251,9 @@ class TestEvaluate:
              "power: total_w must be a finite number, got inf (largest entry voa_bank)"),
             (["linkbudget", "--variant", "coherent:stage_loss=1e308"], None,
              "link_budget: total_db must be a finite number, got inf (largest term combiner_tree)"),
+            (["evaluate", "--workload", "resnet50"], {"laser": {"channel_power_dbm": 1e308},
+                                                      "pd": {"sensitivity_dbm": -1e308}},
+             "power: link margin_db must be a finite number, got inf"),
         ],
     )
     def test_result_out_of_float_range_names_the_cause(self, runner, tmp_path, args, catalog, message):

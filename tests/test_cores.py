@@ -32,7 +32,6 @@ from wavecore import (
     schedule_cores,
     total_power,
     total_power_cores,
-    variant_feasibility,
     vcsel_program_energy,
 )
 from wavecore.power import PrecisionSpec
@@ -79,20 +78,15 @@ def _reference_power(geom, cat, variant, precision, f_hz, wpe):
         ("tia", geom.cols * (cat.component("tia").static_power_mw or 0.0) * 1e-3),
         *variant.extra_power(geom, cat),
     ]
-    verdict = variant_feasibility(link, cat.laser, cat.pd)
     return PowerReport(
         entry_watts=tuple(entries),
-        geometry=geom,
-        variant_label=variant.label,
         b_in=precision.b_in,
         b_out=precision.b_out,
         f_hz=f_hz,
         wpe=effective_wpe,
         link=link,
-        feasible=verdict.feasible,
-        infeasible_reason="" if verdict.feasible else (
-            f"single-channel link margin {verdict.margin_db:.1f} dB at {link.total_db:.1f} dB path loss"
-        ),
+        # launched channel power less path loss less detector sensitivity
+        margin_db=cat.laser.channel_power_dbm - link.total_db - cat.pd.sensitivity_dbm,
     )
 
 
@@ -109,11 +103,9 @@ def _reference_perf(sched, power, f_hz, cat, allow_overclock):
     cells = sched.total_programmed_cells
     program_j = cells * vcsel_program_energy(pcm.program_energy_pj, gc_loss, cat.vcsel.efficiency) * 1e-12
     erase_j = cells * vcsel_program_energy(pcm.erase_energy_pj, gc_loss, cat.vcsel.efficiency) * 1e-12
-    steady_j = power.total_w * latency
-    return PerfReport(
+    report = PerfReport(
         latency_s=latency,
         peak_tops=peak_tops(sched.geometry, f_hz),
-        energy_steady_j=steady_j,
         energy_program_j=program_j,
         energy_erase_j=erase_j,
         total_power_w=power.total_w,
@@ -123,6 +115,9 @@ def _reference_perf(sched, power, f_hz, cat, allow_overclock):
         programmed_cells=cells,
         flagged_ops=sched.flagged_ops,
     )
+    # derived, so not compared with the report's fields: steady power times latency
+    assert report.energy_steady_j == power.total_w * latency
+    return report
 
 
 def _outcome(fn):

@@ -16,7 +16,7 @@ from wavecore import (
     ThermoOpticWeights,
     critical_path_il,
     fanout_loss,
-    variant_feasibility,
+    total_power,
 )
 from wavecore.linkbudget import VARIANTS
 
@@ -192,27 +192,76 @@ class TestValidation:
             LinkBudgetReport(terms=terms, geometry=core_9x8, variant_label="x")
 
 
+# one infeasible core of each variant, with the reason its report stored
+# before the report derived it from margin_db
+INFEASIBLE_CORES = [
+    (Baseline3D(), "144x512", "single-channel link margin -1.3 dB at 36.3 dB path loss"),
+    (SoaAssisted(fanout_before_amp=512), "144x1024", "single-channel link margin -3.3 dB at 38.3 dB path loss"),
+    (Planar2D(), "144x256", "single-channel link margin -84.0 dB at 119.0 dB path loss"),
+    (ThermoOpticWeights(), "144x512", "single-channel link margin -1.3 dB at 36.3 dB path loss"),
+    (MrrAccumulation(), "144x256", "single-channel link margin -262.1 dB at 297.1 dB path loss"),
+    (KclOnly(), "144x256", "single-channel link margin -17.3 dB at 52.3 dB path loss"),
+    (CoherentCombining(), "144x256", "single-channel link margin -19.7 dB at 54.7 dB path loss"),
+]
+
+
 class TestFeasibility:
+    """The single-channel link margin each PowerReport stores, and the
+    feasibility and reason it derives from it."""
+
     def test_baseline_margin(self, catalog, core_144x256):
-        report = critical_path_il(core_144x256, catalog)
-        verdict = variant_feasibility(report, catalog.laser, catalog.pd)
+        power = total_power(core_144x256, catalog)
         # 10 dBm launch - ~32.7 dB path + 25 dBm sensitivity floor
-        assert verdict.feasible
-        assert verdict.margin_db == pytest.approx(10 - report.total_db + 25, abs=1e-12)
+        assert power.feasible
+        assert power.margin_db == pytest.approx(10 - power.link.total_db + 25, abs=1e-12)
 
     def test_boundary_zero_margin_is_feasible(self, catalog):
-        laser = dataclasses.replace(catalog.laser, channel_power_dbm=10.0)
-        pd = dataclasses.replace(catalog.pd, sensitivity_dbm=-25.0)
-        report = critical_path_il(CoreGeometry(144, 256), _catalog_with_total(35.0), Baseline3D())
-        verdict = variant_feasibility(report, laser, pd)
-        assert verdict.margin_db == pytest.approx(0.0, abs=1e-9)
-        assert verdict.feasible
+        cat = dataclasses.replace(
+            _catalog_with_total(35.0),
+            laser=dataclasses.replace(catalog.laser, channel_power_dbm=10.0),
+            pd=dataclasses.replace(catalog.pd, sensitivity_dbm=-25.0),
+        )
+        power = total_power(CoreGeometry(144, 256), cat, Baseline3D())
+        assert power.margin_db == 0.0
+        assert power.feasible
+        assert power.infeasible_reason == ""
 
     def test_mrr_infeasible(self, catalog, core_144x256):
-        report = critical_path_il(core_144x256, catalog, MrrAccumulation())
-        verdict = variant_feasibility(report, catalog.laser, catalog.pd)
-        assert not verdict.feasible
-        assert verdict.margin_db < -250.0
+        power = total_power(core_144x256, catalog, MrrAccumulation())
+        assert not power.feasible
+        assert power.margin_db < -250.0
+
+    # each verdict and reason as the reports stored them before they derived
+    # both from margin_db: a 35 dB path against 10 dBm +- 0.05 dB of launch
+    @pytest.mark.parametrize(
+        "launch_dbm, feasible, reason",
+        [
+            (9.95, False, "single-channel link margin -0.1 dB at 35.0 dB path loss"),
+            (10.0, True, ""),
+            (10.05, True, ""),
+        ],
+        ids=["minus-0.05dB", "zero", "plus-0.05dB"],
+    )
+    def test_verdict_near_zero_margin(self, catalog, launch_dbm, feasible, reason):
+        cat = dataclasses.replace(
+            _catalog_with_total(35.0), laser=dataclasses.replace(catalog.laser, channel_power_dbm=launch_dbm)
+        )
+        power = total_power(CoreGeometry(144, 256), cat)
+        assert power.margin_db == pytest.approx(launch_dbm - 10.0, abs=1e-12)
+        assert (power.feasible, power.infeasible_reason) == (feasible, reason)
+
+    @pytest.mark.parametrize(
+        "variant, core, reason", INFEASIBLE_CORES, ids=[variant.label for variant, _, _ in INFEASIBLE_CORES]
+    )
+    def test_infeasible_core_of_every_variant(self, catalog, variant, core, reason):
+        power = total_power(CoreGeometry.parse(core), catalog, variant)
+        assert not power.feasible
+        assert power.infeasible_reason == reason
+        assert power.geometry == power.link.geometry == CoreGeometry.parse(core)
+        assert power.variant_label == power.link.variant_label == variant.label
+
+    def test_every_variant_has_an_infeasible_core(self):
+        assert [variant.label for variant, _, _ in INFEASIBLE_CORES] == list(VARIANTS)
 
 
 def _catalog_with_total(target_db):

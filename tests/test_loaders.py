@@ -114,3 +114,41 @@ def test_a_permission_error_on_a_workload_path_exits_1(files, monkeypatch):
     assert result.exit_code == 1
     assert result.stderr == ("Error: workload: workload file w.json is not readable JSON: "
                              "[Errno 13] Permission denied: 'w.json'\n")
+
+
+# A repeated key in any object of an input file is an error naming the key,
+# not a silent last-value-wins; the same key in two objects is not repeated.
+REPEATED_KEYS = [
+    ("energy-key", "--catalog",
+     '{"schema_version": 1, "sl_mzm": {"energy_per_switch_fj": {"6": 1.0, "6": 500.0}}}',
+     "Error: catalog: catalog file in.json is not valid JSON: repeated key '6'\n"),
+    ("two-entries", "--catalog",
+     '{"schema_version": 1, "awg": {"insertion_loss_db": 1.0}, "awg": {"insertion_loss_db": 2.0}}',
+     "Error: catalog: catalog file in.json is not valid JSON: repeated key 'awg'\n"),
+    ("two-fields", "--catalog",
+     '{"schema_version": 1, "awg": {"insertion_loss_db": 1.0, "insertion_loss_db": 2.0}}',
+     "Error: catalog: catalog file in.json is not valid JSON: repeated key 'insertion_loss_db'\n"),
+    ("layer-field", "--workload",
+     '[{"name": "conv_a", "c_in": 2, "c_out": 4}, {"name": "conv_b", "c_in": 4, "c_out": 8, "c_in": 6}]',
+     "Error: workload: workload file in.json is not readable JSON: repeated key 'c_in'\n"),
+]
+
+
+@pytest.mark.parametrize("option, content, stderr", [case[1:] for case in REPEATED_KEYS],
+                         ids=[case[0] for case in REPEATED_KEYS])
+def test_a_repeated_key_exits_1_naming_it(files, option, content, stderr):
+    (files / "in.json").write_text(content)
+    result = CliRunner().invoke(main, ["evaluate", option, "in.json", "--format", "json"])
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == stderr
+
+
+def test_a_key_in_two_objects_is_not_repeated(files):
+    (files / "in.json").write_text('{"schema_version": 1, "awg": {"insertion_loss_db": 1.5},'
+                                   ' "wsc": {"insertion_loss_db": 0.25}}')
+    cat = load_catalog("in.json")
+    assert (cat.loss_db("awg"), cat.loss_db("wsc")) == (1.5, 0.25)
+    (files / "in.json").write_text('[{"name": "conv_a", "c_in": 2}, {"name": "conv_b", "c_in": 2}]')
+    assert [layer.c_in for layer in load_workload("in.json")] == [2, 2]

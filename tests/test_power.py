@@ -140,6 +140,12 @@ class TestTotalPower:
         with pytest.raises(ValueError):
             dataclasses.replace(report, entry_watts=tuple(entries))
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+    def test_non_finite_margin_is_rejected(self, catalog, core_9x8, margin):
+        report = total_power(core_9x8, catalog, f_hz=PARETO_CLOCK_HZ)
+        with pytest.raises(ValueError, match="^link margin_db must be a finite number"):
+            dataclasses.replace(report, margin_db=margin)
+
     def test_zero_total_is_rejected(self, catalog, core_9x8):
         report = total_power(core_9x8, catalog, f_hz=PARETO_CLOCK_HZ)
         with pytest.raises(ValueError, match="^total_w is 0"):
