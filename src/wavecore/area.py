@@ -10,6 +10,7 @@ Everything here is closed-form, there is no placement or routing model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .linkbudget import CoreGeometry
 
@@ -31,18 +32,62 @@ RETICLE_H_MM = 33.0
 
 @dataclass(frozen=True)
 class AreaReport:
-    crossbar_w_mm: float
-    crossbar_h_mm: float
-    total_area_mm2: float
-    reticle_w_mm: float
-    reticle_h_mm: float
-    residual_mm2: float | None
-    fits_reticle: bool
-    strips: tuple[tuple[str, float], ...]
-    unit_cell_um: tuple[float, float]
-    shortfall_mm: tuple[float, float] | None = None
+    """The floorplan of one core. Only ``geometry`` is stored: the sizes,
+    the reticle fit and the strips are computed from it when read."""
+
+    geometry: CoreGeometry
+    reticle_w_mm: ClassVar[float] = RETICLE_W_MM
+    reticle_h_mm: ClassVar[float] = RETICLE_H_MM
+    unit_cell_um: ClassVar[tuple[float, float]] = (CELL_WIDTH_UM, CELL_HEIGHT_UM)
+
+    @property
+    def crossbar_w_mm(self) -> float:
+        return (INPUT_STRIP_UM + self.geometry.mmi_bundles * GROUP_PITCH_UM) / 1000.0
+
+    @property
+    def crossbar_h_mm(self) -> float:
+        return (self.geometry.rows * CELL_HEIGHT_UM + PD_STRIP_UM) / 1000.0
+
+    @property
+    def total_area_mm2(self) -> float:
+        return self.crossbar_w_mm * self.crossbar_h_mm
+
+    @property
+    def fits_reticle(self) -> bool:
+        """Whether either mounting fits: the die may be turned a quarter."""
+        w_mm, h_mm = self.crossbar_w_mm, self.crossbar_h_mm
+        rw, rh = RETICLE_W_MM, RETICLE_H_MM
+        return (w_mm <= rw and h_mm <= rh) or (w_mm <= rh and h_mm <= rw)
+
+    @property
+    def residual_mm2(self) -> float | None:
+        return RETICLE_W_MM * RETICLE_H_MM - self.total_area_mm2 if self.fits_reticle else None
+
+    @property
+    def shortfall_mm(self) -> tuple[float, float] | None:
+        """How far the mounting that comes closest overhangs the reticle, per
+        axis; None when the core fits."""
+        if self.fits_reticle:
+            return None
+        w_mm, h_mm = self.crossbar_w_mm, self.crossbar_h_mm
+        rw, rh = RETICLE_W_MM, RETICLE_H_MM
+        direct = (max(w_mm - rw, 0.0), max(h_mm - rh, 0.0))
+        swapped = (max(w_mm - rh, 0.0), max(h_mm - rw, 0.0))
+        return min((direct, swapped), key=lambda s: s[0] + s[1])
+
+    @property
+    def strips(self) -> tuple[tuple[str, float], ...]:
+        return (
+            ("comb", COMB_STRIP_UM / 1000.0),
+            ("awg", AWG_STRIP_UM / 1000.0),
+            ("voa", VOA_STRIP_UM / 1000.0),
+            ("sl_mzm", MZM_STRIP_UM / 1000.0),
+            ("column_groups", self.geometry.mmi_bundles * GROUP_PITCH_UM / 1000.0),
+            ("pd_strip", PD_STRIP_UM / 1000.0),
+        )
 
     def to_jsonable(self) -> dict:
+        shortfall = self.shortfall_mm
         return {
             "crossbar_w_mm": self.crossbar_w_mm,
             "crossbar_h_mm": self.crossbar_h_mm,
@@ -51,54 +96,13 @@ class AreaReport:
             "reticle_h_mm": self.reticle_h_mm,
             "fits_reticle": self.fits_reticle,
             "residual_mm2": self.residual_mm2,
-            "shortfall_mm": list(self.shortfall_mm) if self.shortfall_mm else None,
+            "shortfall_mm": list(shortfall) if shortfall else None,
             "strips_mm": [{"label": name, "mm": mm} for name, mm in self.strips],
             "unit_cell_um": list(self.unit_cell_um),
         }
 
 
-def _reticle_fit(w_mm: float, h_mm: float) -> tuple[bool, tuple[float, float] | None]:
-    rw, rh = RETICLE_W_MM, RETICLE_H_MM
-    # Orientation swap is allowed: try both mountings.
-    if (w_mm <= rw and h_mm <= rh) or (w_mm <= rh and h_mm <= rw):
-        return True, None
-    # Report shortfall for the orientation that comes closest.
-    direct = (max(w_mm - rw, 0.0), max(h_mm - rh, 0.0))
-    swapped = (max(w_mm - rh, 0.0), max(h_mm - rw, 0.0))
-    short = min((direct, swapped), key=lambda s: s[0] + s[1])
-    return False, short
-
-
 def crossbar_area(geom: CoreGeometry) -> AreaReport:
     """Floorplan footprint of a core; any valid geometry can be sized, even
     one too large for the reticle."""
-    bundles = geom.mmi_bundles
-    width_um = INPUT_STRIP_UM + bundles * GROUP_PITCH_UM
-    height_um = geom.rows * CELL_HEIGHT_UM + PD_STRIP_UM
-    w_mm = width_um / 1000.0
-    h_mm = height_um / 1000.0
-    total = w_mm * h_mm
-
-    fits, shortfall = _reticle_fit(w_mm, h_mm)
-    residual = RETICLE_W_MM * RETICLE_H_MM - total if fits else None
-
-    strips = (
-        ("comb", COMB_STRIP_UM / 1000.0),
-        ("awg", AWG_STRIP_UM / 1000.0),
-        ("voa", VOA_STRIP_UM / 1000.0),
-        ("sl_mzm", MZM_STRIP_UM / 1000.0),
-        ("column_groups", bundles * GROUP_PITCH_UM / 1000.0),
-        ("pd_strip", PD_STRIP_UM / 1000.0),
-    )
-    return AreaReport(
-        crossbar_w_mm=w_mm,
-        crossbar_h_mm=h_mm,
-        total_area_mm2=total,
-        reticle_w_mm=RETICLE_W_MM,
-        reticle_h_mm=RETICLE_H_MM,
-        residual_mm2=residual,
-        fits_reticle=fits,
-        strips=strips,
-        unit_cell_um=(CELL_WIDTH_UM, CELL_HEIGHT_UM),
-        shortfall_mm=shortfall,
-    )
+    return AreaReport(geom)

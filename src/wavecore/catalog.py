@@ -386,11 +386,13 @@ def _read_file(path: str | os.PathLike[str], mode: str = "rb") -> Any:
     :class:`~pathlib.Path`. Only when that fails is the path normalized as
     ``Path(path)`` spells it (no repeated or trailing slashes, no ``.``
     parts) and opened again, so the file read, and the path an ``OSError``
-    names, are those of ``Path(path)``. A NUL byte in the path raises
-    ``ValueError``."""
+    names, are those of ``Path(path)``; an empty path is not retried, as
+    ``Path("")`` is ``.``. A NUL byte in the path raises ``ValueError``."""
     try:
         file = open(os.fspath(path), mode)
     except (OSError, ValueError):
+        if path == "":
+            raise
         file = open(Path(path), mode)
     with file:
         return file.read()
@@ -420,7 +422,7 @@ def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
     try:
         raw_bytes = _read_file(path)
     except (OSError, ValueError) as exc:                       # unreadable, or a NUL byte in the path
-        raise CatalogError(f"cannot read catalog file {Path(path)}: {exc}") from None
+        raise CatalogError(f"cannot read catalog file {Path(path) if path != '' else repr(path)}: {exc}") from None
     try:
         data = _parse_json(raw_bytes)
     except ValueError as exc:                                  # bad JSON, UTF-8 or integer literal, repeated key

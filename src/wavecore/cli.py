@@ -26,7 +26,7 @@ from .area import crossbar_area
 from .catalog import DeviceCatalog, check_number, default_catalog_path, load_catalog
 from .linkbudget import VARIANTS, ArchitectureVariant, CoreGeometry, critical_path_il
 from .options import HELP, Option, Options, UsageError, run
-from .power import PowerReport, PrecisionSpec, total_power, total_power_cores
+from .power import PowerReport, total_power, total_power_cores
 from .report import canonical_json, render_csv, render_table
 from .workload import (
     DEFAULT_CLOCK_HZ,
@@ -111,7 +111,6 @@ class Scenario:
     catalog: DeviceCatalog
     geometry: CoreGeometry
     variant: ArchitectureVariant
-    precision: PrecisionSpec
     f_hz: float
     profile: str
     allow_overclock: bool
@@ -172,7 +171,7 @@ SIMULATE_OPTIONS = Options(
 
 def _build_scenario(catalog_path, core_text, variant_text, profile, freq, allow_overclock,
                     wpe_mode, workload, pack_pointwise, seed, fmt) -> Scenario:
-    cat = _model("catalog", load_catalog, catalog_path or default_catalog_path())
+    cat = _model("catalog", load_catalog, default_catalog_path() if catalog_path is None else catalog_path)
     geom = _model("core", CoreGeometry.parse, core_text)
     variant = parse_variant(variant_text)
     f_hz, profile_name, allow = _resolve_frequency(profile, freq, allow_overclock)
@@ -180,7 +179,6 @@ def _build_scenario(catalog_path, core_text, variant_text, profile, freq, allow_
         catalog=cat,
         geometry=geom,
         variant=variant,
-        precision=PrecisionSpec(),
         f_hz=f_hz,
         profile=profile_name,
         allow_overclock=allow,
@@ -216,7 +214,7 @@ def _emit(scenario: Scenario, doc: dict, *tables) -> None:
 
 
 def _power(scenario: Scenario, geom: CoreGeometry, variant: ArchitectureVariant) -> PowerReport:
-    return total_power(geom, scenario.catalog, variant, scenario.precision, scenario.f_hz, wpe=scenario.wpe)
+    return total_power(geom, scenario.catalog, variant, f_hz=scenario.f_hz, wpe=scenario.wpe)
 
 
 def linkbudget(**kwargs) -> None:
@@ -234,7 +232,7 @@ def evaluate(area_only: bool, **kwargs) -> int:
     power = _model("power", _power, scenario, scenario.geometry, scenario.variant)
     area = crossbar_area(scenario.geometry).to_jsonable()
     perf = None
-    if scenario.workload:
+    if scenario.workload is not None:
         layers = _model("workload", load_workload, scenario.workload)
         sched = schedule(layers, scenario.geometry, scenario.catalog.pcm, pack_pointwise=scenario.pack_pointwise)
         perf = _model("perf", estimate_perf, sched, power, scenario.f_hz, scenario.catalog,
@@ -321,8 +319,7 @@ def sweep(cores_text: str, **kwargs) -> None:
     scheds = schedule_cores(layers, geometries, pack_pointwise=scenario.pack_pointwise)
     perfs = _model("sweep", lambda: estimate_perf_cores(
         scheds,
-        total_power_cores(geometries, scenario.catalog, scenario.variant, scenario.precision, scenario.f_hz,
-                          wpe=scenario.wpe),
+        total_power_cores(geometries, scenario.catalog, scenario.variant, f_hz=scenario.f_hz, wpe=scenario.wpe),
         scenario.f_hz, scenario.catalog, allow_overclock=scenario.allow_overclock,
     ))
     header = ("core", "fps", "mj_per_inference", "total_w")

@@ -258,20 +258,18 @@ class PerfReport:
     every cell written during the tile walk; ``energy_erase_j`` is the
     matching erase-pulse energy, carried as a separate reconfiguration line.
     The headline ``energy_per_inference_j`` is steady + program;
-    ``energy_with_erase_j`` folds the erase line in. Those three and the rates
-    (``fps``, ``fps_per_w``, ``tops_per_w``) are computed when read.
+    ``energy_with_erase_j`` folds the erase line in. Those three, ``peak_tops``
+    and the rates (``fps``, ``fps_per_w``, ``tops_per_w``) are computed when
+    read. The counts are ``schedule``'s, and ``schedule.entries`` is the
+    per-layer view.
     """
 
+    schedule: TileSchedule
+    f_hz: float
+    total_power_w: float
     latency_s: float
-    peak_tops: float
     energy_program_j: float
     energy_erase_j: float
-    total_power_w: float
-    f_hz: float
-    tile_loads: int
-    stream_cycles: int
-    programmed_cells: int
-    flagged_ops: tuple[str, ...]
 
     def __post_init__(self) -> None:
         # Reported in ms and mJ; every energy is at most the non-negative sum.
@@ -280,6 +278,10 @@ class PerfReport:
         check_number("latency_s", self.latency_s, gt=0.0)
         check_number("total_power_w", self.total_power_w, gt=0.0)
         check_number("energy_with_erase_mj", self.energy_with_erase_j * 1e3)
+
+    @property
+    def peak_tops(self) -> float:
+        return _peak_tops(self.schedule.geometry.cells, self.f_hz)
 
     @property
     def fps(self) -> float:
@@ -319,10 +321,10 @@ class PerfReport:
             "energy_with_erase_mj": self.energy_with_erase_j * 1e3,
             "total_power_w": self.total_power_w,
             "f_hz": self.f_hz,
-            "tile_loads": self.tile_loads,
-            "stream_cycles": self.stream_cycles,
-            "programmed_cells": self.programmed_cells,
-            "flagged_ops": list(self.flagged_ops),
+            "tile_loads": self.schedule.total_tile_loads,
+            "stream_cycles": self.schedule.total_stream_cycles,
+            "programmed_cells": self.schedule.total_programmed_cells,
+            "flagged_ops": list(self.schedule.flagged_ops),
         }
 
 
@@ -368,18 +370,7 @@ def estimate_perf_cores(
         if cells != write_cells:  # once per workload, not per core
             write_cells = cells
             program_j, erase_j = _write_energies_j(cells, cat)
-        perfs.append(PerfReport(
-            latency_s=latency,
-            peak_tops=_peak_tops(sched.geometry.cells, f_hz),
-            energy_program_j=program_j,
-            energy_erase_j=erase_j,
-            total_power_w=power.total_w,
-            f_hz=f_hz,
-            tile_loads=sched.total_tile_loads,
-            stream_cycles=sched.total_stream_cycles,
-            programmed_cells=cells,
-            flagged_ops=sched.flagged_ops,
-        ))
+        perfs.append(PerfReport(sched, f_hz, power.total_w, latency, program_j, erase_j))
     return tuple(perfs)
 
 

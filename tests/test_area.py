@@ -1,6 +1,9 @@
-import pytest
+import dataclasses
 
-from wavecore import CoreGeometry, crossbar_area
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from wavecore import AreaReport, CoreGeometry, crossbar_area
 
 
 class TestFootprint:
@@ -65,3 +68,51 @@ class TestReticle:
         assert report.crossbar_w_mm == pytest.approx(27.1, abs=1e-9)
         assert report.crossbar_h_mm == pytest.approx(1.9, abs=1e-9)
         assert report.fits_reticle
+
+
+def _floorplan(rows: int, cols: int) -> dict:
+    """``crossbar_area``'s JSON written out from the floorplan's numbers: a
+    1.9 mm input strip, 0.7 mm per bundle of eight columns, 0.2 mm per row
+    plus a 0.1 mm detector strip, and the 26 x 33 mm reticle in either
+    mounting."""
+    bundles = max(1, -(-cols // 8))
+    w_mm = (1900.0 + bundles * 700.0) / 1000.0
+    h_mm = (rows * 200.0 + 100.0) / 1000.0
+    total = w_mm * h_mm
+    fits = (w_mm <= 26.0 and h_mm <= 33.0) or (w_mm <= 33.0 and h_mm <= 26.0)
+    shortfall = None
+    if not fits:
+        direct = (max(w_mm - 26.0, 0.0), max(h_mm - 33.0, 0.0))
+        swapped = (max(w_mm - 33.0, 0.0), max(h_mm - 26.0, 0.0))
+        shortfall = list(direct if direct[0] + direct[1] <= swapped[0] + swapped[1] else swapped)
+    strips = [("comb", 0.5), ("awg", 1.0), ("voa", 0.15), ("sl_mzm", 0.25),
+              ("column_groups", bundles * 700.0 / 1000.0), ("pd_strip", 0.1)]
+    return {
+        "crossbar_w_mm": w_mm,
+        "crossbar_h_mm": h_mm,
+        "total_area_mm2": total,
+        "reticle_w_mm": 26.0,
+        "reticle_h_mm": 33.0,
+        "fits_reticle": fits,
+        "residual_mm2": 26.0 * 33.0 - total if fits else None,
+        "shortfall_mm": shortfall,
+        "strips_mm": [{"label": label, "mm": mm} for label, mm in strips],
+        "unit_cell_um": [100.0, 200.0],
+    }
+
+
+class TestDerivedValues:
+    def test_the_geometry_is_the_only_field(self):
+        assert [field.name for field in dataclasses.fields(AreaReport)] == ["geometry"]
+
+    @given(rows=st.integers(1, 400).map(lambda g: 9 * g),
+           cols=st.one_of(st.integers(1, 7), st.integers(1, 512).map(lambda n: 8 * n)))
+    @example(rows=144, cols=256)   # fits as drawn
+    @example(rows=126, cols=288)   # fits only turned
+    @example(rows=135, cols=288)   # fits neither way; short in width only
+    @example(rows=297, cols=512)   # short on both axes
+    @settings(max_examples=300, deadline=None)
+    def test_json_equals_the_floorplan_arithmetic(self, rows, cols):
+        report = crossbar_area(CoreGeometry(rows, cols))
+        assert report.to_jsonable() == _floorplan(rows, cols)
+        assert report.fits_reticle == (report.shortfall_mm is None) == (report.residual_mm2 is not None)

@@ -104,19 +104,16 @@ def _reference_perf(sched, power, f_hz, cat, allow_overclock):
     program_j = cells * vcsel_program_energy(pcm.program_energy_pj, gc_loss, cat.vcsel.efficiency) * 1e-12
     erase_j = cells * vcsel_program_energy(pcm.erase_energy_pj, gc_loss, cat.vcsel.efficiency) * 1e-12
     report = PerfReport(
+        schedule=sched,
+        f_hz=f_hz,
+        total_power_w=power.total_w,
         latency_s=latency,
-        peak_tops=peak_tops(sched.geometry, f_hz),
         energy_program_j=program_j,
         energy_erase_j=erase_j,
-        total_power_w=power.total_w,
-        f_hz=f_hz,
-        tile_loads=sched.total_tile_loads,
-        stream_cycles=sched.total_stream_cycles,
-        programmed_cells=cells,
-        flagged_ops=sched.flagged_ops,
     )
-    # derived, so not compared with the report's fields: steady power times latency
+    # derived, so not compared with the report's fields: steady power times latency, and the peak rate
     assert report.energy_steady_j == power.total_w * latency
+    assert report.peak_tops == peak_tops(sched.geometry, f_hz)
     return report
 
 

@@ -49,6 +49,9 @@ CASES = [
     ("nul-byte", "a\x00b",
      "cannot read catalog file a\x00b: embedded null byte",
      f"workload 'a\\x00b' {NEITHER}"),
+    ("empty", "",
+     "cannot read catalog file '': [Errno 2] No such file or directory: ''",
+     f"workload '' {NEITHER}"),
 ]
 
 
@@ -76,6 +79,38 @@ def test_workload_file_errors(files, path, message):
     with pytest.raises(ValueError) as info:
         load_workload(path)
     assert str(info.value) == message
+
+
+EMPTY_CATALOG = "Error: catalog: cannot read catalog file '': [Errno 2] No such file or directory: ''\n"
+EMPTY_WORKLOAD = f"Error: workload: workload '' {NEITHER}\n"
+
+
+@pytest.mark.parametrize("args, stderr", [
+    (["evaluate", "--catalog", ""], EMPTY_CATALOG),
+    (["linkbudget", "--catalog="], EMPTY_CATALOG),
+    (["ablate", "--catalog", ""], EMPTY_CATALOG),
+    (["sweep", "--catalog", ""], EMPTY_CATALOG),
+    (["evaluate", "--workload", ""], EMPTY_WORKLOAD),
+    (["sweep", "--workload="], EMPTY_WORKLOAD),
+], ids=["evaluate-catalog", "linkbudget-catalog", "ablate-catalog", "sweep-catalog", "evaluate-workload",
+        "sweep-workload"])
+def test_an_empty_path_exits_1_naming_the_option(files, monkeypatch, args, stderr):
+    # an empty value is a path like any other, not an absent option
+    monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    result = CliRunner().invoke(main, [*args, "--format", "json"])
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == stderr
+
+
+def test_an_empty_catalog_variable_falls_back_to_the_shipped_catalog(files, monkeypatch):
+    monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    shipped = CliRunner().invoke(main, ["evaluate", "--format", "json"])
+    monkeypatch.setenv("WAVECORE_CATALOG", "")
+    result = CliRunner().invoke(main, ["evaluate", "--format", "json"])
+    assert shipped.exit_code == result.exit_code == 0
+    assert result.stdout == shipped.stdout
 
 
 @pytest.mark.parametrize("spelling", ["./w.json/", "w.json/.", ".//w.json//"])

@@ -1,6 +1,9 @@
-"""README.md's fenced ``python`` examples run as written, and its list of lazily loaded names is whole."""
+"""README.md's fenced ``python`` examples run as written, its list of lazily
+loaded names is whole, and its Python floor is the package's."""
 
 import re
+import tomllib
+from importlib.metadata import metadata
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,19 @@ def test_lazy_simulator_names_match_the_export_table():
     listed = re.search(r"The simulator names that `wavecore` exports\s*\((.*?)\)\s*load\s+`wavecore\.engine`", text, re.S)
     assert listed, "README no longer lists the simulator names that load wavecore.engine"
     assert set(re.findall(r"`(\w+)`", listed.group(1))) == wavecore._ENGINE_NAMES
+
+
+def _floor(spec: str) -> tuple[int, int]:
+    match = re.fullmatch(r">=\s*(\d+)\.(\d+)", spec.strip())
+    assert match, f"not a plain lower bound: {spec!r}"
+    return int(match.group(1)), int(match.group(2))
+
+
+def test_python_floor_matches_pyproject_and_admits_numpy():
+    requires = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    floor = _floor(requires["requires-python"])
+    stated = re.search(r"Requires Python (\d+)\.(\d+)\+", README.read_text(encoding="utf-8"))
+    assert stated, "README no longer states the Python floor"
+    assert (int(stated.group(1)), int(stated.group(2))) == floor
+    # no lower than the installed numpy's own floor, or no install at the stated floor can resolve
+    assert floor >= _floor(metadata("numpy")["Requires-Python"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from wavecore import (
     ConvLayerSpec,
     CoreGeometry,
+    PerfReport,
     estimate_perf,
     load_workload,
     lower_conv,
@@ -143,6 +144,15 @@ class TestScheduleColumns:
         assert sched.total_tile_loads == sum(entry.tile_loads for entry in entries)
         assert sched.total_stream_cycles == sum(entry.stream_cycles for entry in entries)
         assert sched.total_programmed_cells == sum(entry.programmed_cells for entry in entries)
+        if any(layer.kind == "conv" for layer in layers):  # a perf needs photonic work
+            # the per-layer rows are reachable from the perf, and sum to its counts
+            perf = estimate_perf(sched, total_power(geom, catalog), 1e9, catalog)
+            assert perf.schedule.entries == entries
+            doc = perf.to_jsonable()
+            assert doc["tile_loads"] == sum(entry.tile_loads for entry in entries)
+            assert doc["stream_cycles"] == sum(entry.stream_cycles for entry in entries)
+            assert doc["programmed_cells"] == sum(entry.programmed_cells for entry in entries)
+            assert doc["flagged_ops"] == [entry.layer.name for entry in entries if entry.flagged]
 
         # the seed's walk: one LoweredDims per conv layer, totals summed from it
         loads = cycles = cells = 0
@@ -243,6 +253,14 @@ class TestPeakTops:
 
 
 class TestPerf:
+    def test_the_report_keeps_only_its_inputs(self, catalog, core_144x256, resnet):
+        fields = [field.name for field in dataclasses.fields(PerfReport)]
+        assert fields == ["schedule", "f_hz", "total_power_w", "latency_s", "energy_program_j", "energy_erase_j"]
+        sched = schedule(resnet, core_144x256, catalog.pcm)
+        perf = estimate_perf(sched, total_power(core_144x256, catalog), 1e9, catalog)
+        assert perf.schedule is sched
+        assert perf.peak_tops == peak_tops(core_144x256, 1e9)
+
     def test_single_tile_latency_closed_form(self, catalog, core_144x256):
         layers = (ConvLayerSpec("l", 1, 1, 1, 1, 1),)
         sched = schedule(layers, core_144x256, catalog.pcm)
@@ -270,7 +288,7 @@ class TestPerf:
         )
         # per-cell electrical energies follow the emitter conversion
         assert perf.energy_program_j == pytest.approx(
-            perf.programmed_cells * 342.4153e-12, rel=1e-4
+            perf.schedule.total_programmed_cells * 342.4153e-12, rel=1e-4
         )
 
     def test_growing_core_helps(self, catalog, resnet):
