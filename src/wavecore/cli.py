@@ -3,10 +3,14 @@
 Exit codes: 0 for a feasible design point, 1 for configuration/validation
 errors, usage errors included (with field-level diagnostics on stderr), 2
 only for a design point the models flag as infeasible. All evaluations are
-pure functions of their inputs; ablation variants and sweep points run one
-after another, in the order given. A sweep checks its core-independent
-inputs once and reports the first failing core's error. Only ``simulate``
-loads the numpy simulator, on first use.
+pure functions of their inputs. Only ``simulate`` loads the numpy simulator,
+on first use.
+
+``evaluate``, ``ablate`` and ``sweep`` run the power and perf models through
+one roll-up, :func:`_roll_up`; ``evaluate --area`` runs no model. Each
+command reads all its inputs first, then runs each core's power, then that
+core's perf, before the next core's (ablation variants in the order given),
+so the error reported is the first failing point's.
 
 Each command's options are one module-level table of
 :class:`~wavecore.options.Option` entries; :func:`wavecore.options.run`
@@ -20,21 +24,22 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 from . import __version__
 from .area import crossbar_area
 from .catalog import DeviceCatalog, check_number, default_catalog_path, load_catalog
 from .linkbudget import VARIANTS, ArchitectureVariant, CoreGeometry, critical_path_il
 from .options import HELP, Option, Options, UsageError, run
-from .power import PowerReport, total_power, total_power_cores
+from .power import PowerReport, total_power_cores
 from .report import canonical_json, render_csv, render_table
 from .workload import (
     DEFAULT_CLOCK_HZ,
     PARETO_CLOCK_HZ,
-    estimate_perf,
+    ConvLayerSpec,
+    PerfReport,
     estimate_perf_cores,
     load_workload,
-    schedule,
     schedule_cores,
 )
 
@@ -174,20 +179,10 @@ def _build_scenario(catalog_path, core_text, variant_text, profile, freq, allow_
     cat = _model("catalog", load_catalog, default_catalog_path() if catalog_path is None else catalog_path)
     geom = _model("core", CoreGeometry.parse, core_text)
     variant = parse_variant(variant_text)
-    f_hz, profile_name, allow = _resolve_frequency(profile, freq, allow_overclock)
-    return Scenario(
-        catalog=cat,
-        geometry=geom,
-        variant=variant,
-        f_hz=f_hz,
-        profile=profile_name,
-        allow_overclock=allow,
-        wpe=1.0 if wpe_mode == "budget" else None,
-        workload=workload,
-        pack_pointwise=pack_pointwise,
-        seed=seed,
-        fmt=fmt,
-    )
+    # the Scenario fields f_hz, profile and allow_overclock, in that order
+    clock = _resolve_frequency(profile, freq, allow_overclock)
+    return Scenario(cat, geom, variant, *clock, wpe=1.0 if wpe_mode == "budget" else None, workload=workload,
+                    pack_pointwise=pack_pointwise, seed=seed, fmt=fmt)
 
 
 def _emit(scenario: Scenario, doc: dict, *tables) -> None:
@@ -213,8 +208,22 @@ def _emit(scenario: Scenario, doc: dict, *tables) -> None:
             write(render_table(header, rows, title=title))
 
 
-def _power(scenario: Scenario, geom: CoreGeometry, variant: ArchitectureVariant) -> PowerReport:
-    return total_power(geom, scenario.catalog, variant, f_hz=scenario.f_hz, wpe=scenario.wpe)
+def _roll_up(scenario: Scenario, variant: ArchitectureVariant, geometries: Sequence[CoreGeometry],
+             layers: tuple[ConvLayerSpec, ...] | None = None,
+             field: str | None = None) -> tuple[PowerReport, ...] | tuple[PerfReport, ...]:
+    """Each core's power report at ``variant`` or, with workload ``layers``,
+    its perf report, which holds the power report; the one place the CLI runs
+    these models. The power iterator is lazy, so each core's power, then its
+    perf, runs before the next core's. An error exits 1 naming ``field``, or,
+    without one, ``power`` or ``perf`` by the model that failed."""
+    reports = _model(field or "power", total_power_cores, geometries, scenario.catalog, variant,
+                     f_hz=scenario.f_hz, wpe=scenario.wpe)
+    if layers is None:
+        return _model(field or "power", tuple, reports)
+    scheds = schedule_cores(layers, geometries, pack_pointwise=scenario.pack_pointwise)
+    powers = reports if field else (_model("power", next, reports) for _ in geometries)
+    return _model(field or "perf", estimate_perf_cores, scheds, powers, scenario.f_hz, scenario.catalog,
+                  allow_overclock=scenario.allow_overclock)
 
 
 def linkbudget(**kwargs) -> None:
@@ -229,14 +238,9 @@ def linkbudget(**kwargs) -> None:
 def evaluate(area_only: bool, **kwargs) -> int:
     """Combined link budget + power + area (+ workload perf) report."""
     scenario = _build_scenario(**kwargs)
-    power = _model("power", _power, scenario, scenario.geometry, scenario.variant)
+    # csv prints the text tables: evaluate has no one-table csv form yet (ROADMAP item 5)
+    out = replace(scenario, fmt="table") if scenario.fmt == "csv" else scenario
     area = crossbar_area(scenario.geometry).to_jsonable()
-    perf = None
-    if scenario.workload is not None:
-        layers = _model("workload", load_workload, scenario.workload)
-        sched = schedule(layers, scenario.geometry, scenario.catalog.pcm, pack_pointwise=scenario.pack_pointwise)
-        perf = _model("perf", estimate_perf, sched, power, scenario.f_hz, scenario.catalog,
-                      allow_overclock=scenario.allow_overclock).to_jsonable()
     area_table = (("area", "value"), [
         ("crossbar", f"{area['crossbar_w_mm']:.3f} x {area['crossbar_h_mm']:.3f} mm"),
         ("total", f"{area['total_area_mm2']:.2f} mm^2"),
@@ -244,43 +248,45 @@ def evaluate(area_only: bool, **kwargs) -> int:
         ("residual", "n/a" if area["residual_mm2"] is None else f"{area['residual_mm2']:.1f} mm^2"),
     ], "area")
     if area_only:
-        doc, tables = {"area": area}, [area_table]
-    else:
-        doc = {
-            "scenario": {
-                "core": scenario.geometry.label,
-                "variant": scenario.variant.label,
-                "profile": scenario.profile,
-                "f_hz": scenario.f_hz,
-                "wpe": power.wpe,
-                "workload": scenario.workload,
-                "pack_pointwise": scenario.pack_pointwise,
-            },
-            "link_budget": power.link.to_jsonable(),
-            "power": power.to_jsonable(),
-            "area": area,
-            "perf": perf,
-            "feasible": power.feasible,
-        }
-        tables = [
-            (("term", "dB"), [*power.link.terms, ("total", power.link.total_db)], "link budget"),
-            (("subsystem", "W", "fraction"), [*power.entries, ("total", power.total_w, 1.0)], "power"),
-            area_table,
-        ]
-        if perf is not None:
-            tables.append((("metric", "value"), [
-                ("fps", perf["fps"]),
-                ("latency_ms", perf["latency_s"] * 1e3),
-                ("peak_tops", perf["peak_tops"]),
-                ("tops_per_w", perf["tops_per_w"]),
-                ("fps_per_w", perf["fps_per_w"]),
-                ("energy_mj", perf["energy_per_inference_mj"]),
-                ("energy_with_erase_mj", perf["energy_with_erase_mj"]),
-            ], "performance"))
-    # csv prints the text tables: evaluate has no one-table csv form yet (ROADMAP item 5)
-    _emit(replace(scenario, fmt="table") if scenario.fmt == "csv" else scenario, doc, *tables)
+        _emit(out, {"area": area}, area_table)
+        return EXIT_OK
+    layers = None if scenario.workload is None else _model("workload", load_workload, scenario.workload)
+    (report,) = _roll_up(scenario, scenario.variant, (scenario.geometry,), layers)
+    power, perf = (report, None) if layers is None else (report.power, report.to_jsonable())
+    doc = {
+        "scenario": {
+            "core": scenario.geometry.label,
+            "variant": scenario.variant.label,
+            "profile": scenario.profile,
+            "f_hz": scenario.f_hz,
+            "wpe": power.wpe,
+            "workload": scenario.workload,
+            "pack_pointwise": scenario.pack_pointwise,
+        },
+        "link_budget": power.link.to_jsonable(),
+        "power": power.to_jsonable(),
+        "area": area,
+        "perf": perf,
+        "feasible": power.feasible,
+    }
+    tables = [
+        (("term", "dB"), [*power.link.terms, ("total", power.link.total_db)], "link budget"),
+        (("subsystem", "W", "fraction"), [*power.entries, ("total", power.total_w, 1.0)], "power"),
+        area_table,
+    ]
+    if perf is not None:
+        tables.append((("metric", "value"), [
+            ("fps", perf["fps"]),
+            ("latency_ms", perf["latency_s"] * 1e3),
+            ("peak_tops", perf["peak_tops"]),
+            ("tops_per_w", perf["tops_per_w"]),
+            ("fps_per_w", perf["fps_per_w"]),
+            ("energy_mj", perf["energy_per_inference_mj"]),
+            ("energy_with_erase_mj", perf["energy_with_erase_mj"]),
+        ], "performance"))
+    _emit(out, doc, *tables)
     if not power.feasible:
-        if scenario.fmt != "json" and not area_only:
+        if scenario.fmt != "json":
             sys.stdout.write(f"INFEASIBLE: {power.infeasible_reason}\n")
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -299,7 +305,7 @@ def ablate(variants_text: str, **kwargs) -> None:
     """One row per architecture variant: loss, power, dominant contributor."""
     scenario = _build_scenario(**kwargs)
     variants = [(where, parse_variant(text, where)) for where, text in _entries("variants", variants_text)]
-    reports = [_model(where, _power, scenario, scenario.geometry, variant) for where, variant in variants]
+    reports = [_roll_up(scenario, variant, (scenario.geometry,), field=where)[0] for where, variant in variants]
     header = ("variant", "il_db", "total_w", "top_contributor", "fraction", "feasible")
     rows = [(rep.variant_label, rep.link.total_db, rep.total_w, *rep.top_contributor, rep.feasible)
             for rep in reports]
@@ -314,14 +320,7 @@ def sweep(cores_text: str, **kwargs) -> None:
     scenario = _build_scenario(**kwargs)
     geometries = [_model(where, CoreGeometry.parse, text) for where, text in _entries("cores", cores_text)]
     layers = _model("workload", load_workload, scenario.workload)
-    # one walk of the workload and one check of the core-independent inputs for every
-    # core; the power iterator is lazy, so each core still runs power, then perf
-    scheds = schedule_cores(layers, geometries, pack_pointwise=scenario.pack_pointwise)
-    perfs = _model("sweep", lambda: estimate_perf_cores(
-        scheds,
-        total_power_cores(geometries, scenario.catalog, scenario.variant, f_hz=scenario.f_hz, wpe=scenario.wpe),
-        scenario.f_hz, scenario.catalog, allow_overclock=scenario.allow_overclock,
-    ))
+    perfs = _roll_up(scenario, scenario.variant, geometries, layers, "sweep")
     header = ("core", "fps", "mj_per_inference", "total_w")
     rows = [(geom.label, perf.fps, perf.energy_per_inference_j * 1e3, perf.total_power_w)
             for geom, perf in zip(geometries, perfs)]

@@ -260,13 +260,13 @@ class PerfReport:
     The headline ``energy_per_inference_j`` is steady + program;
     ``energy_with_erase_j`` folds the erase line in. Those three, ``peak_tops``
     and the rates (``fps``, ``fps_per_w``, ``tops_per_w``) are computed when
-    read. The counts are ``schedule``'s, and ``schedule.entries`` is the
-    per-layer view.
+    read. ``power`` is the core's :class:`~wavecore.power.PowerReport`, and
+    ``f_hz`` and ``total_power_w`` are read from it. The counts are
+    ``schedule``'s, and ``schedule.entries`` is the per-layer view.
     """
 
     schedule: TileSchedule
-    f_hz: float
-    total_power_w: float
+    power: PowerReport
     latency_s: float
     energy_program_j: float
     energy_erase_j: float
@@ -276,12 +276,19 @@ class PerfReport:
         check_number("peak_tops", self.peak_tops)
         check_number("latency_ms", self.latency_s * 1e3)
         check_number("latency_s", self.latency_s, gt=0.0)
-        check_number("total_power_w", self.total_power_w, gt=0.0)
         check_number("energy_with_erase_mj", self.energy_with_erase_j * 1e3)
 
     @property
+    def f_hz(self) -> float:
+        return self.power.f_hz
+
+    @property
+    def total_power_w(self) -> float:
+        return self.power.total_w
+
+    @property
     def peak_tops(self) -> float:
-        return _peak_tops(self.schedule.geometry.cells, self.f_hz)
+        return _peak_tops(self.schedule.geometry.cells, self.power.f_hz)
 
     @property
     def fps(self) -> float:
@@ -297,7 +304,7 @@ class PerfReport:
 
     @property
     def energy_steady_j(self) -> float:
-        return self.total_power_w * self.latency_s
+        return self.power.total_w * self.latency_s
 
     @property
     def energy_per_inference_j(self) -> float:
@@ -339,9 +346,10 @@ def estimate_perf_cores(
     """:func:`estimate_perf` of each schedule with its power report, in order.
 
     ``scheds`` and ``powers`` are walked in step and must have the same
-    length. The clock is checked, and the write-cycle time read, once, when
-    this is called, the overclock check at the first core, where a one-core
-    call makes it, and a workload's write energies once. Each core's
+    length, and each power report must be at the clock ``f_hz``. The clock
+    is checked, and the write-cycle time read, once, when this is called,
+    the overclock check at the first core, where a one-core call makes it,
+    and a workload's write energies once. Each core's
     latency and :class:`PerfReport` are its own. With ``powers`` from
     :func:`~wavecore.power.total_power_cores`, each core's power is computed
     just before its perf, so the error raised is the first failing core's,
@@ -354,6 +362,8 @@ def estimate_perf_cores(
     for sched, power in zip(scheds, powers, strict=True):
         if not sched.workload:
             raise ValueError("schedule is empty")
+        if power.f_hz != f_hz:
+            raise ValueError(f"f_hz is {f_hz:.6g} Hz, but the power report is at {power.f_hz:.6g} Hz")
         # core-independent, but made at the first core, after its power, so errors keep the one-core order
         if not perfs and f_hz > cat.modulator.max_rate_hz and not allow_overclock:
             raise ValueError(
@@ -370,7 +380,7 @@ def estimate_perf_cores(
         if cells != write_cells:  # once per workload, not per core
             write_cells = cells
             program_j, erase_j = _write_energies_j(cells, cat)
-        perfs.append(PerfReport(sched, f_hz, power.total_w, latency, program_j, erase_j))
+        perfs.append(PerfReport(sched, power, latency, program_j, erase_j))
     return tuple(perfs)
 
 
@@ -388,7 +398,8 @@ def estimate_perf(
     cell converts the optical program/erase pulses to electrical emitter
     energy through the vertical coupler loss and emitter efficiency.
 
-    This is :func:`estimate_perf_cores` on the one core of ``sched``.
+    This is :func:`estimate_perf_cores` on the one core of ``sched``, so
+    ``power`` must be at the clock ``f_hz``.
     """
     return estimate_perf_cores((sched,), (power,), f_hz, cat, allow_overclock=allow_overclock)[0]
 

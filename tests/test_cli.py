@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from wavecore import __version__
-from wavecore.cli import ABLATE_OPTIONS, COMMANDS, main, parse_variant
+from wavecore.cli import ABLATE_OPTIONS, ABLATION_VARIANTS, COMMANDS, main, parse_variant
 from wavecore.linkbudget import VARIANTS
 
 from clirunner import CliRunner
@@ -159,6 +159,29 @@ class TestEvaluate:
         result = runner.invoke(main, ["evaluate", "--area", "--format", "json"])
         doc = json.loads(result.output)
         assert set(doc) == {"header", "area"}
+
+    @pytest.mark.parametrize("extra", [
+        ["--workload", "missing.json"],
+        ["--variant", "planar2d:crossing_count=100000"],  # its laser power overflows
+        ["--variant", "planar2d"],  # infeasible
+    ], ids=["missing-workload", "power-out-of-range", "infeasible"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_area_only_runs_no_model(self, runner, monkeypatch, tmp_path, extra, fmt):
+        # the area depends on --core alone, so no workload, power or link margin can fail it
+        monkeypatch.chdir(tmp_path)
+        plain = runner.invoke(main, ["evaluate", "--area", "--format", fmt])
+        result = runner.invoke(main, ["evaluate", "--area", *extra, "--format", fmt])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == plain.stdout
+
+    def test_inputs_are_read_before_any_model_runs(self, runner, monkeypatch, tmp_path):
+        # the missing workload is reported, not the power model's overflow
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["evaluate", "--workload", "missing.json",
+                                      "--variant", "planar2d:crossing_count=100000"])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == ("Error: workload: workload 'missing.json' is neither a bundled name "
+                                 "['resnet50'] nor a file\n")
 
     @pytest.mark.parametrize(
         "variant, field",
@@ -445,23 +468,36 @@ def test_sweep_schedules_all_its_cores_in_one_call(runner, monkeypatch, run):
     assert result.stdout_bytes == run["stdout"].encode()
 
 
-@pytest.mark.parametrize("run", [run for run in GOLDEN_CLI if run["argv"][0] == "sweep"],
-                         ids=lambda run: " ".join(run["argv"]))
-def test_sweep_rolls_up_all_its_cores_in_one_call_each(runner, monkeypatch, run):
-    # one power and one perf roll-up for the whole sweep, not one of each per core
+@pytest.mark.parametrize("run", [
+    *(pytest.param(run, id=" ".join(run["argv"])) for run in GOLDEN_CLI),
+    *(pytest.param(run, id=_golden_id(run)) for run in GOLDEN_VARIANTS),
+])
+def test_every_command_rolls_up_its_cores_in_one_call_each(runner, monkeypatch, run):
+    # one power roll-up per command (per variant for ablate), plus one perf roll-up with a workload
     import wavecore.cli
 
     calls = []
-    for name in ("total_power", "total_power_cores", "estimate_perf", "estimate_perf_cores"):
+    for name in ("total_power_cores", "schedule_cores", "estimate_perf_cores"):
         def counted(*args, _name=name, _fn=getattr(wavecore.cli, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(f"wavecore.cli.{name}", counted)
     monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    monkeypatch.chdir(REPO_ROOT)
     result = runner.invoke(main, run["argv"])
-    assert result.exit_code == run["exit_code"]
-    assert calls == ["total_power_cores", "estimate_perf_cores"]
+    assert result.exit_code == run.get("exit_code", 0)
+    command, argv = run["argv"][0], run["argv"]
+    if command == "linkbudget" or "--area" in argv:
+        expected = []
+    elif command == "ablate":
+        variants = argv[argv.index("--variants") + 1].split(",") if "--variants" in argv else ABLATION_VARIANTS
+        expected = ["total_power_cores"] * len(variants)
+    elif command == "sweep" or "--workload" in argv:
+        expected = ["total_power_cores", "schedule_cores", "estimate_perf_cores"]
+    else:
+        expected = ["total_power_cores"]
+    assert calls == expected
     assert result.stdout_bytes == run["stdout"].encode()
 
 

@@ -105,8 +105,7 @@ def _reference_perf(sched, power, f_hz, cat, allow_overclock):
     erase_j = cells * vcsel_program_energy(pcm.erase_energy_pj, gc_loss, cat.vcsel.efficiency) * 1e-12
     report = PerfReport(
         schedule=sched,
-        f_hz=f_hz,
-        total_power_w=power.total_w,
+        power=power,
         latency_s=latency,
         energy_program_j=program_j,
         energy_erase_j=erase_j,

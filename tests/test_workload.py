@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import re
 
 import pytest
@@ -11,6 +10,7 @@ from wavecore import (
     CoreGeometry,
     PerfReport,
     estimate_perf,
+    estimate_perf_cores,
     load_workload,
     lower_conv,
     peak_tops,
@@ -255,10 +255,13 @@ class TestPeakTops:
 class TestPerf:
     def test_the_report_keeps_only_its_inputs(self, catalog, core_144x256, resnet):
         fields = [field.name for field in dataclasses.fields(PerfReport)]
-        assert fields == ["schedule", "f_hz", "total_power_w", "latency_s", "energy_program_j", "energy_erase_j"]
+        assert fields == ["schedule", "power", "latency_s", "energy_program_j", "energy_erase_j"]
         sched = schedule(resnet, core_144x256, catalog.pcm)
-        perf = estimate_perf(sched, total_power(core_144x256, catalog), 1e9, catalog)
+        power = total_power(core_144x256, catalog)
+        perf = estimate_perf(sched, power, 1e9, catalog)
         assert perf.schedule is sched
+        assert perf.power is power
+        assert (perf.f_hz, perf.total_power_w) == (power.f_hz, power.total_w)
         assert perf.peak_tops == peak_tops(core_144x256, 1e9)
 
     def test_single_tile_latency_closed_form(self, catalog, core_144x256):
@@ -309,15 +312,27 @@ class TestPerf:
         with pytest.raises(ValueError, match="ceiling"):
             estimate_perf(sched, power, PARETO_CLOCK_HZ, catalog)
 
-    @pytest.mark.parametrize(
-        "field, value", [("total_power_w", math.nan), ("total_power_w", 0.0), ("latency_s", 0.0)]
-    )
+    @pytest.mark.parametrize("field, value", [("latency_s", 0.0)])
     def test_report_rejects_a_rate_it_cannot_derive(self, catalog, core_144x256, field, value):
         layers = (ConvLayerSpec("l", 1, 1, 1, 1, 1),)
         sched = schedule(layers, core_144x256, catalog.pcm)
         perf = estimate_perf(sched, total_power(core_144x256, catalog, f_hz=1e9), 1e9, catalog)
         with pytest.raises(ValueError, match=f"^{field} must be"):
             dataclasses.replace(perf, **{field: value})
+
+    def test_power_at_another_clock_is_rejected(self, catalog, core_144x256, resnet):
+        # a power report sized for 1 GHz must not rate a 2 GHz run (it read twice the TOPS/W)
+        sched = schedule(resnet, core_144x256, catalog.pcm)
+        power = total_power(core_144x256, catalog, f_hz=1e9)
+        with pytest.raises(ValueError) as exc:
+            estimate_perf(sched, power, 2e9, catalog, allow_overclock=True)
+        assert str(exc.value) == "f_hz is 2e+09 Hz, but the power report is at 1e+09 Hz"
+        # each core's report is checked: here the second
+        scheds = schedule_cores(resnet, [core_144x256, core_144x256])
+        powers = [power, total_power(core_144x256, catalog, f_hz=2e9)]
+        with pytest.raises(ValueError) as exc:
+            estimate_perf_cores(scheds, powers, 1e9, catalog)
+        assert str(exc.value) == "f_hz is 1e+09 Hz, but the power report is at 2e+09 Hz"
 
     def test_zero_frequency_rejected(self, catalog, core_144x256):
         layers = (ConvLayerSpec("l", 1, 1, 1, 1, 1),)
