@@ -87,7 +87,10 @@ def check_number(
 def db_to_linear(x_db: float) -> float:
     """Power ratio for a dB value: 10^(x/10)."""
     check_number("dB value", x_db)
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"a result is out of float range: the power ratio of the dB value {x_db:.6g}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def _roll_up(scenario: Scenario, variant: ArchitectureVariant, geometries: Seque
         return _model(field or "power", tuple, reports)
     scheds = schedule_cores(layers, geometries, pack_pointwise=scenario.pack_pointwise)
     powers = reports if field else (_model("power", next, reports) for _ in geometries)
-    return _model(field or "perf", estimate_perf_cores, scheds, powers, scenario.f_hz, scenario.catalog,
+    return _model(field or "perf", estimate_perf_cores, scheds, powers, scenario.catalog,
                   allow_overclock=scenario.allow_overclock)
 
 

@@ -73,6 +73,8 @@ class QuantSpec:
         check_number("hi", self.hi)
         if not self.hi > self.lo:
             raise ValueError(f"range must satisfy hi > lo, got [{self.lo}, {self.hi}]")
+        if self.hi - self.lo == math.inf:
+            raise ValueError(f"range [{self.lo}, {self.hi}] is wider than a float holds")
         if self.signed_mode not in (NON_NEGATIVE, DIFFERENTIAL_PAIR):
             raise ValueError(f"unknown signed_mode {self.signed_mode!r}")
 

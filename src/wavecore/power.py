@@ -62,6 +62,8 @@ class PowerReport:
     total_w: float = field(init=False)
 
     def __post_init__(self) -> None:
+        check_number("f_hz", self.f_hz, gt=0.0)
+        check_number("wpe", self.wpe, gt=0.0, le=1.0)
         total = sum([w for _, w in self.entry_watts])
         object.__setattr__(self, "total_w", total)
         try:
@@ -152,7 +154,14 @@ def laser_power(
     check_number("b_out", b_out, integer=True, ge=1, le=16)
     check_number("extinction ratio in dB", er_db, gt=0.0)
     check_number("wpe", wpe, gt=0.0, le=1.0)
-    return _laser_w(sensitivity_dbm, il_db, 2.0 ** b_out, wpe, _modulation_depth(er_db))
+    try:
+        watts = _laser_w(sensitivity_dbm, il_db, 2.0 ** b_out, wpe, _modulation_depth(er_db))
+    except OverflowError:
+        watts = math.inf
+    if watts == math.inf:
+        raise ValueError(f"a result is out of float range: the laser power for il_db {il_db:.6g} dB "
+                         f"at sensitivity_dbm {sensitivity_dbm:.6g} dBm")
+    return watts
 
 
 def _modulation_depth(er_db: float) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import errno
 import functools
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -241,7 +242,10 @@ def schedule(
 def peak_tops(geom: CoreGeometry, f_hz: float) -> float:
     """Peak throughput in TOPS: 2 ops (multiply + add) per cell per cycle."""
     check_number("f_hz", f_hz, gt=0.0)
-    return _peak_tops(geom.cells, f_hz)
+    tops = _peak_tops(geom.cells, f_hz)
+    if tops == math.inf:
+        raise ValueError(f"a result is out of float range: the peak throughput of {geom.label} at f_hz {f_hz:.6g} Hz")
+    return tops
 
 
 def _peak_tops(cells: int, f_hz: float) -> float:
@@ -272,11 +276,16 @@ class PerfReport:
     energy_erase_j: float
 
     def __post_init__(self) -> None:
+        core, power_core = self.schedule.geometry, self.power.link.geometry
+        if core is not power_core and core != power_core:
+            raise ValueError(f"the schedule is on {core.label}, but the power report is on {power_core.label}")
         # Reported in ms and mJ; every energy is at most the non-negative sum.
         check_number("peak_tops", self.peak_tops)
         check_number("latency_ms", self.latency_s * 1e3)
         check_number("latency_s", self.latency_s, gt=0.0)
         check_number("energy_with_erase_mj", self.energy_with_erase_j * 1e3)
+        check_number("energy_program_j", self.energy_program_j, ge=0.0)
+        check_number("energy_erase_j", self.energy_erase_j, ge=0.0)
 
     @property
     def f_hz(self) -> float:
@@ -338,7 +347,6 @@ class PerfReport:
 def estimate_perf_cores(
     scheds: Iterable[TileSchedule],
     powers: Iterable[PowerReport],
-    f_hz: float,
     cat: DeviceCatalog,
     *,
     allow_overclock: bool = False,
@@ -346,28 +354,26 @@ def estimate_perf_cores(
     """:func:`estimate_perf` of each schedule with its power report, in order.
 
     ``scheds`` and ``powers`` are walked in step and must have the same
-    length, and each power report must be at the clock ``f_hz``. The clock
-    is checked, and the write-cycle time read, once, when this is called,
-    the overclock check at the first core, where a one-core call makes it,
-    and a workload's write energies once. Each core's
-    latency and :class:`PerfReport` are its own. With ``powers`` from
+    length, and each schedule and its power report must be on one core. Each
+    core runs at its power report's clock ``f_hz``: its stream time, its
+    overclock check and its :class:`PerfReport` read that clock, so the cores
+    may run at different clocks. The write-cycle time is read once, when this
+    is called, and a workload's write energies once. With ``powers`` from
     :func:`~wavecore.power.total_power_cores`, each core's power is computed
     just before its perf, so the error raised is the first failing core's,
     as in a loop of one-core calls.
     """
-    check_number("f_hz", f_hz, gt=0.0)
     cycle_ns = cat.pcm.cycle_time_ns
+    max_rate_hz = cat.modulator.max_rate_hz
     perfs: list[PerfReport] = []
     write_cells = None
     for sched, power in zip(scheds, powers, strict=True):
         if not sched.workload:
             raise ValueError("schedule is empty")
-        if power.f_hz != f_hz:
-            raise ValueError(f"f_hz is {f_hz:.6g} Hz, but the power report is at {power.f_hz:.6g} Hz")
-        # core-independent, but made at the first core, after its power, so errors keep the one-core order
-        if not perfs and f_hz > cat.modulator.max_rate_hz and not allow_overclock:
+        f_hz = power.f_hz
+        if f_hz > max_rate_hz and not allow_overclock:
             raise ValueError(
-                f"f = {f_hz:.3g} Hz exceeds the modulator ceiling {cat.modulator.max_rate_hz:.3g} Hz "
+                f"f = {f_hz:.3g} Hz exceeds the modulator ceiling {max_rate_hz:.3g} Hz "
                 "(pass allow_overclock to run anyway)"
             )
 
@@ -398,10 +404,14 @@ def estimate_perf(
     cell converts the optical program/erase pulses to electrical emitter
     energy through the vertical coupler loss and emitter efficiency.
 
-    This is :func:`estimate_perf_cores` on the one core of ``sched``, so
-    ``power`` must be at the clock ``f_hz``.
+    This is :func:`estimate_perf_cores` on the one core of ``sched``, which
+    runs at ``power``'s clock. ``f_hz`` is kept for existing callers: it must
+    be that clock, or a ValueError names both.
     """
-    return estimate_perf_cores((sched,), (power,), f_hz, cat, allow_overclock=allow_overclock)[0]
+    check_number("f_hz", f_hz, gt=0.0)
+    if power.f_hz != f_hz:
+        raise ValueError(f"f_hz is {f_hz:.6g} Hz, but the power report is at {power.f_hz:.6g} Hz")
+    return estimate_perf_cores((sched,), (power,), cat, allow_overclock=allow_overclock)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,11 @@ class TestConversions:
         with pytest.raises(ValueError):
             db_to_linear(bad)
 
+    def test_result_out_of_float_range_names_the_value(self):
+        # was a bare OverflowError (34, 'Numerical result out of range')
+        with pytest.raises(ValueError, match="^a result is out of float range: .* dB value 4000$"):
+            db_to_linear(4000.0)
+
 
 class TestLoader:
     def test_shipped_defaults(self, catalog):

@@ -82,6 +82,11 @@ class TestQuantize:
         with pytest.raises(ValueError, match=r"got shape \(\)$"):
             quantize(np.array(0.5), QuantSpec(bits=4))
 
+    def test_range_wider_than_a_float_rejected(self):
+        # its step was inf, and quantize returned NaN with a RuntimeWarning
+        with pytest.raises(ValueError, match=r"^range \[-1e\+308, 1e\+308\] is wider than a float holds$"):
+            QuantSpec(bits=8, lo=-1e308, hi=1e308)
+
 
 @st.composite
 def grid_cases(draw, lo=st.floats(-50.0, 10.0)):

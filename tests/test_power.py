@@ -55,6 +55,14 @@ class TestLaserPower:
         with pytest.raises(ValueError, match="extinction"):
             laser_power(-25.0, 30.0, 8, 0.0, 1.0)
 
+    @pytest.mark.parametrize("il_db", [
+        4000.0,  # the launched power overflows: was a bare OverflowError
+        3080.0,  # the launched power is in range, its laser power is not: was inf
+    ])
+    def test_result_out_of_float_range_names_the_loss(self, il_db):
+        with pytest.raises(ValueError, match=f"^a result is out of float range: .* il_db {il_db:.6g} dB "):
+            laser_power(-25.0, il_db, 8, 1.17, 1.0)
+
 
 class TestConverterPower:
     def test_unit_case(self):
@@ -145,6 +153,17 @@ class TestTotalPower:
         report = total_power(core_9x8, catalog, f_hz=PARETO_CLOCK_HZ)
         with pytest.raises(ValueError, match="^link margin_db must be a finite number"):
             dataclasses.replace(report, margin_db=margin)
+
+    @pytest.mark.parametrize("field, value", [
+        # a zero clock reached a ZeroDivisionError in the perf model's stream time
+        ("f_hz", 0.0), ("f_hz", -1e9), ("f_hz", math.nan), ("f_hz", math.inf),
+        # a NaN wpe was printed in the report's assumptions
+        ("wpe", math.nan), ("wpe", 0.0), ("wpe", 1.5),
+    ])
+    def test_stored_input_out_of_range_is_rejected(self, catalog, core_9x8, field, value):
+        report = total_power(core_9x8, catalog)
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number > 0.0"):
+            dataclasses.replace(report, **{field: value})
 
     def test_zero_total_is_rejected(self, catalog, core_9x8):
         report = total_power(core_9x8, catalog, f_hz=PARETO_CLOCK_HZ)

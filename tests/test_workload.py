@@ -251,6 +251,11 @@ class TestPeakTops:
     def test_reference_core_at_1ghz(self, core_144x256):
         assert peak_tops(core_144x256, 1e9) == pytest.approx(73.728, rel=1e-12)
 
+    def test_rate_out_of_float_range_rejected(self):
+        # 2 * 72 * 1e308 returned inf
+        with pytest.raises(ValueError, match="^a result is out of float range: .* f_hz 1e\\+308 Hz$"):
+            peak_tops(CoreGeometry(9, 8), 1e308)
+
 
 class TestPerf:
     def test_the_report_keeps_only_its_inputs(self, catalog, core_144x256, resnet):
@@ -312,7 +317,12 @@ class TestPerf:
         with pytest.raises(ValueError, match="ceiling"):
             estimate_perf(sched, power, PARETO_CLOCK_HZ, catalog)
 
-    @pytest.mark.parametrize("field, value", [("latency_s", 0.0)])
+    @pytest.mark.parametrize("field, value", [
+        ("latency_s", 0.0),
+        # a negative energy gave a negative energy_per_inference_j
+        ("energy_program_j", -1.0),
+        ("energy_erase_j", -1.0),
+    ])
     def test_report_rejects_a_rate_it_cannot_derive(self, catalog, core_144x256, field, value):
         layers = (ConvLayerSpec("l", 1, 1, 1, 1, 1),)
         sched = schedule(layers, core_144x256, catalog.pcm)
@@ -327,12 +337,28 @@ class TestPerf:
         with pytest.raises(ValueError) as exc:
             estimate_perf(sched, power, 2e9, catalog, allow_overclock=True)
         assert str(exc.value) == "f_hz is 2e+09 Hz, but the power report is at 1e+09 Hz"
-        # each core's report is checked: here the second
+        # the many-core form takes no clock: each core runs at its own power report's
         scheds = schedule_cores(resnet, [core_144x256, core_144x256])
         powers = [power, total_power(core_144x256, catalog, f_hz=2e9)]
-        with pytest.raises(ValueError) as exc:
-            estimate_perf_cores(scheds, powers, 1e9, catalog)
-        assert str(exc.value) == "f_hz is 1e+09 Hz, but the power report is at 2e+09 Hz"
+        perfs = estimate_perf_cores(scheds, powers, catalog, allow_overclock=True)
+        assert perfs == tuple(estimate_perf(s, p, p.f_hz, catalog, allow_overclock=True)
+                              for s, p in zip(scheds, powers))
+        assert [perf.f_hz for perf in perfs] == [1e9, 2e9]
+
+    def test_schedule_and_power_on_other_cores_are_rejected(self, catalog, core_9x8, core_144x256, resnet):
+        # a 9x8 schedule read with 144x256 power gave 0.144 peak TOPS at 10.03 W
+        sched_9x8, sched_144x256 = schedule_cores(resnet, [core_9x8, core_144x256])
+        power_9x8, power_144x256 = total_power(core_9x8, catalog), total_power(core_144x256, catalog)
+        message = "^the schedule is on 9x8, but the power report is on 144x256$"
+        with pytest.raises(ValueError, match=message):
+            estimate_perf(sched_9x8, power_144x256, 1e9, catalog)
+        with pytest.raises(ValueError, match=message):
+            estimate_perf_cores([sched_144x256, sched_9x8], [power_144x256, power_144x256], catalog)
+        perf = estimate_perf(sched_9x8, power_9x8, 1e9, catalog)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(perf, power=power_144x256)
+        # an equal core passes, not only the same object
+        assert estimate_perf(sched_9x8, total_power(CoreGeometry(9, 8), catalog), 1e9, catalog) == perf
 
     def test_zero_frequency_rejected(self, catalog, core_144x256):
         layers = (ConvLayerSpec("l", 1, 1, 1, 1, 1),)
