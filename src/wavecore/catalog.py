@@ -506,4 +506,7 @@ def pd_min_power(pd: PdSpec, snr_db: float) -> float:
     a = k * 2.0 * _Q_ELECTRON * pd.bandwidth_hz
     # I^2 - a I - a I_d = 0 -> positive root
     i_ph = 0.5 * (a + math.sqrt(a * a + 4.0 * a * pd.dark_current_a))
-    return i_ph / pd.responsivity_a_per_w
+    power = i_ph / pd.responsivity_a_per_w
+    if not math.isfinite(power):
+        raise ValueError(f"a result is out of float range: the detector power for snr_db {snr_db:.6g} dB")
+    return power

@@ -3,14 +3,15 @@
 ``conv_oracle`` computes the convolution directly from the sliding-window
 definition and never touches the lowering or the engine; it exists so the
 lowered path can be checked against an independent route. ``run_conv`` is the
-production path: im2col lowering, row tiling at wavelength-group granularity,
-engine evaluation per tile, digital partial-sum accumulation. It takes one
-image or a batch of them and makes one engine call per tile either way.
+production path: row tiling at wavelength-group granularity, im2col lowering
+of one row tile at a time, engine evaluation per tile, digital partial-sum
+accumulation. It takes one image or a batch of them and makes one engine call
+per tile for each chunk of up to ``_IMAGE_CHUNK`` images.
 """
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,6 +50,18 @@ def conv_oracle(activations: np.ndarray, weights: np.ndarray, stride: int = 1) -
     return out
 
 
+def _windows(activations: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """The strided k x k window view of the float64 input: (..., c_in, h_out, w_out, k, k)."""
+    arr = np.asarray(activations, dtype=np.float64)
+    return sliding_window_view(arr, (k, k), axis=(-2, -1))[..., ::stride, ::stride, :, :]
+
+
+def _columns(windows: np.ndarray) -> np.ndarray:
+    """The im2col rows of a window view (..., c, h_out, w_out, k, k): (..., c*k*k, h_out*w_out)."""
+    *lead, c, h_out, w_out, k, _ = windows.shape
+    return np.moveaxis(windows, (-2, -1), (-4, -3)).reshape(*lead, c * k * k, h_out * w_out)
+
+
 def im2col(activations: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
     """Flatten receptive fields to columns: (c_in*k*k, h_out*w_out).
 
@@ -58,15 +71,18 @@ def im2col(activations: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
     One strided window view of the float64 input, copied by the reshape; a 1x1
     stride-1 input needs no copy and gives a read-only view of the input.
     """
-    arr = np.asarray(activations, dtype=np.float64)
-    windows = sliding_window_view(arr, (k, k), axis=(-2, -1))[..., ::stride, ::stride, :, :]
-    *lead, c_in, h_out, w_out, _, _ = windows.shape
-    return np.moveaxis(windows, (-2, -1), (-4, -3)).reshape(*lead, c_in * k * k, h_out * w_out)
+    return _columns(_windows(activations, k, stride))
 
 
 def lowered_weight_matrix(weights: np.ndarray) -> np.ndarray:
     """Stack kernels into the (c_in*k*k) x c_out matrix matching im2col rows."""
     return weights.reshape(len(weights), -1).T.copy()
+
+
+# Images per pass of run_conv over its tiles: the engine's arrays grow with
+# the images of one pass, so a batch of any size holds those of at most this
+# many at once.
+_IMAGE_CHUNK = 256
 
 
 def run_conv(
@@ -91,8 +107,14 @@ def run_conv(
     input channels by ``geom.cols`` output channels. Partial sums accumulate
     digitally across row tiles, and column tiles are evaluated independently
     (the engine handles each tile's columns in one call, with its default
-    detector span of ``ROWS_PER_DETECTOR`` rows). Each tile is one engine
-    call for the whole batch, and image ``b`` draws the noise of seed
+    detector span of ``ROWS_PER_DETECTOR`` rows). A row tile's im2col rows
+    are cut from the window view of the input when the walk reaches the tile,
+    and serve all its column tiles; a tile's weights are read from
+    ``weights`` in place, transposed. So neither the layer's im2col nor a
+    copy of its weight matrix is ever built.
+
+    The batch runs in chunks of up to ``_IMAGE_CHUNK`` images, one engine
+    call per tile and chunk, and image ``b`` draws the noise of seed
     ``noise.seed + b``, so it equals a call on that image alone with that
     seed.
     """
@@ -114,18 +136,23 @@ def run_conv(
     h_out = (h - k) // stride + 1
     w_out = (w - k) // stride + 1
     layer = ConvLayerSpec(f"layer{layer_index}", c_in, c_out, k, h_out, w_out, stride)
-    dims = lower_conv(layer, geom, pack_pointwise=pack_pointwise)
+    per_pass = lower_conv(layer, geom, pack_pointwise=pack_pointwise).channels_per_pass
 
-    x_cols = im2col(images, k, stride)
-    w_mat = lowered_weight_matrix(weights)
-
+    windows = _windows(images, k, stride)
     y = np.zeros((batch, c_out, h_out * w_out))
-    rows_per_pass = dims.channels_per_pass * k * k
-    starts = itertools.product(range(0, c_in * k * k, rows_per_pass), range(0, c_out, geom.cols))
-    for tile, (r0, c0) in enumerate(starts):
-        rows, cols = slice(r0, r0 + rows_per_pass), slice(c0, c0 + geom.cols)
-        y[:, cols] += noisy_mvm(x_cols[:, rows], w_mat[rows, cols], in_quant, w_quant, out_quant, noise,
-                                layer=layer_index, tile=tile)
+    for b0 in range(0, batch, _IMAGE_CHUNK):
+        chunk = slice(b0, b0 + _IMAGE_CHUNK)
+        chunk_noise = dataclasses.replace(noise, seed=noise.seed + b0)
+        tile = 0
+        for ch0 in range(0, c_in, per_pass):
+            channels = slice(ch0, ch0 + per_pass)
+            x_rows = _columns(windows[chunk, channels])
+            for c0 in range(0, c_out, geom.cols):
+                cols = slice(c0, c0 + geom.cols)
+                kernels = weights[cols, channels]
+                w_tile = kernels.reshape(len(kernels), -1).T    # a view, if weights is C-contiguous
+                y[chunk, cols] += noisy_mvm(x_rows, w_tile, in_quant, w_quant, out_quant, chunk_noise,
+                                            layer=layer_index, tile=tile)
+                tile += 1
     y = y.reshape(batch, c_out, h_out, w_out)
     return y if batched else y[0]
-

@@ -14,17 +14,22 @@ sum is one matrix product, so its additions run in the order of the BLAS
 build numpy links, and the pinned bits are that build's. Sums on integer
 grids are exact in any order. Detector readings are summed digitally in
 detector order, in place into the first detector's.
-Memory grows as detectors x cols x positions; the rows x cols x positions
-products are never built.
+Besides its operands, a call holds the quantized inputs, each weight leg's
+values (one copy per item) and at most two legs' detector readings, which
+grow as detectors x cols x positions; the rows x cols x positions products
+are never built.
 
 Every operation takes a batch: ``noisy_mvm``'s inputs are B x rows x
 positions (a single tile is a batch of one), and ``inject_noise`` draws each
 item of an array's leading axis from its own generator. Shared weights and
 the batch's inputs are quantized once per call, a differential pair's two
-legs from one grid of weight magnitudes; only the noise is drawn per item,
-item ``b`` from the streams of seed ``noise.seed + b``. The engine adds the
-noise in place to the arrays it owns, in cache-sized blocks. Each item is
-its own matrix product in the kernel, so a batch is bit-identical to B
+legs from one grid of weight magnitudes, and each leg's values are written
+straight into the copy per item that takes its noise; only the noise is
+drawn per item, item ``b`` from the streams of seed ``noise.seed + b``. The
+engine adds the noise in place into the arrays its quantizer and detectors
+have just built, ``_NOISE_BLOCK`` elements at a time through a scratch of
+two such blocks, so the noise stage holds no full-size temporary. Each item
+is its own matrix product in the kernel, so a batch is bit-identical to B
 separate calls.
 """
 
@@ -117,32 +122,51 @@ def _grid_index(x, q: QuantSpec) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 0:
         raise ValueError(f"quantize needs an array of at least one dimension, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("quantize requires finite inputs")
-    # In place where possible, so besides the result it holds one full-size
-    # float temporary, t (the position on the grid, then its fractional
-    # part), and boolean masks.
-    t = arr - q.lo
-    t /= q.step
-    idx = np.floor(t)
-    t -= idx
-    # Midpoint ties resolve away from zero (toward the higher level for
-    # non-negative values, the lower one for negative values).
-    up = t == 0.5
-    up &= arr >= 0.0
-    up |= t > 0.5
-    del t
-    idx += up
-    np.clip(idx, 0, q.levels - 1, out=idx)
+    # Out of range, a position may overflow to +-inf (with a NaN fractional
+    # part); it clamps like any other, so those float flags are not warned of.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A sum is finite only if every term is; only a sum that is not (a
+        # non-finite term, or finite terms that overflow) is checked element-wise.
+        if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
+            raise ValueError("quantize requires finite inputs")
+        # Besides the result it holds one full-size float temporary, t (the
+        # position on the grid, then its fractional part), and one boolean mask.
+        if q.lo == 0.0:
+            t = arr / q.step                                   # arr - 0.0 is arr, bit for bit
+        else:
+            t = arr - q.lo
+            t /= q.step
+        idx = np.floor(t)
+        t -= idx
+        # Midpoint ties resolve away from zero (toward the higher level for
+        # non-negative values, the lower one for negative values). On a grid
+        # that starts at or above 0 every negative value lies below level 0
+        # and clamps to it either way, so its ties need no sign test.
+        if q.lo >= 0.0:
+            up = t >= 0.5
+        else:
+            up = t == 0.5
+            up &= arr >= 0.0
+            up |= t > 0.5
+        del t
+        idx += up
+        np.clip(idx, 0, q.levels - 1, out=idx)
     return idx
+
+
+def _dequantized(idx: np.ndarray, q: QuantSpec, out: np.ndarray) -> np.ndarray:
+    """``lo + idx * step``, written into ``out`` (which ``idx`` broadcasts to); adding a zero ``lo``
+    is skipped, as it changes no bit."""
+    np.multiply(idx, q.step, out=out)
+    if q.lo != 0.0:
+        out += q.lo
+    return out
 
 
 def _quantized_values(x, q: QuantSpec) -> np.ndarray:
     """``quantize(x, q)[1]``, without building the level indices."""
-    value = _grid_index(x, q)
-    value *= q.step                                            # lo + level * step, in place
-    value += q.lo
-    return value
+    idx = _grid_index(x, q)
+    return _dequantized(idx, q, idx)
 
 
 def quantize(x, q: QuantSpec):
@@ -151,16 +175,16 @@ def quantize(x, q: QuantSpec):
     Returns (level indices, dequantized values), two arrays of ``x``'s shape.
     """
     idx = _grid_index(x, q)
-    levels = idx.astype(np.int64)
-    value = idx                                                # lo + level * step, in place
-    value *= q.step
-    value += q.lo
-    return levels, value
+    return idx.astype(np.int64), _dequantized(idx, q, idx)
 
 
-# Elements per block of the noise stage: its two scratch buffers, 64 KiB
-# each, stay in cache while a block's draws are scaled and added.
-_NOISE_BLOCK = 2 ** 13
+# Elements per block of the noise stage: its two scratch buffers, 128 KiB
+# each, stay in cache while a block's draws are scaled and added, and each
+# block costs five calls. On a 2-vCPU Xeon (2.1 GHz, 2 MiB of L2 per core) a
+# sim-resnet-layers pass read 650 ms at 2**14 against 677 ms at 2**13, 664 ms
+# at 2**16 and 675 ms at 2**17 in a calibrated, shuffled 8-round A/B; an
+# uncalibrated one put 2**14 and 2**16 within 1% of each other.
+_NOISE_BLOCK = 2 ** 14
 
 
 def _add_noise(arr: np.ndarray, sigma: float, streams) -> np.ndarray:
@@ -224,10 +248,12 @@ def inject_noise(q_value, sigma: float, streams):
 
     Returns a new array, ``q_value + draws * (sigma * |q_value|)`` bit for
     bit, and leaves ``q_value`` unchanged; the noise is added to the copy in
-    cache-sized blocks, so besides it only a small scratch is held. Exactly
-    the identity when sigma is zero (no RNG draw is consumed, and ``q_value``
-    itself is returned), and exactly zero-preserving since the noise scale is
-    proportional to the signal magnitude.
+    blocks of ``_NOISE_BLOCK`` elements, so besides it only a small scratch is
+    held. (``noisy_mvm`` adds its noise the same way, but into the arrays it
+    has just built, with no copy.) Exactly the identity when sigma is zero
+    (no RNG draw is consumed, and ``q_value`` itself is returned), and
+    exactly zero-preserving since the noise scale is proportional to the
+    signal magnitude.
     """
     check_number("sigma", sigma, ge=0.0)
     arr = np.asarray(q_value, dtype=np.float64)
@@ -268,7 +294,7 @@ def _streams(noise: NoiseSpec, batch: int, layer: int, tile: int, role: str) -> 
 
 def _mvm_non_negative(
     x_eq: np.ndarray,
-    w_values: np.ndarray,
+    w_eq: np.ndarray,
     out_quant: QuantSpec | None,
     noise: NoiseSpec,
     detector_rows: int,
@@ -276,10 +302,11 @@ def _mvm_non_negative(
     tile: int,
     w_role: str,
 ) -> np.ndarray:
+    """One non-negative weight array's readings; ``w_eq`` is the batch's
+    quantized weights (batch, rows, cols), C-ordered and owned by the caller,
+    and its noise is added in place."""
     batch = x_eq.shape[0]
-    # the shared weight grid, perturbed per item (a broadcast view at sigma_w = 0)
-    w_batch = np.broadcast_to(w_values, (batch,) + w_values.shape)
-    w_eq = inject_noise(w_batch, noise.sigma_w, _streams(noise, batch, layer, tile, w_role))
+    w_eq = _add_noise(w_eq, noise.sigma_w, _streams(noise, batch, layer, tile, w_role))
     level2 = _detector_sums(x_eq, w_eq, detector_rows)
 
     level2 = _add_noise(level2, noise.sigma_out, _streams(noise, batch, layer, tile, w_role + "/out"))
@@ -292,7 +319,7 @@ def _mvm_non_negative(
     return acc
 
 
-def _pair_legs(w: np.ndarray, w_quant: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
+def _pair_legs(w: np.ndarray, w_quant: QuantSpec, batch: int) -> tuple[np.ndarray, np.ndarray]:
     """The positive and negative legs of a differential pair, from one grid of magnitudes.
 
     The weights' magnitudes are quantized once on the leg grid [0, span]; each
@@ -300,11 +327,14 @@ def _pair_legs(w: np.ndarray, w_quant: QuantSpec) -> tuple[np.ndarray, np.ndarra
     bit ``quantize(np.maximum(+-w, 0.0), leg)[1]``: a leg's zero, clamped or
     not, reads +0.0 on a grid that starts at 0. Every magnitude is finite and
     at least +0.0, so multiplying by the sign mask keeps or zeroes it exactly
-    (and runs several times faster than ``np.where``).
+    (and runs several times faster than ``np.where``). Each leg is written
+    straight into a new C-ordered (batch, rows, cols) array, one copy per
+    item, for the item's weight noise.
     """
     span = max(abs(w_quant.lo), abs(w_quant.hi))
     mag = _quantized_values(np.abs(w), QuantSpec(bits=w_quant.bits, lo=0.0, hi=span))
-    return mag * (w > 0.0), mag * (w < 0.0)
+    shape = (batch, *w.shape)
+    return np.multiply(mag, w > 0.0, out=np.empty(shape)), np.multiply(mag, w < 0.0, out=np.empty(shape))
 
 
 def noisy_mvm(
@@ -339,7 +369,9 @@ def noisy_mvm(
     """
     check_number("detector_rows", detector_rows, integer=True, ge=1)
     x_batch = np.asarray(x, dtype=np.float64)
-    w_arr = np.asarray(weights, dtype=np.float64)
+    # C-ordered, so every weight pass runs over contiguous memory; a
+    # transposed view (as ``conv.run_conv`` passes) is copied here, at tile size
+    w_arr = np.asarray(weights, dtype=np.float64, order="C")
     if w_arr.ndim != 2:
         raise ValueError(f"weights must be 2-D (rows x cols), got shape {w_arr.shape}")
     if x_batch.ndim != 3 or x_batch.shape[1] != w_arr.shape[0]:
@@ -357,14 +389,15 @@ def noisy_mvm(
     )
 
     if w_quant.signed_mode == DIFFERENTIAL_PAIR:
-        w_pos, w_neg = _pair_legs(w_arr, w_quant)
+        w_pos, w_neg = _pair_legs(w_arr, w_quant, len(x_batch))
         y_pos = _mvm_non_negative(x_eq, w_pos, out_quant, noise, detector_rows, layer, tile, "w+")
         y_neg = _mvm_non_negative(x_eq, w_neg, out_quant, noise, detector_rows, layer, tile, "w-")
         return np.subtract(y_pos, y_neg, out=y_pos)             # y_pos is this call's own buffer
     if w_quant.lo < 0.0:
         raise ValueError("non_negative weight mode cannot represent a negative range")
-    w_values = _quantized_values(w_arr, w_quant)
-    return _mvm_non_negative(x_eq, w_values, out_quant, noise, detector_rows, layer, tile, "w")
+    # the values written straight into one C-ordered copy per item, for the item's weight noise
+    w_eq = _dequantized(_grid_index(w_arr, w_quant), w_quant, np.empty((len(x_batch), *w_arr.shape)))
+    return _mvm_non_negative(x_eq, w_eq, out_quant, noise, detector_rows, layer, tile, "w")
 
 
 # ---------------------------------------------------------------------------

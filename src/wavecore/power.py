@@ -165,8 +165,12 @@ def laser_power(
 
 
 def _modulation_depth(er_db: float) -> float:
-    """Usable modulation depth of a finite extinction ratio."""
-    return 1.0 - 10.0 ** (-er_db / 10.0)
+    """Usable modulation depth of a finite extinction ratio; a ratio so close
+    to 0 dB that the depth rounds to 0.0 raises ValueError."""
+    depth = 1.0 - 10.0 ** (-er_db / 10.0)
+    if depth == 0.0:
+        raise ValueError(f"extinction ratio in dB {er_db:.6g} gives no modulation depth (it rounds to 0.0)")
+    return depth
 
 
 def _laser_w(sensitivity_dbm: float, il_db: float, full_scale: float, wpe: float, depth: float) -> float:

@@ -320,6 +320,13 @@ class TestPdMinPower:
         high = dataclasses.replace(catalog.pd, dark_current_a=dark + extra)
         assert pd_min_power(high, 30.0) > pd_min_power(low, 30.0)
 
+    @pytest.mark.parametrize("dark", [None, 0.0])
+    def test_target_too_large_for_a_float_names_snr_db(self, catalog, dark):
+        # a * a overflowed, and the function returned inf
+        pd = catalog.pd if dark is None else dataclasses.replace(catalog.pd, dark_current_a=dark)
+        with pytest.raises(ValueError, match="^a result is out of float range: .* snr_db 3000 dB$"):
+            pd_min_power(pd, 3000.0)
+
     def test_monotone_in_bandwidth(self, catalog):
         low = dataclasses.replace(catalog.pd, bandwidth_hz=1e9)
         high = dataclasses.replace(catalog.pd, bandwidth_hz=2e9)

@@ -265,6 +265,24 @@ class TestEvaluate:
         assert message in result.output
 
     @pytest.mark.parametrize(
+        "args, section",
+        [(["evaluate"], "power"), (["evaluate", "--workload", "resnet50"], "power"), (["sweep"], "sweep")],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_extinction_ratio_with_no_modulation_depth_exits_1_naming_it(self, runner, tmp_path, args, section, fmt):
+        # 1e-20 dB passes the catalog's > 0 check, but 1 - 10**(-1e-20/10) is
+        # 0.0, and the laser power divided by it: was "a result is out of float range"
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"schema_version": 1, "sl_mzm": {"extinction_ratio_db": 1e-20}}))
+        result = runner.invoke(main, [*args, "--catalog", str(path), "--format", fmt])
+        assert result.exit_code == 1
+        assert result.stderr == (f"Error: {section}: extinction ratio in dB 1e-20 gives no modulation depth"
+                                 f" (it rounds to 0.0)\n")
+        # the link budget does not read the extinction ratio
+        linkbudget = runner.invoke(main, ["linkbudget", "--catalog", str(path), "--format", fmt])
+        assert linkbudget.exit_code == 0
+
+    @pytest.mark.parametrize(
         "args, catalog, message",
         [
             (["evaluate", "--variant", "planar2d:crossing_count=100000"], None,

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import wavecore.conv
-from wavecore import CoreGeometry, NoiseSpec, QuantSpec
+from wavecore import CoreGeometry, NoiseSpec, QuantSpec, noisy_mvm
 from wavecore.conv import conv_oracle, im2col, lowered_weight_matrix, run_conv
 from wavecore.engine import DIFFERENTIAL_PAIR, ZERO_NOISE, unit_step_out_quant
-from wavecore.workload import ConvLayerSpec, schedule
+from wavecore.workload import ConvLayerSpec, lower_conv, schedule
+
+from conftest import assert_same_bits
 
 
 def random_instance(rng, k, c_in_max=4, c_out_max=4, spatial_max=6, levels=16):
@@ -217,3 +221,88 @@ class TestBatchedRunConv:
         assert cols.shape == (4, 18, 9)
         for b, image in enumerate(acts):
             assert np.array_equal(cols[b], im2col(image, 3, stride=2))
+
+
+def full_layer_run_conv(images, weights, geom, in_quant, w_quant, noise, stride, pack):
+    """run_conv on a batch as one full-layer im2col, one transposed copy of the
+    weight matrix and one engine call per tile, accumulated into zeros."""
+    batch, c_in, h, w = images.shape
+    c_out, _, k, _ = weights.shape
+    h_out, w_out = (h - k) // stride + 1, (w - k) // stride + 1
+    dims = lower_conv(ConvLayerSpec("layer3", c_in, c_out, k, h_out, w_out, stride), geom, pack_pointwise=pack)
+    x_cols = im2col(images, k, stride)
+    w_mat = weights.reshape(c_out, -1).T.copy()
+    y = np.zeros((batch, c_out, h_out * w_out))
+    rows_per_pass = dims.channels_per_pass * k * k
+    tile = 0
+    for r0 in range(0, c_in * k * k, rows_per_pass):
+        for c0 in range(0, c_out, geom.cols):
+            rows, cols = slice(r0, r0 + rows_per_pass), slice(c0, c0 + geom.cols)
+            y[:, cols] += noisy_mvm(x_cols[:, rows], w_mat[rows, cols], in_quant, w_quant, None, noise,
+                                    layer=3, tile=tile)
+            tile += 1
+    return y.reshape(batch, c_out, h_out, w_out)
+
+
+WEIGHT_MODES = {
+    "differential": (QuantSpec(bits=7, lo=-1.0, hi=1.0, signed_mode=DIFFERENTIAL_PAIR), -1.0),
+    "non_negative": (QuantSpec(bits=7, lo=0.0, hi=1.0), 0.0),
+}
+
+
+class TestTilePath:
+    """run_conv cuts each tile's operands at tile size and gives the full-layer lowering's bits."""
+
+    @pytest.mark.parametrize("mode", sorted(WEIGHT_MODES))
+    @pytest.mark.parametrize("pack", [True, False])
+    @pytest.mark.parametrize("k, stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_equals_full_layer_lowering(self, batch, k, stride, pack, mode):
+        # 11 channels on 9 rows: 11 row tiles of 3x3 or unpacked 1x1, two of
+        # packed 1x1; 5 outputs on 2 columns: three column tiles
+        w_quant, w_low = WEIGHT_MODES[mode]
+        geom = CoreGeometry(9, 2)
+        rng = np.random.default_rng([batch, k, stride])
+        images = rng.random((batch, 11, 7, 7))
+        base = rng.uniform(w_low, 1.0, (11, 5, k, k))
+        strided = np.swapaxes(base, 0, 1)                       # (5, 11, k, k), not C-contiguous
+        assert not strided.flags.c_contiguous
+        in_quant = QuantSpec(bits=6)
+        for noise in (NoiseSpec(sigma_in=0.01, sigma_w=0.02, sigma_out=0.03, seed=9), ZERO_NOISE):
+            for weights in (np.ascontiguousarray(strided), strided):
+                expected = full_layer_run_conv(images, weights, geom, in_quant, w_quant, noise, stride, pack)
+                got = run_conv(images, weights, geom, in_quant, w_quant, None, noise,
+                               stride=stride, pack_pointwise=pack, layer_index=3)
+                assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("mode", sorted(WEIGHT_MODES))
+    def test_chunked_batch_equals_one_chunk(self, mode, monkeypatch):
+        # 7 images in chunks of 3, 3 and 1: each chunk keys its images'
+        # streams from its first image, so image b still draws seed + b
+        w_quant, w_low = WEIGHT_MODES[mode]
+        rng = np.random.default_rng(5)
+        images = rng.random((7, 3, 6, 6))
+        weights = rng.uniform(w_low, 1.0, (4, 3, 3, 3))
+        geom = CoreGeometry(9, 2)
+        noise = NoiseSpec(sigma_in=0.01, sigma_w=0.02, sigma_out=0.03, seed=21)
+        args = (images, weights, geom, QuantSpec(bits=6), w_quant, None, noise)
+        whole = run_conv(*args, layer_index=1)
+        monkeypatch.setattr(wavecore.conv, "_IMAGE_CHUNK", 3)
+        assert_same_bits(run_conv(*args, layer_index=1), whole)
+
+    def test_layer_memory_is_tile_sized(self):
+        # layer1.1.conv2 of ResNet-50 on a 144x256 core: 64 -> 64 channels of
+        # 3x3 at 64x64 outputs, four row tiles of 16 channels. The layer's
+        # im2col alone is 18.9 MB, and the traced peak was 31.9 MB while run_conv
+        # built it; one row tile's columns are 4.7 MB. Measured: 16.9 MB.
+        rng = np.random.default_rng(0)
+        x = rng.random((64, 66, 66))
+        w = rng.uniform(-1.0, 1.0, (64, 64, 3, 3))
+        w_q = QuantSpec(bits=7, lo=-1.0, hi=1.0, signed_mode=DIFFERENTIAL_PAIR)
+        tracemalloc.start()
+        try:
+            run_conv(x, w, CoreGeometry(144, 256), QuantSpec(bits=6), w_q, None, NoiseSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,62 @@ def grid_cases(draw, lo=st.floats(-50.0, 10.0)):
     return q, np.array(draw(st.lists(values, min_size=1, max_size=40)))
 
 
+def full_pass_quantized_values(x, q):
+    """The quantizer's rule in full: a finiteness mask, then ``lo`` subtracted and
+    added and the sign-aware tie rule on every grid."""
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("quantize requires finite inputs")
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = arr - q.lo
+        t /= q.step
+        idx = np.floor(t)
+        t -= idx
+        up = t == 0.5
+        up &= arr >= 0.0
+        up |= t > 0.5
+        idx += up
+        np.clip(idx, 0, q.levels - 1, out=idx)
+        idx *= q.step
+        idx += q.lo
+    return idx
+
+
+RULE_GRIDS = [
+    QuantSpec(bits=7, lo=-1.0, hi=1.0),
+    QuantSpec(bits=6, lo=-63.0, hi=0.0),
+    QuantSpec(bits=8, lo=-1e308, hi=5e307),                   # x - lo overflows for large x
+    QuantSpec(bits=6, lo=0.0, hi=1.0),
+    QuantSpec(bits=4, lo=0.0, hi=15.0),
+    QuantSpec(bits=16, lo=0.0, hi=1e-300),                    # x / step overflows for x >= 1e-5 or so
+    QuantSpec(bits=5, lo=2.0, hi=33.0),
+    QuantSpec(bits=3, lo=0.25, hi=2.0),
+    QuantSpec(bits=4, lo=1e308, hi=1.5e308),                  # x - lo overflows for x near -1.8e308
+]
+
+
+def rule_values(q):
+    """Exact midpoints of both signs, signed zeros, subnormals, values beyond the grid and near the float limit."""
+    ties = [q.lo + (k + 0.5) * q.step for k in range(-2, min(q.levels, 40) + 2)]
+    tiny = [5e-324, 1e-310, 2.2250738585072014e-308]
+    beyond = [q.lo - 3 * q.step, q.hi + 3 * q.step, 1e308, 1.7976931348623157e308, 1e-5, 3.0, 0.5]
+    values = [*ties, *tiny, *beyond]
+    return np.array([0.0, -0.0, *values, *[-v for v in values]])
+
+
+@pytest.mark.parametrize("q", RULE_GRIDS, ids=lambda q: f"{q.lo:g}..{q.hi:g}")
+def test_quantizer_keeps_the_full_pass_rule(q):
+    x = rule_values(q)
+    expected = full_pass_quantized_values(x, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_bits(_quantized_values(x, q), expected)
+        assert_same_bits(quantize(x, q)[1], expected)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^quantize requires finite inputs$"):
+                _quantized_values(np.append(x, bad), q)
+
+
 class TestValuesOnlyQuantizer:
     """The engine's values-only quantizer and differential legs give quantize's bits."""
 
@@ -117,9 +174,11 @@ class TestValuesOnlyQuantizer:
         signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(magnitudes), max_size=len(magnitudes)))
         w = magnitudes * np.array(signs)
         lo = -leg.hi if symmetric else -leg.hi / 2
-        w_pos, w_neg = _pair_legs(w, QuantSpec(bits=leg.bits, lo=lo, hi=leg.hi, signed_mode=DIFFERENTIAL_PAIR))
-        assert_same_bits(w_pos, quantize(np.maximum(w, 0.0), leg)[1])
-        assert_same_bits(w_neg, quantize(np.maximum(-w, 0.0), leg)[1])
+        # each leg comes as one copy per batch item
+        w_pos, w_neg = _pair_legs(w, QuantSpec(bits=leg.bits, lo=lo, hi=leg.hi, signed_mode=DIFFERENTIAL_PAIR), 2)
+        for b in range(2):
+            assert_same_bits(w_pos[b], quantize(np.maximum(w, 0.0), leg)[1])
+            assert_same_bits(w_neg[b], quantize(np.maximum(-w, 0.0), leg)[1])
 
     def test_values_only_rejects_what_quantize_rejects(self):
         with pytest.raises(ValueError, match="finite"):
@@ -733,9 +792,24 @@ class TestSplitPaths:
         y = noisy_mvm(x, w, q, q, noise=ZERO_NOISE, detector_rows=1)
         assert_same_bits(y, np.array([[[in_order]]]))
 
+    @pytest.mark.parametrize("noise", [ZERO_NOISE, NoiseSpec(sigma_w=0.0), NoiseSpec()], ids=["zero", "sigma_w_0", "default"])
+    @pytest.mark.parametrize("differential", [True, False])
+    def test_bits_do_not_depend_on_the_weights_layout(self, noise, differential):
+        # two detectors, so the product splits into row blocks; a Fortran-ordered
+        # or transposed-view weight matrix once reached BLAS in its own layout at
+        # sigma_w = 0 and moved the last bits
+        rng = np.random.default_rng(8)
+        x = rng.random((2, 300, 17))
+        w = rng.uniform(-1.0, 1.0, (300, 64)) if differential else rng.random((300, 64))
+        w_q = QuantSpec(bits=7, lo=-1.0, signed_mode=DIFFERENTIAL_PAIR) if differential else QuantSpec(bits=7)
+        expected = noisy_mvm(x, w, QuantSpec(bits=6), w_q, None, noise)
+        for layout in (np.asfortranarray(w), np.ascontiguousarray(w.T).T):
+            assert not layout.flags.c_contiguous
+            assert_same_bits(noisy_mvm(x, layout, QuantSpec(bits=6), w_q, None, noise), expected)
+
     def test_differential_tile_memory(self):
         # The README's 144x256 differential tile at 4096 positions. Measured
-        # peak: 21.47 MiB of traced heap, within 0.01 MiB over noise seeds
+        # peak: 21.32 MiB of traced heap, within 0.01 MiB over noise seeds
         # 0-2: the noisy inputs (4.5 MiB), one leg's result and the other
         # leg's detector readings (8 MiB each), and the weights.
         rng = np.random.default_rng(0)

@@ -55,6 +55,15 @@ class TestLaserPower:
         with pytest.raises(ValueError, match="extinction"):
             laser_power(-25.0, 30.0, 8, 0.0, 1.0)
 
+    @pytest.mark.parametrize("er_db", [1e-20, 1e-17, 5e-324])
+    def test_extinction_ratio_with_no_modulation_depth_rejected(self, er_db):
+        # positive, but 10**(-er_db/10) rounds to 1.0: was a bare ZeroDivisionError
+        with pytest.raises(ValueError, match=f"^extinction ratio in dB {er_db:.6g} gives no modulation depth"):
+            laser_power(-25.0, 30.0, 8, er_db, 1.0)
+
+    def test_smallest_extinction_ratios_with_a_depth_give_a_finite_power(self):
+        assert math.isfinite(laser_power(-25.0, 30.0, 8, 1e-15, 1.0))
+
     @pytest.mark.parametrize("il_db", [
         4000.0,  # the launched power overflows: was a bare OverflowError
         3080.0,  # the launched power is in range, its laser power is not: was inf
