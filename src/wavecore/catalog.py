@@ -44,6 +44,7 @@ class CatalogError(ValueError):
 # ---------------------------------------------------------------------------
 
 _FLOAT_MAX = sys.float_info.max
+_REAL = (float, int)  # the exact types of the JSON numbers check_number admits
 
 
 def check_number(
@@ -121,18 +122,22 @@ class ComponentSpec:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        name = self.name
-        check_number(f"{name}.insertion_loss_db", self.insertion_loss_db, ge=0.0)
-        if type(self.insertion_loss_db) is not float:
-            object.__setattr__(self, "insertion_loss_db", float(self.insertion_loss_db))
-        if self.area_um is not None:
-            if not (isinstance(self.area_um, (tuple, list)) and len(self.area_um) == 2):
-                raise ValueError(f"{name}.area_um must be a [width, height] pair, got {self.area_um!r}")
-            for value in self.area_um:
-                check_number(f"{name}.area_um", value, gt=0.0)
-            object.__setattr__(self, "area_um", (float(self.area_um[0]), float(self.area_um[1])))
-        if self.static_power_mw is not None:
-            check_number(f"{name}.static_power_mw", self.static_power_mw, ge=0.0)
+        # each test admits only values check_number admits, so an accepted one formats no label
+        name, loss, area, static = self.name, self.insertion_loss_db, self.area_um, self.static_power_mw
+        if type(loss) is not float or not 0.0 <= loss <= _FLOAT_MAX:
+            check_number(f"{name}.insertion_loss_db", loss, ge=0.0)
+            object.__setattr__(self, "insertion_loss_db", float(loss))
+        if area is not None:
+            if not (isinstance(area, (tuple, list)) and len(area) == 2):
+                raise ValueError(f"{name}.area_um must be a [width, height] pair, got {area!r}")
+            width, height = area
+            if not (type(width) in _REAL and type(height) in _REAL
+                    and 0.0 < width <= _FLOAT_MAX and 0.0 < height <= _FLOAT_MAX):
+                for value in area:
+                    check_number(f"{name}.area_um", value, gt=0.0)
+            object.__setattr__(self, "area_um", (float(width), float(height)))
+        if static is not None and (type(static) is not float or not 0.0 <= static <= _FLOAT_MAX):
+            check_number(f"{name}.static_power_mw", static, ge=0.0)
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,8 @@ class ModulatorSpec:
             if type(bits) is not int or not 1 <= bits <= 16:  # the widths PrecisionSpec allows
                 raise ValueError(f"sl_mzm.energy_per_switch_fj keys must be bit counts 1 to 16, "
                                  f"written in decimal, got {bits!r}")
-            check_number(f"sl_mzm.energy_per_switch_fj[{bits}]", energy, ge=0.0)
+            if type(energy) is not float or not 0.0 <= energy <= _FLOAT_MAX:  # as in ComponentSpec
+                check_number(f"sl_mzm.energy_per_switch_fj[{bits}]", energy, ge=0.0)
             table[bits] = float(energy)
         object.__setattr__(self, "energy_per_switch_fj", MappingProxyType(table))
 
@@ -315,7 +321,7 @@ def _shipped() -> _Shipped:
     """The shipped file's entries by name, and the names of those that are
     components, not subsystems. Every catalog has exactly these entries; an
     entry or field a catalog leaves out takes the value here."""
-    data = json.loads(_SHIPPED_PATH.read_bytes())
+    data = _parse_json(_SHIPPED_PATH.read_bytes())
     entries = {name: entry for name, entry in data.items() if name != "schema_version"}
     return _Shipped(entries, frozenset(entries.keys() - _SUBSYSTEMS.keys()))
 
@@ -371,39 +377,37 @@ def _energy_table(raw: Any) -> dict[Any, Any]:
     return {_BITS_KEYS.get(key, key): value for key, value in raw.items()}
 
 
-def _build_entry(name: str, shipped: Mapping[str, Any], raw: Mapping[str, Any]) -> Any:
-    """The entry ``name``: the fields of its ``shipped`` entry with those of ``raw`` laid over them."""
+def _build_entry(name: str, shipped: Mapping[str, Any], raw: dict[str, Any]) -> Any:
+    """The entry ``name``: the fields of its ``shipped`` entry with those of
+    ``raw`` laid over them. A ``raw`` that states every shipped field is used
+    as it is, not merged: it is this load's own dict, and may be changed."""
     cls, allowed = _SUBSYSTEM_SPECS.get(name, _COMPONENT_SPEC)
     if not raw.keys() <= allowed:
         raise CatalogError(f"{name}: unknown fields {sorted(raw.keys() - allowed)}")
-    kwargs = {**shipped, **raw}
+    kwargs = raw if raw.keys() >= shipped.keys() else {**shipped, **raw}
     if cls is ComponentSpec:
-        return ComponentSpec(name, notes=str(kwargs.pop("notes", "")), **kwargs)
+        return ComponentSpec(name, kwargs["insertion_loss_db"], kwargs.get("area_um"), kwargs.get("static_power_mw"),
+                             str(kwargs.get("notes", "")))
     if name == "sl_mzm":
         kwargs["energy_per_switch_fj"] = _energy_table(kwargs["energy_per_switch_fj"])
     return cls(**kwargs)
 
 
-def _read_file(path: str | os.PathLike[str], mode: str = "rb") -> Any:
-    """The contents of the file at ``path``, read with one ``open()`` and no
+def _read_file(path: str | os.PathLike[str]) -> bytes:
+    """The bytes of the file at ``path``, read with one ``open()`` and no
     :class:`~pathlib.Path`. Only when that fails is the path normalized as
     ``Path(path)`` spells it (no repeated or trailing slashes, no ``.``
     parts) and opened again, so the file read, and the path an ``OSError``
     names, are those of ``Path(path)``; an empty path is not retried, as
     ``Path("")`` is ``.``. A NUL byte in the path raises ``ValueError``."""
     try:
-        file = open(os.fspath(path), mode)
+        file = open(os.fspath(path), "rb")
     except (OSError, ValueError):
         if path == "":
             raise
-        file = open(Path(path), mode)
+        file = open(Path(path), "rb")
     with file:
         return file.read()
-
-
-def _parse_json(text: str | bytes) -> Any:
-    """``json.loads``, but a key repeated in one object is a ValueError naming it, not its last value."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -412,6 +416,23 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         keys = [key for key, _ in pairs]
         raise ValueError(f"repeated key {next(key for key in obj if keys.count(key) > 1)!r}")
     return obj
+
+
+# One decoder for every load, as json.loads shares its default one; it holds no state between calls.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _parse_json(text: str | bytes) -> Any:
+    """``json.loads``, but a key repeated in one object is a ValueError naming it, not its last
+    value. Bytes are decoded as it decodes them: UTF-8, -16 or -32, with or without a BOM."""
+    if isinstance(text, str):
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    elif isinstance(text, (bytes, bytearray)):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+    else:
+        raise TypeError(f"the JSON object must be str, bytes or bytearray, not {text.__class__.__name__}")
+    return _DECODER.decode(text)
 
 
 def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
@@ -435,7 +456,7 @@ def load_catalog(path: str | os.PathLike[str]) -> DeviceCatalog:
     if "schema_version" not in data:
         raise CatalogError("catalog is missing required field 'schema_version'")
     version = data["schema_version"]
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # not True, nor 1.0
         raise CatalogError(f"unsupported catalog schema_version {version!r} (expected {SCHEMA_VERSION})")
 
     shipped = _shipped().entries

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .catalog import WAVELENGTHS_PER_GROUP, DeviceCatalog, check_number
+from .catalog import _FLOAT_MAX, WAVELENGTHS_PER_GROUP, DeviceCatalog, check_number
 
 # Each 1x8 MMI feeds a bundle of eight columns.
 COLS_PER_MMI = 8
@@ -32,8 +32,10 @@ class CoreGeometry:
     cols: int
 
     def __post_init__(self) -> None:
-        check_number("rows", self.rows, integer=True, ge=1)
-        check_number("cols", self.cols, integer=True, ge=1)
+        rows, cols = self.rows, self.cols
+        if not (type(rows) is type(cols) is int and 1 <= rows <= _FLOAT_MAX and 1 <= cols <= _FLOAT_MAX):
+            check_number("rows", rows, integer=True, ge=1)  # only what it admits passes the test above
+            check_number("cols", cols, integer=True, ge=1)
         if self.rows % WAVELENGTHS_PER_GROUP != 0:
             raise ValueError(f"rows ({self.rows}) must be divisible by the wavelength group size "
                              f"({WAVELENGTHS_PER_GROUP})")
@@ -217,7 +219,7 @@ class LinkBudgetReport:
     total_db: float = field(init=False)
 
     def __post_init__(self) -> None:
-        total = sum(db for _, db in self.terms)
+        total = sum([db for _, db in self.terms])
         object.__setattr__(self, "total_db", total)
         try:
             check_number("total_db", total)

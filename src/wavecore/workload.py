@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .catalog import DeviceCatalog, PcmSpec, _parse_json, _read_file, check_number
+from .catalog import _FLOAT_MAX, DeviceCatalog, PcmSpec, _parse_json, _read_file, check_number
 from .linkbudget import CoreGeometry
 from .power import PowerReport, _write_energies_j
 
@@ -30,6 +30,9 @@ from .power import PowerReport, _write_energies_j
 # modulator ceiling, so runs at this profile opt in to overclocking.
 PARETO_CLOCK_HZ = 342.1e12 / (2 * 144 * 256)
 DEFAULT_CLOCK_HZ = 1e9
+
+
+_COUNT_FIELDS = ("c_in", "c_out", "kernel", "h_out", "w_out", "stride")
 
 
 @dataclass(frozen=True)
@@ -50,12 +53,13 @@ class ConvLayerSpec:
     def __post_init__(self) -> None:
         if not (isinstance(self.name, str) and self.name):
             raise ValueError(f"name must be a non-empty string, got {self.name!r:.40}")
-        check_number("c_in", self.c_in, integer=True, ge=1)
-        check_number("c_out", self.c_out, integer=True, ge=1)
-        check_number("kernel", self.kernel, integer=True, ge=1)
-        check_number("h_out", self.h_out, integer=True, ge=1)
-        check_number("w_out", self.w_out, integer=True, ge=1)
-        check_number("stride", self.stride, integer=True, ge=1)
+        c_in, c_out, kernel, h_out, w_out, stride = counts = (
+            self.c_in, self.c_out, self.kernel, self.h_out, self.w_out, self.stride)
+        # only counts that check_number admits pass this test; others go through it, in field order
+        if not (type(c_in) is type(c_out) is type(kernel) is type(h_out) is type(w_out) is type(stride) is int
+                and 1 <= min(counts) and max(counts) <= _FLOAT_MAX):
+            for field_name, value in zip(_COUNT_FIELDS, counts):
+                check_number(field_name, value, integer=True, ge=1)
         if self.kind not in ("conv", "other"):
             raise ValueError(f"kind must be 'conv' or 'other', got {self.kind!r}")
         if self.kind == "conv" and self.kernel not in (1, 3):
@@ -171,7 +175,7 @@ def schedule_cores(
     if not workload:
         raise ValueError("workload is empty")
     layers = tuple(workload)
-    # kernel -> {(c_in, c_out): [layer count, summed positions]}
+    # kernel -> {(c_in, c_out): [c_in, c_out, layer count, summed positions]}, a flat record walked once per core
     shapes: dict[int, dict[tuple[int, int], list[int]]] = {}
     cells = 0
     flagged = []
@@ -179,18 +183,18 @@ def schedule_cores(
         if layer.kind != "conv":
             flagged.append(layer.name)
             continue
-        positions = layer.positions
-        cells += layer.weight_count
-        table = shapes.get(layer.kernel)
+        kernel, c_in, c_out = layer.kernel, layer.c_in, layer.c_out
+        positions = layer.h_out * layer.w_out  # layer.positions and .weight_count, without the property calls
+        cells += kernel * kernel * c_in * c_out
+        table = shapes.get(kernel)
         if table is None:
-            table = shapes[layer.kernel] = {}
-        shape = (layer.c_in, layer.c_out)
-        group = table.get(shape)
+            table = shapes[kernel] = {}
+        group = table.get((c_in, c_out))
         if group is None:
-            table[shape] = [1, positions]
+            table[c_in, c_out] = [c_in, c_out, 1, positions]
         else:
-            group[0] += 1
-            group[1] += positions
+            group[2] += 1
+            group[3] += positions
     flagged_ops = tuple(flagged)
 
     scheds = []
@@ -199,7 +203,7 @@ def schedule_cores(
         loads = cycles = 0
         for kernel, table in shapes.items():
             per_pass = _channels_per_pass(kernel, geom, pack_pointwise)
-            for (c_in, c_out), (count, positions) in table.items():
+            for c_in, c_out, count, positions in table.values():
                 shape_loads = -(-c_in // per_pass) * -(-c_out // cols)
                 loads += count * shape_loads
                 cycles += shape_loads * positions
@@ -485,8 +489,8 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
     if ref in _BUNDLED_WORKLOADS:
         return _BUNDLED_WORKLOADS[ref]()
     try:
-        data = _parse_json(_read_file(ref, "r"))
-    except (OSError, ValueError) as exc:  # no file, unreadable, not UTF-8 or not JSON
+        data = _parse_json(_read_file(ref))
+    except (OSError, ValueError) as exc:  # no file, unreadable, not UTF-8, -16 or -32, or not JSON
         if getattr(exc, "errno", None) in _NO_FILE or "\0" in str(ref):
             raise ValueError(f"workload {ref!r} is neither a bundled name {sorted(_BUNDLED_WORKLOADS)} "
                              "nor a file") from None
@@ -498,16 +502,16 @@ def load_workload(ref: str) -> tuple[ConvLayerSpec, ...]:
     for i, raw in enumerate(data):
         if not isinstance(raw, dict) or "name" not in raw:
             raise ValueError(f"workload entry {i} must be an object with a 'name'")
-        name = raw["name"]
-        where = f"workload entry {i} ({name!r})" if isinstance(name, str) and name else f"workload entry {i}"
-        if not raw.keys() <= _LAYER_FIELDS:
-            raise ValueError(f"{where}: unknown fields {sorted(raw.keys() - _LAYER_FIELDS)}")
         try:
+            if not raw.keys() <= _LAYER_FIELDS:
+                raise ValueError(f"unknown fields {sorted(raw.keys() - _LAYER_FIELDS)}")
             layer = ConvLayerSpec(**raw)
-        except ValueError as exc:
+            if layer.name in first_use:
+                raise ValueError(f"name repeats entry {first_use[layer.name]}")
+        except ValueError as exc:  # named by its entry only here, so a valid entry formats no label
+            name = raw["name"]
+            where = f"workload entry {i} ({name!r})" if isinstance(name, str) and name else f"workload entry {i}"
             raise ValueError(f"{where}: {exc}") from None
-        if layer.name in first_use:
-            raise ValueError(f"{where}: name repeats entry {first_use[layer.name]}")
         first_use[layer.name] = i
         layers.append(layer)
     return tuple(layers)

@@ -141,6 +141,14 @@ class TestLoader:
         with pytest.raises(CatalogError, match="schema_version"):
             load_catalog(path)
 
+    @pytest.mark.parametrize("version, shown", [(True, "True"), (1.0, "1.0"), (2, "2"), ("1", "'1'")])
+    def test_schema_version_must_be_the_integer_1(self, tmp_path, version, shown):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"schema_version": version}))
+        with pytest.raises(CatalogError) as info:
+            load_catalog(path)
+        assert str(info.value) == f"unsupported catalog schema_version {shown} (expected 1)"
+
     def test_repeated_loads_identical(self):
         a = load_catalog(default_catalog_path())
         b = load_catalog(default_catalog_path())

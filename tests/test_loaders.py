@@ -8,12 +8,14 @@ to a readable file reads that file.
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from clirunner import CliRunner
 
-from wavecore.catalog import CatalogError, load_catalog
+from wavecore.catalog import CatalogError, _parse_json, _unique_keys, default_catalog_path, load_catalog
 from wavecore.cli import main
 from wavecore.workload import load_workload
 
@@ -187,3 +189,91 @@ def test_a_key_in_two_objects_is_not_repeated(files):
     assert (cat.loss_db("awg"), cat.loss_db("wsc")) == (1.5, 0.25)
     (files / "in.json").write_text('[{"name": "conv_a", "c_in": 2}, {"name": "conv_b", "c_in": 2}]')
     assert [layer.c_in for layer in load_workload("in.json")] == [2, 2]
+
+
+# Both loaders read bytes and decode them as json.loads does: in the encoding
+# JSON's own detection names, so UTF-8, -16 or -32, with or without a BOM.
+LAYERS = [{"name": "café", "c_in": 2}, {"name": "fc", "kind": "other"}]
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-16-be", "utf-32", "utf-32-le"])
+def test_a_workload_in_any_json_encoding_loads(files, encoding):
+    (files / "w.json").write_bytes(json.dumps(LAYERS, ensure_ascii=False).encode(encoding))
+    assert [layer.name for layer in load_workload("w.json")] == ["café", "fc"]
+
+
+def test_a_workload_with_a_bom_loads_as_a_catalog_with_one_does(files):
+    (files / "w.json").write_bytes(b"\xef\xbb\xbf" + json.dumps(LAYERS).encode())
+    (files / "c.json").write_bytes(b"\xef\xbb\xbf" + json.dumps({"schema_version": 1}).encode())
+    for option, path in (("--workload", "w.json"), ("--catalog", "c.json")):
+        result = CliRunner().invoke(main, ["evaluate", option, path, "--format", "json"])
+        assert (result.exit_code, result.stderr) == (0, ""), (option, result.stderr)
+
+
+def test_a_workload_does_not_depend_on_the_locale(files):
+    # Under the C locale, text files open as ASCII; the workload's UTF-8 name must still read.
+    (files / "w.json").write_text(json.dumps(LAYERS, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": src}
+    code = ("import codecs, locale; from wavecore.workload import load_workload; "
+            "print(codecs.lookup(locale.getpreferredencoding(False)).name); "
+            "print(ascii([layer.name for layer in load_workload('w.json')]))")
+    result = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, env=env,
+                            timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "ascii\n['caf\\xe9', 'fc']\n"
+
+
+DOC = '{"a": [1, 2.5, "caf\\u00e9 ü", {"b": null, "c": true}], "d": {}}'
+PARSE_INPUTS = [
+    ("str", DOC),
+    *[(encoding, DOC.encode(encoding)) for encoding in
+      ("utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be", "utf-32", "utf-32-le", "utf-32-be")],
+    ("bytearray", bytearray(DOC.encode())),
+    ("lone-surrogate", b'["\xed\xa0\x80"]'),
+    ("str-with-bom", "\ufeff" + DOC),
+    ("not-utf8", b"[\xff]"),
+    ("truncated-utf8", b'["\xc3"]'),
+    ("repeated-key-str", '{"a": 1, "b": {"a": 2, "a": 3}}'),
+    ("repeated-key-bytes", b'{"a": 1, "a": 2}'),
+    ("bad-json", "{not json"),
+    ("bad-json-bytes", b"[1,]"),
+    ("empty-str", ""),
+    ("empty-bytes", b""),
+    ("int", 5),
+    ("none", None),
+    ("memoryview", memoryview(b"[1]")),
+    ("list", ["[1]"]),
+]
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:                    # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", [case[1] for case in PARSE_INPUTS], ids=[case[0] for case in PARSE_INPUTS])
+def test_parse_json_is_json_loads_with_the_repeated_key_hook(text):
+    expected = outcome(lambda t: json.loads(t, object_pairs_hook=_unique_keys), text)
+    assert outcome(_parse_json, text) == expected
+
+
+def test_loads_construct_no_json_decoder(files, monkeypatch):
+    (files / "w.json").write_text(json.dumps(LAYERS))
+    monkeypatch.delenv("WAVECORE_CATALOG", raising=False)
+    shipped = default_catalog_path()
+    load_catalog(shipped)
+    built = []
+    real_init = json.JSONDecoder.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONDecoder, "__init__", counting_init)
+    for _ in range(10):
+        load_catalog(shipped)
+        load_workload("w.json")
+    assert built == []

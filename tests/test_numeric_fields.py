@@ -4,9 +4,11 @@ The roll-up functions' own argument checks fail on NaN and infinity."""
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wavecore.catalog import ComponentSpec, check_number, default_catalog
 from wavecore.engine import NoiseSpec, PcmProgrammer, QuantSpec, noisy_mvm
@@ -190,3 +192,110 @@ def test_roll_up_arguments_reject_nan(catalog, design_point, call):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             call(catalog, geom, power, sched, value)
+
+
+# The specs built from input files first test each value against a subset of
+# what check_number admits, and call it only to reject. Each property holds
+# a spec to the rule that every value goes through check_number: built exactly
+# when it accepts, with the same stored type, and otherwise its message.
+EDGES = [0, 1, -1, 0.0, -0.0, 5e-324, -5e-324, 1.5, sys.float_info.max, -sys.float_info.max, math.inf, -math.inf,
+         math.nan, 2**1024, -(2**1024), True, False, np.float64(2.0), np.float64(-0.0), "1"]
+VALUES = st.one_of(
+    st.sampled_from(EDGES),
+    st.integers(),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.floats(),
+    st.booleans(),
+    st.floats().map(np.float64),
+    st.text(max_size=3),
+)
+FAST = settings(max_examples=400, deadline=None)
+
+
+def at_edges(place):
+    """Also run the property at each of EDGES, placed in its arguments by ``place``."""
+    def decorate(test):
+        for value in EDGES:
+            test = example(*place(value))(test)
+        return test
+    return decorate
+
+
+def checked(where, value, **bounds):
+    """None if check_number accepts ``value``, else its message."""
+    try:
+        check_number(where, value, **bounds)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def built(make):
+    """The spec, or the message of the ValueError building it raised."""
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+def same_float(got, value):
+    return type(got) is float and repr(got) == repr(float(value))
+
+
+class TestFastAcceptMatchesCheckNumber:
+    @FAST
+    @given(VALUES)
+    @at_edges(lambda v: (v,))
+    def test_component_loss(self, value):
+        spec = built(lambda: ComponentSpec("awg", value))
+        error = checked("awg.insertion_loss_db", value, ge=0.0)
+        assert spec == error if error else same_float(spec.insertion_loss_db, value)
+
+    @FAST
+    @given(VALUES, VALUES)
+    @at_edges(lambda v: (v, 1.0))
+    @at_edges(lambda v: (1.0, v))
+    def test_component_area(self, width, height):
+        spec = built(lambda: ComponentSpec("awg", 1.5, area_um=[width, height]))
+        error = checked("awg.area_um", width, gt=0.0) or checked("awg.area_um", height, gt=0.0)
+        assert spec == error if error else same_float(spec.area_um[0], width) and same_float(spec.area_um[1], height)
+
+    @FAST
+    @given(VALUES)
+    @at_edges(lambda v: (v,))
+    def test_component_static_power(self, value):
+        spec = built(lambda: ComponentSpec("voa", 0.18, static_power_mw=value))
+        error = checked("voa.static_power_mw", value, ge=0.0)
+        assert spec == error if error else spec.static_power_mw is value  # stored as given
+
+    @FAST
+    @given(VALUES)
+    @at_edges(lambda v: (v,))
+    def test_modulator_energy(self, value):
+        spec = built(lambda: dataclasses.replace(CATALOG.modulator, energy_per_switch_fj={6: value}))
+        error = checked("sl_mzm.energy_per_switch_fj[6]", value, ge=0.0)
+        assert spec == error if error else same_float(spec.energy_per_switch_fj[6], value)
+
+    @FAST
+    @given(st.lists(st.one_of(st.just(1), st.integers(1, 4096), VALUES), min_size=6, max_size=6))
+    @at_edges(lambda v: ([v, 1, 1, 1, 1, 1],))
+    @at_edges(lambda v: ([1, 1, 1, 1, 1, v],))
+    def test_layer_counts(self, counts):
+        fields = ("c_in", "c_out", "kernel", "h_out", "w_out", "stride")
+        spec = built(lambda: ConvLayerSpec("l", *counts, kind="other"))
+        error = next(filter(None, (checked(f, v, integer=True, ge=1) for f, v in zip(fields, counts))), None)
+        assert spec == error if error else all(getattr(spec, f) is v for f, v in zip(fields, counts))
+
+    @FAST
+    @given(st.one_of(st.integers(1, 64).map(lambda n: 9 * n), VALUES),
+           st.one_of(st.integers(1, 64).map(lambda n: 8 * n), st.integers(1, 7), VALUES))
+    @at_edges(lambda v: (v, 8))
+    @at_edges(lambda v: (9, v))
+    def test_geometry(self, rows, cols):
+        geom = built(lambda: CoreGeometry(rows, cols))
+        error = checked("rows", rows, integer=True, ge=1) or checked("cols", cols, integer=True, ge=1)
+        if not error and rows % 9:
+            error = f"rows ({rows}) must be divisible by the wavelength group size (9)"
+        if not error and cols >= 8 and cols % 8:
+            error = f"cols ({cols}) must be divisible by cols_per_mmi (8)"
+        assert geom == error if error else (geom.rows, geom.cols) == (rows, cols)

@@ -427,6 +427,27 @@ class TestWorkloadIo:
         with pytest.raises(ValueError, match=f"entry 1 \\('conv_a'\\): {field} must be an integer"):
             load_workload(str(path))
 
+    @pytest.mark.parametrize("entries, message", [
+        ([{"name": "ok"}, {"name": "conv_a", "c_in": 3, "pad": 1}], "workload entry 1 ('conv_a'): unknown fields ['pad']"),
+        ([{"name": "", "pad": 1}], "workload entry 0: unknown fields ['pad']"),
+        ([{"name": "conv_a", "c_out": 0}], "workload entry 0 ('conv_a'): c_out must be an integer >= 1, got 0"),
+        ([{"name": "conv_a", "stride": 10**400}],
+         "workload entry 0 ('conv_a'): stride must be an integer >= 1, got an integer too large for a float"),
+        ([{"name": "conv_a", "kernel": 5}], "workload entry 0 ('conv_a'): unsupported kernel size 5 (supported: 1, 3)"),
+        ([{"name": "a"}, {"name": "b"}, {"name": "a"}], "workload entry 2 ('a'): name repeats entry 0"),
+        ([{"name": 7}], "workload entry 0: name must be a non-empty string, got 7"),
+        ([{"name": None, "c_in": 0}], "workload entry 0: name must be a non-empty string, got None"),
+        ([{"name": ""}], "workload entry 0: name must be a non-empty string, got ''"),
+        ([{"name": "ok"}, [1]], "workload entry 1 must be an object with a 'name'"),
+    ], ids=["unknown-field", "unknown-field-unnamed", "bad-value", "huge-value", "bad-kernel", "repeated-name",
+            "int-name", "none-name", "empty-name", "not-an-object"])
+    def test_an_entry_error_is_labelled_by_its_index_and_name(self, tmp_path, entries, message):
+        path = tmp_path / "wl.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(ValueError) as info:
+            load_workload(str(path))
+        assert str(info.value) == message
+
     def test_a_rewritten_file_gives_the_new_layers(self, tmp_path):
         path = tmp_path / "wl.json"
         for c_in in (3, 5, 3):
